@@ -40,9 +40,6 @@ from .laws import (
     SourceLaw,
     ZeroSource,
     assumption_constants,
-    f_eval,
-    f_primitive_eval,
-    k_eval,
     project_source,
 )
 from .nakao import (

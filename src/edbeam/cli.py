@@ -18,6 +18,7 @@ Exit status is 0 iff every criterion passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -46,6 +47,7 @@ from .experiments import (
 )
 from .integrate import integrate
 from .laws import assumption_constants
+from .series import write_csv
 from .stationary import multi_start, stationary_bound_check
 
 
@@ -56,12 +58,23 @@ def _default_window(opts, horizon):
     return (lo, hi)
 
 
-def _run_simulate(cfg, run_dir):
+def _start(cfg, n_states=0):
+    """(model, damping, source, forcing, rng, states) for one run.
+
+    ``states`` holds ``n_states`` random initial states drawn from the run's
+    seeded generator with the ``energy2`` and ``decay`` options.
+    """
     model, damping, source, forcing = build_objects(cfg)
     rng = np.random.default_rng(cfg.seed)
-    initial = make_initial_state(
-        model, rng, cfg.options["energy2"], cfg.options["decay"]
-    )
+    states = [
+        make_initial_state(model, rng, cfg.options["energy2"], cfg.options["decay"])
+        for _ in range(n_states)
+    ]
+    return model, damping, source, forcing, rng, states
+
+
+def _run_simulate(cfg, run_dir):
+    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
     traj = integrate(model, source, damping, forcing, initial, cfg.integrator)
     traj.write_csv(run_dir / "trajectory.csv")
     report = ExperimentReport("simulate", seed=cfg.seed)
@@ -71,11 +84,7 @@ def _run_simulate(cfg, run_dir):
 
 
 def _run_exp_k1(cfg, run_dir):
-    model, damping, source, forcing = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    initial = make_initial_state(
-        model, rng, cfg.options["energy2"], cfg.options["decay"]
-    )
+    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
     window = _default_window(cfg.options, cfg.integrator.horizon)
     return exp_k1_decay(
         model,
@@ -93,11 +102,7 @@ def _run_exp_k1(cfg, run_dir):
 
 
 def _run_exp_k2(cfg, run_dir):
-    model, damping, source, forcing = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    initial = make_initial_state(
-        model, rng, cfg.options["energy2"], cfg.options["decay"]
-    )
+    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
     window = _default_window(cfg.options, cfg.integrator.horizon)
     return exp_k2_exponential(
         model,
@@ -114,10 +119,9 @@ def _run_exp_k2(cfg, run_dir):
 
 
 def _run_exp_k3(cfg, run_dir):
-    model, damping, source, forcing = build_objects(cfg)
+    model, damping, _, forcing, rng, _ = _start(cfg)
     if forcing.effective_norm > 0.0:
         raise InvalidConfigurationError("exp_k3_ball requires zero forcing")
-    rng = np.random.default_rng(cfg.seed)
     opts = cfg.options
     inside = [
         make_initial_state(model, rng, rng.uniform(0.05, 0.95), opts["decay"])
@@ -142,10 +146,7 @@ def _run_exp_k3(cfg, run_dir):
 
 
 def _run_exp_two(cfg, run_dir):
-    model, damping, source, _ = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    u1 = make_initial_state(model, rng, cfg.options["energy2"], cfg.options["decay"])
-    u2 = make_initial_state(model, rng, cfg.options["energy2"], cfg.options["decay"])
+    model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
     return exp_two_trajectory(
         model,
         damping,
@@ -160,11 +161,7 @@ def _run_exp_two(cfg, run_dir):
 
 
 def _run_exp_lambda(cfg, run_dir):
-    model, damping, source, forcing = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    initial = make_initial_state(
-        model, rng, cfg.options["energy2"], cfg.options["decay"]
-    )
+    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
     lam0 = cfg.options["lambda0"]
     step = cfg.options["grid_step"]
     grid = [
@@ -188,10 +185,7 @@ def _run_exp_lambda(cfg, run_dir):
 
 
 def _run_exp_decomposition(cfg, run_dir):
-    model, damping, source, forcing = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    u1 = make_initial_state(model, rng, cfg.options["energy2"], cfg.options["decay"])
-    u2 = make_initial_state(model, rng, cfg.options["energy2"], cfg.options["decay"])
+    model, damping, source, forcing, _, (u1, u2) = _start(cfg, 2)
     probes = tuple(int(x) for x in str(cfg.options["probe_modes"]).split(","))
     dcfg = DecompositionConfig(
         s=cfg.options["s"], horizon=cfg.integrator.horizon, probe_modes=probes
@@ -245,8 +239,7 @@ def _run_haraux(cfg, run_dir):
 
 
 def _run_stationary(cfg, run_dir):
-    model, _, source, forcing = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    model, _, source, forcing, rng, _ = _start(cfg)
     opts = cfg.options
     starts = [np.zeros(model.n_modes)]
     j = np.arange(1, model.n_modes + 1, dtype=float)
@@ -269,17 +262,10 @@ def _run_stationary(cfg, run_dir):
     )
     report.metrics["n_distinct"] = len(results)
     report.metrics["best_value"] = min(r.functional_value for r in results)
-    path = run_dir / "stationary.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        n = model.n_modes
-        fh.write(
-            "lambda,functional_value,residual,"
-            + ",".join(f"c_{k}" for k in range(1, n + 1))
-            + "\n"
-        )
-        for r in results:
-            row = [forcing.lam, r.functional_value, r.residual] + list(r.coeffs)
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = ["lambda", "functional_value", "residual"]
+    header += [f"c_{k}" for k in range(1, model.n_modes + 1)]
+    rows = [[forcing.lam, r.functional_value, r.residual, *r.coeffs] for r in results]
+    write_csv(run_dir / "stationary.csv", header, [rows])
     report.artifacts.append("stationary.csv")
     return report
 
@@ -323,25 +309,20 @@ def list_experiments(stream=None):
     """Print the experiment catalog (plus the plain 'simulate' runner)."""
     stream = stream or sys.stdout
     ids = ["simulate", "stationary"] + sorted(DRIVER_DESCRIPTIONS)
-    seen = []
     for name in ids:
-        if name in seen:
-            continue
-        seen.append(name)
         desc = DRIVER_DESCRIPTIONS.get(name) or _BUILTIN_DESCRIPTIONS[name]
         stream.write(f"{name:22s} {desc}\n")
-    return seen
+    return ids
 
 
 def _load_config(args, default_id=None):
+    text = ""
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise InvalidConfigurationError(f"cannot read config: {exc}") from None
-        cfg = parse_config(text)
-    else:
-        cfg = parse_config("")
+    cfg = parse_config(text)
     updates = {}
     if default_id is not None and cfg.experiment_id != default_id:
         options = dict(EXPERIMENT_OPTIONS[default_id])
@@ -351,8 +332,6 @@ def _load_config(args, default_id=None):
     if args.out is not None:
         updates["output_dir"] = args.out
     if updates:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, **updates)
     return cfg
 

@@ -46,15 +46,21 @@ from .spectral import build_model
 
 __all__ = ["RunConfig", "parse_config", "emit_config"]
 
-DAMPING_VARIANTS = (
-    "k1",
-    "k2_constant",
-    "k2_exp_decay",
-    "k2_rational",
-    "k3_rational",
-    "k3_shifted_exp",
-)
-SOURCE_VARIANTS = ("zero", "double_power")
+# variant -> (law class, {key: default}); keys are listed in the order of
+# the constructor's positional arguments, and a default of None marks a
+# required key.  The law constructor is the only place that validates them.
+DAMPING_LAWS = {
+    "k1": (K1Monomial, {"gamma": 1.0, "q": 1.0}),
+    "k2_constant": (K2Constant, {"gamma": 1.0}),
+    "k2_exp_decay": (K2ExpDecay, {"gamma": 1.0}),
+    "k2_rational": (K2Rational, {"gamma": 1.0}),
+    "k3_rational": (K3Rational, {"gamma": 1.0}),
+    "k3_shifted_exp": (K3ShiftedExp, {"gamma": 1.0}),
+}
+SOURCE_LAWS = {
+    "zero": (ZeroSource, {}),
+    "double_power": (DoublePower, {"delta": None, "r": None, "sigma": 0.0}),
+}
 
 # Experiment ids and the extra keys each accepts (with defaults).
 EXPERIMENT_OPTIONS = {
@@ -145,35 +151,15 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "runs"
 
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return (
-            self.model == other.model
-            and self.damping == other.damping
-            and self.source == other.source
-            and self.forcing == other.forcing
-            and self.integrator == other.integrator
-            and self.experiment_id == other.experiment_id
-            and self.options == other.options
-            and self.seed == other.seed
-            and self.output_dir == other.output_dir
-        )
-
 
 def _typed(section, key, raw, kind):
+    """``kind(raw)`` for kind int, float or str, naming the key on failure."""
     try:
-        if kind is int:
-            v = int(raw)
-        elif kind is float:
-            v = float(raw)
-        else:
-            v = raw
+        return kind(raw)
     except ValueError:
         raise InvalidConfigurationError(
             f"[{section}] {key} = {raw!r}: expected {kind.__name__}"
         ) from None
-    return v
 
 
 def _consume(parser, section, known):
@@ -187,6 +173,51 @@ def _consume(parser, section, known):
                 f"[{section}] unknown key {key!r} (allowed: {sorted(known)})"
             )
     return got
+
+
+def _parse_law(parser, section, laws, default_variant):
+    """Read a law section into {field: value}, validated by building the law.
+
+    Every key of the family is present in the result; keys the variant does
+    not take are None.
+    """
+    family = {key for _, keys in laws.values() for key in keys}
+    got = _consume(parser, section, family | {"variant"})
+    variant = got.pop("variant", default_variant)
+    if variant not in laws:
+        raise InvalidConfigurationError(
+            f"[{section}] variant = {variant!r} (allowed: {tuple(laws)})"
+        )
+    cls, keys = laws[variant]
+    params = dict(keys)
+    for key, raw in got.items():
+        if key not in keys:
+            raise InvalidConfigurationError(
+                f"[{section}] {key} does not apply to variant {variant}"
+            )
+        params[key] = _typed(section, key, raw, float)
+    missing = [key for key, value in params.items() if value is None]
+    if missing:
+        raise InvalidConfigurationError(
+            f"[{section}] {variant} requires {' and '.join(missing)}"
+        )
+    try:
+        cls(*params.values())
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"[{section}] {exc}") from None
+    return {key: params.get(key) for key in family} | {"variant": variant}
+
+
+def _build_law(law_cfg, laws):
+    cls, keys = laws[law_cfg.variant]
+    return cls(*(getattr(law_cfg, key) for key in keys))
+
+
+def _emit_law(law_cfg, laws):
+    _, keys = laws[law_cfg.variant]
+    return {"variant": law_cfg.variant} | {
+        key: repr(getattr(law_cfg, key)) for key in keys
+    }
 
 
 def parse_config(text):
@@ -229,53 +260,8 @@ def parse_config(text):
         ),
     )
 
-    d = _consume(parser, "damping", {"variant", "gamma", "q"})
-    variant = d.get("variant", "k1")
-    if variant not in DAMPING_VARIANTS:
-        raise InvalidConfigurationError(
-            f"[damping] variant = {variant!r} (allowed: {DAMPING_VARIANTS})"
-        )
-    q_val = _typed("damping", "q", d["q"], float) if "q" in d else None
-    if variant == "k1":
-        q_val = 1.0 if q_val is None else q_val
-        if q_val < 0.5:
-            raise InvalidConfigurationError(
-                f"[damping] q = {q_val}: q >= 1/2 required for the monomial law"
-            )
-    elif q_val is not None:
-        raise InvalidConfigurationError("[damping] q only applies to variant k1")
-    gamma = _typed("damping", "gamma", d.get("gamma", "1.0"), float)
-    if gamma <= 0.0:
-        raise InvalidConfigurationError(f"[damping] gamma = {gamma}: gamma > 0 required")
-    damping = DampingConfig(variant=variant, gamma=gamma, q=q_val)
-
-    s = _consume(parser, "source", {"variant", "delta", "r", "sigma"})
-    s_variant = s.get("variant", "zero")
-    if s_variant not in SOURCE_VARIANTS:
-        raise InvalidConfigurationError(
-            f"[source] variant = {s_variant!r} (allowed: {SOURCE_VARIANTS})"
-        )
-    if s_variant == "zero":
-        if any(k in s for k in ("delta", "r", "sigma")):
-            raise InvalidConfigurationError(
-                "[source] delta/r/sigma only apply to variant double_power"
-            )
-        source = SourceConfig()
-    else:
-        if "delta" not in s or "r" not in s:
-            raise InvalidConfigurationError(
-                "[source] double_power requires delta and r"
-            )
-        delta = _typed("source", "delta", s["delta"], float)
-        r_val = _typed("source", "r", s["r"], float)
-        sig = _typed("source", "sigma", s.get("sigma", "0.0"), float)
-        if not 0.0 < r_val < delta:
-            raise InvalidConfigurationError(
-                f"[source] need 0 < r < delta, got r={r_val}, delta={delta}"
-            )
-        if sig < 0.0:
-            raise InvalidConfigurationError(f"[source] sigma = {sig}: sigma >= 0 required")
-        source = SourceConfig(variant="double_power", delta=delta, r=r_val, sigma=sig)
+    damping = DampingConfig(**_parse_law(parser, "damping", DAMPING_LAWS, "k1"))
+    source = SourceConfig(**_parse_law(parser, "source", SOURCE_LAWS, "zero"))
 
     f = _consume(parser, "forcing", {"lambda", "h"})
     lam = _typed("forcing", "lambda", f.get("lambda", "0.0"), float)
@@ -284,7 +270,7 @@ def parse_config(text):
             f"[forcing] lambda = {lam}: lambda in [0, 1] required"
         )
     h_spec = f.get("h", "zero").strip()
-    _validate_h_spec(h_spec, model.n_modes)
+    _forcing(lam, h_spec, model.n_modes)
     forcing = ForcingConfig(lam=lam, h=h_spec)
 
     i = _consume(
@@ -343,37 +329,29 @@ def parse_config(text):
     )
 
 
-def _validate_h_spec(spec, n_modes):
-    if spec == "zero":
-        return
-    if spec.startswith("mode:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InvalidConfigurationError(
-                f"[forcing] h = {spec!r}: expected mode:<j>:<amplitude>"
-            )
-        try:
-            j = int(parts[1])
-            float(parts[2])
-        except ValueError:
-            raise InvalidConfigurationError(
-                f"[forcing] h = {spec!r}: expected mode:<j>:<amplitude>"
-            ) from None
-        if not 1 <= j <= n_modes:
-            raise InvalidConfigurationError(
-                f"[forcing] h mode {j} outside 1..{n_modes}"
-            )
-        return
+def _forcing(lam, spec, n_modes):
+    """Forcing of intensity lam and profile spec: 'zero', 'mode:<j>:<amplitude>',
+    or a comma list of n_modes coefficients."""
     try:
-        vals = [float(x) for x in spec.split(",")]
+        if spec.startswith("mode:"):
+            _, j, amp = spec.split(":")
+            return Forcing.single_mode(n_modes, int(j), float(amp), lam)
+        if spec == "zero":
+            h = np.zeros(n_modes)
+        else:
+            h = np.array([float(x) for x in spec.split(",")])
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"[forcing] {exc}") from None
     except ValueError:
         raise InvalidConfigurationError(
-            f"[forcing] h = {spec!r}: expected 'zero', 'mode:j:amp', or a comma list"
+            f"[forcing] h = {spec!r}: expected 'zero', 'mode:<j>:<amplitude>', "
+            "or a comma list"
         ) from None
-    if len(vals) != n_modes:
+    if h.size != n_modes:
         raise InvalidConfigurationError(
-            f"[forcing] h list has {len(vals)} entries, model has {n_modes} modes"
+            f"[forcing] h list has {h.size} entries, model has {n_modes} modes"
         )
+    return Forcing(lam, h)
 
 
 def build_objects(cfg):
@@ -381,38 +359,10 @@ def build_objects(cfg):
     mc = cfg.model
     model = build_model(mc.n_modes, mc.length, mc.kappa, mc.quad_points)
 
-    dc = cfg.damping
-    if dc.variant == "k1":
-        damping = K1Monomial(dc.gamma, dc.q)
-    elif dc.variant == "k2_constant":
-        damping = K2Constant(dc.gamma)
-    elif dc.variant == "k2_exp_decay":
-        damping = K2ExpDecay(dc.gamma)
-    elif dc.variant == "k2_rational":
-        damping = K2Rational(dc.gamma)
-    elif dc.variant == "k3_rational":
-        damping = K3Rational(dc.gamma)
-    else:
-        damping = K3ShiftedExp(dc.gamma)
-
-    sc = cfg.source
-    if sc.variant == "zero":
-        source = ZeroSource()
-    else:
-        source = DoublePower(delta=sc.delta, r=sc.r, sigma_c=sc.sigma)
-
-    forcing = _build_forcing(cfg.forcing, model.n_modes)
+    damping = _build_law(cfg.damping, DAMPING_LAWS)
+    source = _build_law(cfg.source, SOURCE_LAWS)
+    forcing = _forcing(cfg.forcing.lam, cfg.forcing.h, model.n_modes)
     return model, damping, source, forcing
-
-
-def _build_forcing(fc, n_modes):
-    if fc.h == "zero":
-        return Forcing(fc.lam, np.zeros(n_modes))
-    if fc.h.startswith("mode:"):
-        _, j, amp = fc.h.split(":")
-        return Forcing.single_mode(n_modes, int(j), float(amp), fc.lam)
-    vals = np.array([float(x) for x in fc.h.split(",")])
-    return Forcing(fc.lam, vals)
 
 
 def emit_config(cfg):
@@ -425,17 +375,8 @@ def emit_config(cfg):
     }
     if cfg.model.quad_points is not None:
         parser["model"]["quad_points"] = str(cfg.model.quad_points)
-    parser["damping"] = {
-        "variant": cfg.damping.variant,
-        "gamma": repr(cfg.damping.gamma),
-    }
-    if cfg.damping.q is not None:
-        parser["damping"]["q"] = repr(cfg.damping.q)
-    parser["source"] = {"variant": cfg.source.variant}
-    if cfg.source.variant == "double_power":
-        parser["source"]["delta"] = repr(cfg.source.delta)
-        parser["source"]["r"] = repr(cfg.source.r)
-        parser["source"]["sigma"] = repr(cfg.source.sigma)
+    parser["damping"] = _emit_law(cfg.damping, DAMPING_LAWS)
+    parser["source"] = _emit_law(cfg.source, SOURCE_LAWS)
     parser["forcing"] = {"lambda": repr(cfg.forcing.lam), "h": cfg.forcing.h}
     parser["integrator"] = {
         "dt": repr(cfg.integrator.dt),

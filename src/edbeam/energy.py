@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .integrate import _mu2alpha, _source_integral
-from .laws import assumption_constants
+from .integrate import _mu2alpha, _source_integral, coercivity_offset
+from .laws import K1Monomial, assumption_constants
 
 __all__ = [
     "EnergyBreakdown",
@@ -61,15 +61,7 @@ def energy(model, source, forcing, state, alpha=1.0, constants=None):
 
     if constants is None:
         constants = assumption_constants(source, model=model)
-    sigma1 = float(model.sigma[0])
-    omega = 1.0 - constants.c_f / sigma1
-    if not omega > 0.0:
-        raise InvalidConfigurationError(
-            f"c_f = {constants.c_f} >= sigma_1 = {sigma1}: omega <= 0"
-        )
-    k_lam = constants.C_f * model.domain_measure + forcing.effective_norm**2 / (
-        sigma1 * omega
-    )
+    _, k_lam = coercivity_offset(model, constants, forcing)
     e_alpha = float(_mu2alpha(model, alpha) @ (a * a)) + float(b @ b)
     return EnergyBreakdown(
         kinetic=kinetic,
@@ -127,19 +119,9 @@ def envelope_constants(q, gamma, alpha, model, source_constants, forcing, E0):
     """
     q = float(q)
     gamma = float(gamma)
-    if q < 0.5:
-        raise InvalidConfigurationError(f"q >= 1/2 required, got {q}")
-    if not gamma > 0.0:
-        raise InvalidConfigurationError(f"gamma must be > 0, got {gamma}")
+    K1Monomial(gamma, q)  # the law's own checks: q >= 1/2, gamma > 0
+    omega, k_lam = coercivity_offset(model, source_constants, forcing)
     sigma1 = float(model.sigma[0])
-    omega = 1.0 - source_constants.c_f / sigma1
-    if not omega > 0.0:
-        raise InvalidConfigurationError(
-            f"c_f = {source_constants.c_f} >= sigma_1 = {sigma1}: omega <= 0"
-        )
-    k_lam = source_constants.C_f * model.domain_measure + (
-        forcing.effective_norm**2 / (sigma1 * omega)
-    )
     c_alpha = embedding_constant(model, alpha)
     c_lower = omega**q / (2.0 ** (2.0 * q + 1.0) * c_alpha**q * gamma)
     c_bar = (

@@ -10,7 +10,7 @@ spectral model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,20 +22,23 @@ from .energy import (
 )
 from .errors import InvalidConfigurationError
 from .integrate import (
-    IntegratorConfig,
     _Stepper,
+    coercivity_offset,
     energy_identity_residual,
     integrate,
 )
 from .laws import (
+    Forcing,
     K1Monomial,
     K2Constant,
+    K3Rational,
+    K3ShiftedExp,
     ZeroSource,
     assumption_constants,
 )
 from .nakao import haraux_check, nakao_verify, random_nakao_problem
-from .series import SampledSeries
-from .spectral import ModalState
+from .series import SampledSeries, write_csv
+from .spectral import ModalState, phase_norms
 
 __all__ = [
     "Criterion",
@@ -123,30 +126,39 @@ def _monotone_slack(traj):
     ) + 1e-13 * max(1.0, abs(float(traj.energy_mod[0])))
 
 
-def _common_checks(report, traj, omega, prefix=""):
+def _common_checks(report, traj, omega):
     """Lyapunov monotonicity, coercivity, and global boundedness."""
     slack = _monotone_slack(traj)
     rises = np.diff(traj.energy_mod)
     worst = float(np.max(rises)) if rises.size else 0.0
     report.add(
-        prefix + "lyapunov_nonincreasing",
+        "lyapunov_nonincreasing",
         worst <= slack,
         f"max rise {worst:.3g} vs slack {slack:.3g}",
     )
     coer = 0.25 * omega * traj.phase**2 - traj.energy_mod
     worst_c = float(np.max(coer))
     report.add(
-        prefix + "coercivity",
+        "coercivity",
         worst_c <= 1e-9 * max(1.0, abs(float(traj.energy_mod[0]))),
         f"max of omega/4*phase^2 - Etilde = {worst_c:.3g}",
     )
     c_b = math.sqrt(4.0 * max(float(traj.energy_mod[0]), 0.0) / omega)
     worst_p = float(np.max(traj.phase))
     report.add(
-        prefix + "global_bound",
+        "global_bound",
         worst_p <= c_b * (1.0 + 1e-9) + 1e-12,
         f"max phase norm {worst_p:.6g} vs bound {c_b:.6g}",
     )
+
+
+def _fill_defaults(model, source, forcing, constants):
+    """Zero source and forcing unless given; the source's constants unless given."""
+    source = source if source is not None else ZeroSource()
+    forcing = forcing if forcing is not None else Forcing.zero(model.n_modes)
+    if constants is None:
+        constants = assumption_constants(source, model=model)
+    return source, forcing, constants
 
 
 def _write_traj(traj, out_dir, name, report):
@@ -180,18 +192,11 @@ def exp_k1_decay(
     """
     if not isinstance(damping, K1Monomial):
         raise InvalidConfigurationError("exp_k1_decay requires the monomial law")
-    source = source if source is not None else ZeroSource()
-    from .laws import Forcing
-
-    forcing = forcing if forcing is not None else Forcing.zero(model.n_modes)
-    constants = constants if constants is not None else assumption_constants(
-        source, model=model
-    )
+    source, forcing, constants = _fill_defaults(model, source, forcing, constants)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k1_decay", seed=seed)
-    residual = energy_identity_residual(traj)
-    report.metrics["identity_residual"] = residual
+    report.metrics["identity_residual"] = energy_identity_residual(traj)
 
     e0 = float(traj.energy_mod[0])
     params = envelope_constants(
@@ -234,14 +239,11 @@ def exp_k1_decay(
     _common_checks(report, traj, params.omega)
     _write_traj(traj, out_dir, "trajectory.csv", report)
     if out_dir is not None:
-        path = f"{out_dir}/envelope.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,Etilde,lower,upper\n")
-            for i in range(traj.n_samples):
-                fh.write(
-                    f"{traj.t[i]:.17g},{traj.energy_mod[i]:.17g},"
-                    f"{lower[i]:.17g},{upper[i]:.17g}\n"
-                )
+        write_csv(
+            f"{out_dir}/envelope.csv",
+            ["t", "Etilde", "lower", "upper"],
+            [traj.t, traj.energy_mod, lower, upper],
+        )
         report.artifacts.append("envelope.csv")
     return report
 
@@ -267,20 +269,12 @@ def exp_k2_exponential(
     Etilde(t) <= C Etilde(0) exp(-c t) + 8 K_lambda holds at every sample,
     and must eventually enter the absorbing ball 64 K_lambda / omega.
     """
-    source = source if source is not None else ZeroSource()
-    from .laws import Forcing
-
-    forcing = forcing if forcing is not None else Forcing.zero(model.n_modes)
-    constants = constants if constants is not None else assumption_constants(
-        source, model=model
-    )
+    source, forcing, constants = _fill_defaults(model, source, forcing, constants)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k2_exponential", seed=seed)
     report.metrics["identity_residual"] = energy_identity_residual(traj)
-    sigma1 = float(model.sigma[0])
-    omega = 1.0 - constants.c_f / sigma1
-    k_lam = traj.K_lambda
+    omega, k_lam = coercivity_offset(model, constants, forcing)
     horizon = float(traj.t[-1])
     if fit_window is None:
         fit_window = (horizon / 10.0, horizon)
@@ -322,11 +316,9 @@ def exp_k2_exponential(
         )
         ball = 64.0 * k_lam / omega
         inside = traj.phase**2 <= ball * (1.0 + 1e-6)
-        entry = None
-        for i in range(traj.n_samples):
-            if np.all(inside[i:]):
-                entry = float(traj.t[i])
-                break
+        # stays_inside[i] = all(inside[i:])
+        stays_inside = np.logical_and.accumulate(inside[::-1])[::-1]
+        entry = float(traj.t[np.argmax(stays_inside)]) if stays_inside[-1] else None
         report.add(
             "absorbing_entry",
             entry is not None,
@@ -359,8 +351,6 @@ def exp_k3_ball(
     flow is an exact rotation and the energy must be conserved to rounding.
     Outside starts must decay monotonically to the ball surface 2E = 1.
     """
-    from .laws import Forcing, K3Rational, K3ShiftedExp
-
     if not isinstance(damping, (K3Rational, K3ShiftedExp)):
         raise InvalidConfigurationError("exp_k3_ball requires a threshold law")
     source = ZeroSource()
@@ -390,7 +380,6 @@ def exp_k3_ball(
     final_gaps = []
     end_states = []
     for idx, state in enumerate(initials_outside):
-        t_hit = None
         cur = state
         e_series = []
         t_series = []
@@ -398,13 +387,7 @@ def exp_k3_ball(
         elapsed = 0.0
         slack = 0.0
         while elapsed < horizon_outside - 1e-9:
-            chunk = IntegratorConfig(
-                dt=icfg.dt,
-                horizon=min(seg, horizon_outside - elapsed),
-                scheme=icfg.scheme,
-                alpha=icfg.alpha,
-                sample_stride=icfg.sample_stride,
-            )
+            chunk = replace(icfg, horizon=min(seg, horizon_outside - elapsed))
             traj = integrate(model, source, damping, forcing, cur, chunk)
             skip = 1 if e_series else 0  # chunk start repeats previous end
             e_series.extend((2.0 * traj.energy[skip:]).tolist())
@@ -476,20 +459,13 @@ def exp_two_trajectory(
     if not isinstance(damping, K1Monomial):
         raise InvalidConfigurationError("exp_two_trajectory requires the monomial law")
     source = source if source is not None else ZeroSource()
-    from .laws import Forcing
-
     forcing = Forcing.zero(model.n_modes)
     if p_exponent is None:
         p_exponent = source.p if hasattr(source, "p") else 2.0
     q = damping.q
 
-    run_cfg = IntegratorConfig(
-        dt=icfg.dt,
-        horizon=icfg.horizon + 1.0,  # the lower-order sup looks ahead one unit
-        scheme=icfg.scheme,
-        alpha=icfg.alpha,
-        sample_stride=icfg.sample_stride,
-    )
+    # the lower-order sup looks ahead one unit
+    run_cfg = replace(icfg, horizon=icfg.horizon + 1.0)
     t1 = integrate(model, source, damping, forcing, initial_1, run_cfg)
     t2 = integrate(model, source, damping, forcing, initial_2, run_cfg)
 
@@ -546,13 +522,11 @@ def exp_two_trajectory(
         C1=c1, C2=c2, max_residual=worst, tightness_end=tight_end, d0=d0
     )
     if out_dir is not None:
-        path = f"{out_dir}/difference.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,d,poly_bound,lower_order\n")
-            for i in range(t_obs.shape[0]):
-                fh.write(
-                    f"{t_obs[i]:.17g},{d_obs[i]:.17g},{poly[i]:.17g},{g[i]:.17g}\n"
-                )
+        write_csv(
+            f"{out_dir}/difference.csv",
+            ["t", "d", "poly_bound", "lower_order"],
+            [t_obs, d_obs, poly, g],
+        )
         report.artifacts.append("difference.csv")
     return report
 
@@ -578,8 +552,6 @@ def exp_lambda_lipschitz(
     ``t_probe``.  Passes when all ratios are finite and the two smallest
     gaps give ratios within a factor of two of each other.
     """
-    from .laws import Forcing
-
     lams = [float(x) for x in lambdas]
     for x in lams + [float(lambda0)]:
         if not 0.0 <= x <= 1.0:
@@ -588,12 +560,8 @@ def exp_lambda_lipschitz(
         raise ValueError("lambda0 must be excluded from the grid")
 
     h = np.asarray(h_coeffs, dtype=float)
-    run_cfg = IntegratorConfig(
-        dt=icfg.dt,
-        horizon=t_probe,
-        scheme=icfg.scheme,
-        alpha=icfg.alpha,
-        sample_stride=max(1, int(round(t_probe / icfg.dt))),
+    run_cfg = replace(
+        icfg, horizon=t_probe, sample_stride=max(1, int(round(t_probe / icfg.dt)))
     )
 
     def final(lam):
@@ -632,11 +600,7 @@ def exp_lambda_lipschitz(
         float(np.max(vals) / np.min(vals)) if np.min(vals) > 0 else math.inf
     )
     if out_dir is not None:
-        path = f"{out_dir}/ratios.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("lambda,ratio\n")
-            for lam in lams:
-                fh.write(f"{lam:.17g},{ratios[lam]:.17g}\n")
+        write_csv(f"{out_dir}/ratios.csv", ["lambda", "ratio"], [lams, vals])
         report.artifacts.append("ratios.csv")
     return report
 
@@ -664,13 +628,7 @@ def _integrate_decomposed(model, source, gamma, forcing, initial, icfg, horizon)
     Returns sampled times and the three coefficient stacks.
     """
     damping = K2Constant(gamma)
-    cfg = IntegratorConfig(
-        dt=icfg.dt,
-        horizon=horizon,
-        scheme="strang",
-        alpha=icfg.alpha,
-        sample_stride=icfg.sample_stride,
-    )
+    cfg = replace(icfg, horizon=horizon, scheme="strang")
     st = _Stepper(model, source, damping, forcing, cfg)
     dt = cfg.dt
     hdt = 0.5 * dt
@@ -754,9 +712,7 @@ def exp_decomposition(
     times, au, bu, av, bv, az, bz = _integrate_decomposed(
         model, source, gamma, forcing, initial_1, icfg, dcfg.horizon
     )
-    gap_a = au - (av + az)
-    gap_b = bu - (bv + bz)
-    gap = np.sqrt(gap_a**2 @ model.sigma + np.sum(gap_b**2, axis=1))
+    gap = phase_norms(model, au - (av + az), bu - (bv + bz))
     worst_gap = float(np.max(gap))
     report.add(
         "split_consistent",
@@ -766,24 +722,14 @@ def exp_decomposition(
     report.metrics["split_gap"] = worst_gap
 
     # Contraction of the linear component for a pair of initial states.
-    from .laws import Forcing
-
-    lin_cfg = IntegratorConfig(
-        dt=icfg.dt,
-        horizon=dcfg.horizon,
-        scheme="strang",
-        alpha=icfg.alpha,
-        sample_stride=icfg.sample_stride,
-    )
+    lin_cfg = replace(icfg, horizon=dcfg.horizon, scheme="strang")
     v1 = integrate(
         model, ZeroSource(), damping, forcing, initial_1, lin_cfg
     )
     v2 = integrate(
         model, ZeroSource(), damping, forcing, initial_2, lin_cfg
     )
-    dva = v1.a - v2.a
-    dvb = v1.b - v2.b
-    gap_v = np.sqrt(dva**2 @ model.sigma + np.sum(dvb**2, axis=1))
+    gap_v = phase_norms(model, v1.a - v2.a, v1.b - v2.b)
     denom = float(gap_v[0])
     pos = gap_v > 0.0
     if denom > 0.0 and int(np.count_nonzero(pos)) >= 10:
@@ -815,9 +761,7 @@ def exp_decomposition(
         _, _, _, _, _, azp, bzp = _integrate_decomposed(
             model, source, gamma, forcing, pert, icfg, dcfg.horizon
         )
-        dza = az - azp
-        dzb = bz - bzp
-        znorm = np.sqrt(dza**2 @ model.sigma + np.sum(dzb**2, axis=1))
+        znorm = phase_norms(model, az - azp, bz - bzp)
         w_norm = probe_eps * float(model.sigma[j - 1]) ** (s / 4.0)
         ratios.append(float(np.max(znorm)) / w_norm)
     spread = max(ratios) / min(ratios) if min(ratios) > 0.0 else math.inf
@@ -828,11 +772,11 @@ def exp_decomposition(
     )
     report.metrics["smoothing_spread"] = spread
     if out_dir is not None:
-        path = f"{out_dir}/decomposition.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,split_gap,linear_gap\n")
-            for i in range(times.shape[0]):
-                fh.write(f"{times[i]:.17g},{gap[i]:.17g},{gap_v[i]:.17g}\n")
+        write_csv(
+            f"{out_dir}/decomposition.csv",
+            ["t", "split_gap", "linear_gap"],
+            [times, gap, gap_v],
+        )
         report.artifacts.append("decomposition.csv")
     return report
 

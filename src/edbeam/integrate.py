@@ -23,13 +23,14 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidConfigurationError
 from .laws import ZeroSource, assumption_constants
-from .spectral import ModalState
+from .series import write_csv
+from .spectral import ModalState, phase_norms
 
 __all__ = [
     "IntegratorConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "integrate",
     "energy_identity_residual",
     "convergence_order",
+    "coercivity_offset",
     "RK4_STABILITY_LIMIT",
 ]
 
@@ -68,6 +70,10 @@ class IntegratorConfig:
             raise InvalidConfigurationError(f"alpha must be in [0, 1], got {self.alpha}")
         if int(self.sample_stride) < 1:
             raise InvalidConfigurationError("sample_stride must be >= 1")
+        if abs(round(self.horizon / self.dt) * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise InvalidConfigurationError(
+                f"dt = {self.dt} does not divide the horizon {self.horizon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,19 +116,8 @@ class Trajectory:
             + [f"a_{j}" for j in range(1, n + 1)]
             + [f"b_{j}" for j in range(1, n + 1)]
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(self.n_samples):
-                row = [
-                    self.t[i],
-                    self.energy[i],
-                    self.energy_mod[i],
-                    self.dissipation[i],
-                    self.phase[i],
-                ]
-                row.extend(self.a[i])
-                row.extend(self.b[i])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        columns = [self.t, self.energy, self.energy_mod, self.dissipation, self.phase]
+        write_csv(path, header, columns + [self.a, self.b])
 
 
 def _mu2alpha(model, alpha):
@@ -152,17 +147,19 @@ def total_energy(model, source, forcing, a, b):
     return quad + _source_integral(model, source, a) - work
 
 
-def modified_energy_offset(model, source, forcing, constants=None):
-    """K_lambda = C_f |Omega| + ||lam h||^2 / (sigma_1 * omega)."""
-    if constants is None:
-        constants = assumption_constants(source)
+def coercivity_offset(model, constants, forcing):
+    """(omega, K_lambda) with omega = 1 - c_f/sigma_1 and
+    K_lambda = C_f |Omega| + ||lam h||^2 / (sigma_1 * omega).
+
+    Raises when omega <= 0: the modified energy is then not coercive.
+    """
     sigma1 = float(model.sigma[0])
     omega = 1.0 - constants.c_f / sigma1
     if not omega > 0.0:
         raise InvalidConfigurationError(
             f"c_f = {constants.c_f} >= sigma_1 = {sigma1}: omega <= 0"
         )
-    return constants.C_f * model.domain_measure + forcing.effective_norm**2 / (
+    return omega, constants.C_f * model.domain_measure + forcing.effective_norm**2 / (
         sigma1 * omega
     )
 
@@ -202,23 +199,6 @@ class _Stepper:
         e = float(self.mu2a @ (a * a)) + bb
         return self.damping.k(e) * bb
 
-    def _kick(self, a, b, hdt):
-        # a is frozen through the kick, so its source projection and the
-        # displacement part of E_alpha are evaluated once.
-        fv = self.project(a)
-        base = self.lh - fv if fv is not None else self.lh
-        sa = float(self.mu2a @ (a * a))
-        g0 = base - self.damping.k(sa + float(b @ b)) * b
-        bm = b + (0.5 * hdt) * g0
-        return b + hdt * (base - self.damping.k(sa + float(bm @ bm)) * bm)
-
-    def step_strang(self, a, b):
-        hdt = 0.5 * self.cfg.dt
-        b = self._kick(a, b, hdt)
-        a, b = self.cos * a + self.sin_over * b, -self.omsin * a + self.cos * b
-        b = self._kick(a, b, hdt)
-        return a, b
-
     def _rhs(self, a, b):
         fv = self.project(a)
         acc = -self.lam2 * a + self.lh
@@ -237,11 +217,6 @@ class _Stepper:
         a = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         return a, b
-
-    def advance(self, a, b):
-        if self.cfg.scheme == "strang":
-            return self.step_strang(a, b)
-        return self.step_rk4(a, b)
 
 
 class _Recorder:
@@ -266,10 +241,13 @@ class _Recorder:
 
 
 def _run_strang(st, a, b, n_steps, stride, t0, rec):
-    """Inlined splitting loop; algebraically identical to step_strang.
+    """The Strang splitting loop: half kick, exact rotation, half kick.
 
-    Caches the scalar pieces of the damping argument across substeps and
-    checks for blow-up in batches to keep the per-step cost down.
+    a is frozen through each kick, so its source projection and the
+    displacement part of E_alpha are evaluated once per kick; each kick is
+    one explicit-midpoint sub-evaluation of the nonlocal damping.  Caches
+    the scalar pieces of the damping argument across substeps and checks
+    for blow-up in batches to keep the per-step cost down.
     """
     dt = st.cfg.dt
     hdt = 0.5 * dt
@@ -319,8 +297,13 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
 def step(model, source, damping, forcing, state, cfg):
     """Advance one step of the selected scheme; pure and re-entrant."""
     st = _Stepper(model, source, damping, forcing, cfg)
-    a, b = st.advance(state.a.copy(), state.b.copy())
     t = state.t + cfg.dt
+    if cfg.scheme == "strang":
+        n = state.n_modes
+        rec = _Recorder(np.empty(2), np.empty((2, n)), np.empty((2, n)), np.empty(2))
+        _run_strang(st, state.a, state.b, 1, 1, state.t, rec)
+        return ModalState(rec.amat[1], rec.bmat[1], t)
+    a, b = st.step_rk4(state.a, state.b)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise BlowUpError(t)
     return ModalState(a, b, t)
@@ -336,11 +319,11 @@ def integrate(model, source, damping, forcing, initial, cfg, constants=None):
     if initial.n_modes != model.n_modes:
         raise ValueError("initial state dimension does not match model")
     st = _Stepper(model, source, damping, forcing, cfg)
-    k_lam = modified_energy_offset(model, source, forcing, constants)
+    if constants is None:
+        constants = assumption_constants(source)
+    _, k_lam = coercivity_offset(model, constants, forcing)
 
     n_steps = int(round(cfg.horizon / cfg.dt))
-    if n_steps < 1:
-        raise InvalidConfigurationError("horizon shorter than one step")
     stride = int(cfg.sample_stride)
     t0 = float(initial.t)
     dt = cfg.dt
@@ -348,7 +331,8 @@ def integrate(model, source, damping, forcing, initial, cfg, constants=None):
     a = initial.a.copy()
     b = initial.b.copy()
 
-    n_rec = n_steps // stride + 2
+    # one sample at each n < n_steps with n % stride == 0, plus the final one
+    n_rec = (n_steps - 1) // stride + 2
     times = np.empty(n_rec)
     amat = np.empty((n_rec, model.n_modes))
     bmat = np.empty((n_rec, model.n_modes))
@@ -366,7 +350,7 @@ def integrate(model, source, damping, forcing, initial, cfg, constants=None):
             for n in range(n_steps):
                 if n % stride == 0:
                     rec.push(t0 + n * dt, a, b, dcum)
-                a, b = st.advance(a, b)
+                a, b = st.step_rk4(a, b)
                 if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
                     raise BlowUpError(t0 + (n + 1) * dt)
                 ell = st.dissipation_rate(a, b)
@@ -374,16 +358,10 @@ def integrate(model, source, damping, forcing, initial, cfg, constants=None):
                 ell_prev = ell
             rec.push(t0 + n_steps * dt, a, b, dcum)
 
-    nrec = rec.count
-    times = times[:nrec]
-    amat = amat[:nrec]
-    bmat = bmat[:nrec]
-    dvec = dvec[:nrec]
-
     energy = np.array(
-        [total_energy(model, source, forcing, amat[i], bmat[i]) for i in range(nrec)]
+        [total_energy(model, source, forcing, amat[i], bmat[i]) for i in range(n_rec)]
     )
-    phase = np.sqrt(amat**2 @ model.sigma + np.sum(bmat**2, axis=1))
+    phase = phase_norms(model, amat, bmat)
     return Trajectory(
         t=times,
         a=amat,
@@ -425,19 +403,14 @@ def convergence_order(model, source, damping, forcing, initial, cfg, dt_list):
     ratios = [dts[i] / dts[i + 1] for i in range(len(dts) - 1)]
     if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ValueError("step sizes must form a geometric progression")
-    for d in dts:
-        if abs(round(cfg.horizon / d) * d - cfg.horizon) > 1e-9 * cfg.horizon:
-            raise ValueError(f"dt = {d} does not divide the horizon {cfg.horizon}")
+    # every config is built (and so checked) before any run starts
+    run_cfgs = [
+        replace(cfg, dt=d, sample_stride=max(1, int(round(cfg.horizon / d))))
+        for d in dts
+    ]
 
     finals = []
-    for d in dts:
-        run_cfg = IntegratorConfig(
-            dt=d,
-            horizon=cfg.horizon,
-            scheme=cfg.scheme,
-            alpha=cfg.alpha,
-            sample_stride=max(1, int(round(cfg.horizon / d))),
-        )
+    for run_cfg in run_cfgs:
         traj = integrate(model, source, damping, forcing, initial, run_cfg)
         finals.append(np.concatenate([traj.a[-1], traj.b[-1]]))
 

@@ -31,25 +31,30 @@ __all__ = [
     "DoublePower",
     "Forcing",
     "AssumptionConstants",
-    "k_eval",
-    "f_eval",
-    "f_primitive_eval",
     "project_source",
     "assumption_constants",
 ]
 
 
-def _check_nonneg(s):
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("damping argument must be >= 0")
-    return s
-
-
 class DampingLaw:
-    """Base class; subclasses store parameters and implement k(s)."""
+    """Base class; subclasses store ``gamma`` > 0 and implement ``_k``.
+
+    ``k`` checks the argument and unwraps scalars; ``_k`` evaluates the law
+    on a float array of non-negative arguments.
+    """
+
+    def __post_init__(self):
+        if not self.gamma > 0.0:
+            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
 
     def k(self, s):
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0.0):
+            raise ValueError("damping argument must be >= 0")
+        out = self._k(s)
+        return float(out) if out.ndim == 0 else out
+
+    def _k(self, s):
         raise NotImplementedError
 
     def scalar_k(self):
@@ -65,15 +70,12 @@ class K1Monomial(DampingLaw):
     q: float
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
+        super().__post_init__()
         if not self.q >= 0.5:
             raise InvalidConfigurationError(f"q >= 1/2 required, got {self.q}")
 
-    def k(self, s):
-        s = _check_nonneg(s)
-        out = self.gamma * s**self.q
-        return float(out) if out.ndim == 0 else out
+    def _k(self, s):
+        return self.gamma * s**self.q
 
     def scalar_k(self):
         g, q = self.gamma, self.q
@@ -86,14 +88,8 @@ class K2Constant(DampingLaw):
 
     gamma: float
 
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
-
-    def k(self, s):
-        s = _check_nonneg(s)
-        out = np.full_like(s, self.gamma)
-        return float(out) if out.ndim == 0 else out
+    def _k(self, s):
+        return np.full_like(s, self.gamma)
 
     def scalar_k(self):
         g = self.gamma
@@ -106,14 +102,8 @@ class K2ExpDecay(DampingLaw):
 
     gamma: float
 
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
-
-    def k(self, s):
-        s = _check_nonneg(s)
-        out = self.gamma * np.exp(-s)
-        return float(out) if out.ndim == 0 else out
+    def _k(self, s):
+        return self.gamma * np.exp(-s)
 
     def scalar_k(self):
         g = self.gamma
@@ -126,14 +116,8 @@ class K2Rational(DampingLaw):
 
     gamma: float
 
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
-
-    def k(self, s):
-        s = _check_nonneg(s)
-        out = self.gamma / (1.0 + s)
-        return float(out) if out.ndim == 0 else out
+    def _k(self, s):
+        return self.gamma / (1.0 + s)
 
     def scalar_k(self):
         g = self.gamma
@@ -146,14 +130,8 @@ class K3Rational(DampingLaw):
 
     gamma: float
 
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
-
-    def k(self, s):
-        s = _check_nonneg(s)
-        out = np.where(s > 1.0, self.gamma * (1.0 - 1.0 / np.maximum(s, 1.0)), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _k(self, s):
+        return np.where(s > 1.0, self.gamma * (1.0 - 1.0 / np.maximum(s, 1.0)), 0.0)
 
     def scalar_k(self):
         g = self.gamma
@@ -170,23 +148,12 @@ class K3ShiftedExp(DampingLaw):
 
     gamma: float
 
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
-
-    def k(self, s):
-        s = _check_nonneg(s)
-        out = np.where(s > 1.0, self.gamma * (-np.expm1(-(s - 1.0))), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _k(self, s):
+        return np.where(s > 1.0, self.gamma * (-np.expm1(-(s - 1.0))), 0.0)
 
     def scalar_k(self):
         g = self.gamma
         return lambda s: g * -math.expm1(-(s - 1.0)) if s > 1.0 else 0.0
-
-
-def k_eval(law, s):
-    """Evaluate a damping law at s >= 0."""
-    return law.k(s)
 
 
 class SourceLaw:
@@ -260,14 +227,6 @@ class DoublePower(SourceLaw):
         return float(out) if out.ndim == 0 else out
 
 
-def f_eval(law, s):
-    return law.f(s)
-
-
-def f_primitive_eval(law, s):
-    return law.f_primitive(s)
-
-
 @dataclass(frozen=True)
 class Forcing:
     """External force: intensity lam in [0, 1] times a fixed modal profile."""
@@ -317,7 +276,6 @@ class Forcing:
 def project_source(model, law, a):
     """Galerkin projection of f(u): g_j = quad_weight * sum_m f(u(x_m)) w_j(x_m)."""
     if isinstance(law, ZeroSource):
-        np.asarray(a, dtype=float)  # still validate length via synthesize contract
         if np.shape(a) != (model.n_modes,):
             raise ValueError(f"expected {model.n_modes} coefficients")
         return np.zeros(model.n_modes)

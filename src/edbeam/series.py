@@ -1,4 +1,4 @@
-"""Time-sampled scalar series."""
+"""Time-sampled scalar series and their CSV export."""
 
 from __future__ import annotations
 
@@ -6,7 +6,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SampledSeries"]
+__all__ = ["SampledSeries", "write_csv"]
+
+
+# Rows are formatted a block at a time, so the Python floats of a long
+# series never exist all at once.
+_BLOCK_ROWS = 16
+
+
+def write_csv(path, header, columns):
+    """Write columns side by side as CSV rows at full double precision.
+
+    Each entry of ``columns`` is a 1-d array (one column) or a 2-d array
+    (one column per entry of a row), all with one row per line.  Values are
+    written with 17 significant digits, so they read back bitwise.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+            for row in block.tolist():
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "analyze",
     "frac_norm",
     "phase_norm",
+    "phase_norms",
 ]
 
 
@@ -184,3 +185,8 @@ def phase_norm(model, state):
     a = _check_coeffs(model, state.a)
     b = _check_coeffs(model, state.b)
     return float(math.sqrt(np.sum(model.sigma * a**2) + np.sum(b**2)))
+
+
+def phase_norms(model, a, b):
+    """Phase-space norm of each row of stacked coefficient arrays a, b."""
+    return np.sqrt(a**2 @ model.sigma + np.sum(b**2, axis=1))

@@ -112,13 +112,9 @@ def minimize_functional(model, source, forcing, start, tol=1e-8, max_iter=10000)
     to sqrt(tol); phase 2 polishes with inexact Newton steps.  The returned
     ``residual`` is the final gradient norm; ``converged`` is False when the
     iteration budget runs out, in which case the best iterate is returned.
+    A source law other than zero or double power is rejected by the first
+    functional evaluation.
     """
-    if isinstance(source, DoublePower):
-        pass  # constructor already enforces 0 < r < delta (coercive)
-    elif not isinstance(source, ZeroSource):
-        raise InvalidConfigurationError(
-            f"unsupported source law {type(source).__name__}"
-        )
     c = np.asarray(start, dtype=float).copy()
     if c.shape != (model.n_modes,):
         raise ValueError(f"start must have {model.n_modes} coefficients")

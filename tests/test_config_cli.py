@@ -223,3 +223,19 @@ def test_cli_entrypoint_subprocess():
 def test_cli_missing_config_is_clean_error(capsys):
     assert main(["simulate", "--config", "no/such/file.ini"]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_parse_rejects_dt_not_dividing_horizon():
+    with pytest.raises(InvalidConfigurationError, match=r"^\[integrator\] dt = 0.3 does not divide"):
+        parse_config("[integrator]\ndt = 0.3\nhorizon = 1.0\n")
+
+
+def test_parse_law_errors_name_the_section():
+    with pytest.raises(InvalidConfigurationError, match=r"^\[damping\] gamma must be > 0"):
+        parse_config("[damping]\nvariant = k3_rational\ngamma = 0.0\n")
+    with pytest.raises(InvalidConfigurationError, match=r"^\[damping\] q does not apply"):
+        parse_config("[damping]\nvariant = k2_constant\nq = 1.0\n")
+    with pytest.raises(InvalidConfigurationError, match=r"^\[source\] need 0 < r < delta"):
+        parse_config("[source]\nvariant = double_power\ndelta = 1.0\nr = 2.0\n")
+    with pytest.raises(InvalidConfigurationError, match=r"^\[source\] double_power requires r$"):
+        parse_config("[source]\nvariant = double_power\ndelta = 1.0\n")

@@ -5,11 +5,16 @@ import pytest
 
 from edbeam import (
     BlowUpError,
+    DoublePower,
     Forcing,
     IntegratorConfig,
     InvalidConfigurationError,
     K1Monomial,
+    K2Constant,
+    K2ExpDecay,
+    K2Rational,
     K3Rational,
+    K3ShiftedExp,
     ModalState,
     ZeroSource,
     build_model,
@@ -288,3 +293,45 @@ def test_sampling_stride_and_final_state():
     assert traj.t[0] == 0.0
     assert traj.t[-1] == pytest.approx(0.55, abs=1e-12)
     assert np.all(np.diff(traj.t) > 0.0)
+
+
+_ALL_DAMPING = [
+    K1Monomial(1.0, 1.0),
+    K2Constant(0.7),
+    K2ExpDecay(1.3),
+    K2Rational(0.9),
+    K3Rational(1.0),
+    K3ShiftedExp(1.2),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("source", [ZeroSource(), DoublePower(2.0, 1.0, 0.5)], ids=["zero", "dp"])
+@pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
+def test_step_reproduces_integrate_bitwise(damping, source, forced, alpha):
+    # step() and integrate() run the same Strang code, so n single steps
+    # must land on integrate's final state exactly, not just closely
+    from edbeam.experiments import make_initial_state
+
+    m = build_model(4, math.pi, 0.0, 32)
+    forcing = Forcing.single_mode(4, 1, 1.0, 0.5) if forced else _zero_forcing(4)
+    # 2E = 2.5 starts outside the threshold laws' dead zone
+    state = make_initial_state(m, np.random.default_rng(1), 2.5)
+    n = 20
+    cfg = IntegratorConfig(dt=0.05, horizon=n * 0.05, alpha=alpha, sample_stride=n)
+    traj = integrate(m, source, damping, forcing, state, cfg)
+    for _ in range(n):
+        state = step(m, source, damping, forcing, state, cfg)
+    assert np.array_equal(state.a, traj.a[-1])
+    assert np.array_equal(state.b, traj.b[-1])
+
+
+def test_dt_must_divide_horizon():
+    # horizon 1.0 at dt 0.3 would otherwise stop at 0.9 without a word
+    with pytest.raises(InvalidConfigurationError, match="does not divide"):
+        IntegratorConfig(dt=0.3, horizon=1.0)
+    with pytest.raises(InvalidConfigurationError, match="does not divide"):
+        IntegratorConfig(dt=1.0, horizon=0.4)
+    # rounding in horizon / dt is not a mismatch
+    assert IntegratorConfig(dt=0.1, horizon=0.3).horizon == 0.3

@@ -18,19 +18,16 @@ from edbeam import (
     ZeroSource,
     assumption_constants,
     build_model,
-    f_eval,
-    f_primitive_eval,
-    k_eval,
     project_source,
 )
 
 
 def test_k_eval_examples():
-    assert k_eval(K1Monomial(2.0, 1.0), 3.0) == pytest.approx(6.0, abs=1e-15)
+    assert K1Monomial(2.0, 1.0).k(3.0) == pytest.approx(6.0, abs=1e-15)
     k3 = K3Rational(1.0)
-    assert k_eval(k3, 0.5) == 0.0
-    assert k_eval(k3, 2.0) == pytest.approx(0.5, abs=1e-15)
-    assert k_eval(K2Rational(3.0), 0.0) == pytest.approx(3.0, abs=1e-15)
+    assert k3.k(0.5) == 0.0
+    assert k3.k(2.0) == pytest.approx(0.5, abs=1e-15)
+    assert K2Rational(3.0).k(0.0) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_k1_degenerate_at_origin_and_monotone():
@@ -88,13 +85,13 @@ def test_k3_kink_continuity():
 
 def test_f_eval_examples():
     cubic = DoublePower(2.0, 1.0, 0.0)
-    assert f_eval(cubic, 2.0) == pytest.approx(8.0, abs=1e-13)
-    assert f_primitive_eval(cubic, 2.0) == pytest.approx(4.0, abs=1e-13)
+    assert cubic.f(2.0) == pytest.approx(8.0, abs=1e-13)
+    assert cubic.f_primitive(2.0) == pytest.approx(4.0, abs=1e-13)
     zero = ZeroSource()
-    assert f_eval(zero, 1.7) == 0.0
-    assert f_primitive_eval(zero, -2.0) == 0.0
+    assert zero.f(1.7) == 0.0
+    assert zero.f_primitive(-2.0) == 0.0
     balanced = DoublePower(2.0, 1.0, 1.0)
-    assert f_eval(balanced, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert balanced.f(1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ __all__ = ["SampledSeries", "write_csv"]
 
 # Rows are formatted a block at a time, so the Python floats of a long
 # series never exist all at once.
-_BLOCK_ROWS = 16
+_BLOCK_ROWS = 4
 
 
 def write_csv(path, header, columns):

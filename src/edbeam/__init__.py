@@ -25,6 +25,7 @@ from .integrate import (
     convergence_order,
     energy_identity_residual,
     integrate,
+    integrate_batch,
     step,
 )
 from .laws import (

@@ -8,12 +8,18 @@ class InvalidConfigurationError(ValueError):
 class BlowUpError(RuntimeError):
     """Integration produced a non-finite state.
 
-    Carries the simulation time at which the failure was detected.  With the
-    dissipative laws implemented here true solutions stay bounded for all
-    time, so a blow-up almost always means the step size is too large for
-    the explicit scheme in use.
+    Carries the simulation time at which the failure was detected, the
+    number of steps taken from the start of the run by then (``step``, or
+    None when not known) and, for a batched run, the index of the first
+    non-finite row (``row``; None for a single run).  With the dissipative
+    laws implemented here true solutions stay bounded for all time, so a
+    blow-up almost always means the step size is too large for the explicit
+    scheme in use.
     """
 
-    def __init__(self, time, message=None):
+    def __init__(self, time, message=None, *, step=None, row=None):
         self.time = float(time)
-        super().__init__(message or f"non-finite state at t = {self.time:.6g}")
+        self.step = step
+        self.row = row
+        where = "" if row is None else f" in row {row}"
+        super().__init__(message or f"non-finite state{where} at t = {self.time:.6g}")

@@ -22,10 +22,12 @@ from .energy import (
 )
 from .errors import InvalidConfigurationError
 from .integrate import (
+    _mu2alpha,
     _Stepper,
     coercivity_offset,
     energy_identity_residual,
     integrate,
+    integrate_batch,
 )
 from .laws import (
     Forcing,
@@ -359,13 +361,16 @@ def exp_k3_ball(
     report = ExperimentReport("exp_k3_ball", seed=seed)
 
     worst_drift = 0.0
-    for idx, state in enumerate(initials_inside):
-        traj = integrate(model, source, damping, forcing, state, icfg)
+    inside = integrate_batch(
+        model, source, damping, [forcing] * len(initials_inside), initials_inside, icfg
+    )
+    for idx, traj in enumerate(inside):
         e0 = float(traj.energy[0])
         drift = float(np.max(np.abs(traj.energy - e0))) / max(abs(e0), 1e-300)
         worst_drift = max(worst_drift, drift)
         if idx == 0:
             _write_traj(traj, out_dir, "inside_0.csv", report)
+    inside = traj = None  # free the inside runs before the outside batch
     report.add(
         "inside_conserved",
         worst_drift <= drift_tol,
@@ -373,34 +378,53 @@ def exp_k3_ball(
     )
     report.metrics["inside_drift"] = worst_drift
 
+    # The outside runs advance together in chunks of 50 time units; a run
+    # leaves the batch at the first chunk end within target_tol of 2E = 1.
+    n_out = len(initials_outside)
     seg = min(50.0, horizon_outside)
+    e_parts = [[] for _ in range(n_out)]
+    t_parts = [[] for _ in range(n_out)]
+    phase_parts = [[] for _ in range(n_out)]
+    slacks = [0.0] * n_out
+    end_states = list(initials_outside)
+    last_0 = None
+    active = list(range(n_out))
+    elapsed = 0.0
+    while active and elapsed < horizon_outside - 1e-9:
+        chunk = replace(icfg, horizon=min(seg, horizon_outside - elapsed))
+        trajs = integrate_batch(
+            model,
+            source,
+            damping,
+            [forcing] * len(active),
+            [end_states[i] for i in active],
+            chunk,
+        )
+        still = []
+        for i, traj in zip(active, trajs):
+            skip = 1 if e_parts[i] else 0  # chunk start repeats previous end
+            e_parts[i].append(2.0 * traj.energy[skip:])
+            t_parts[i].append(traj.t[skip:])
+            phase_parts[i].append(traj.phase[skip:])
+            slacks[i] = max(slacks[i], _monotone_slack(traj) * 2.0)
+            end_states[i] = traj.final_state
+            if i == 0:
+                last_0 = traj
+            if abs(2.0 * traj.energy[-1] - 1.0) > target_tol:
+                still.append(i)
+        elapsed = end_states[active[0]].t
+        active = still
+        del trajs, traj
+
     worst_hit = 0.0
     worst_rise = -math.inf
     worst_dist_violation = -math.inf
     final_gaps = []
-    end_states = []
-    for idx, state in enumerate(initials_outside):
-        cur = state
-        e_series = []
-        t_series = []
-        phase_series = []
-        elapsed = 0.0
-        slack = 0.0
-        while elapsed < horizon_outside - 1e-9:
-            chunk = replace(icfg, horizon=min(seg, horizon_outside - elapsed))
-            traj = integrate(model, source, damping, forcing, cur, chunk)
-            skip = 1 if e_series else 0  # chunk start repeats previous end
-            e_series.extend((2.0 * traj.energy[skip:]).tolist())
-            t_series.extend(traj.t[skip:].tolist())
-            phase_series.extend(traj.phase[skip:].tolist())
-            slack = max(slack, _monotone_slack(traj) * 2.0)
-            cur = traj.final_state
-            elapsed = cur.t
-            if abs(2.0 * traj.energy[-1] - 1.0) <= target_tol:
-                break
-        e2 = np.array(e_series)
-        ts = np.array(t_series)
-        ph = np.array(phase_series)
+    for idx in range(n_out):
+        e2 = np.concatenate(e_parts[idx])
+        ts = np.concatenate(t_parts[idx])
+        ph = np.concatenate(phase_parts[idx])
+        slack = slacks[idx]
         hit = np.nonzero(np.abs(e2 - 1.0) <= target_tol)[0]
         t_hit = float(ts[hit[0]]) if hit.size else math.inf
         worst_hit = max(worst_hit, t_hit)
@@ -411,9 +435,8 @@ def exp_k3_ball(
         dist = np.maximum(ph - 1.0, 0.0)
         viol = float(np.max(dist - (np.sqrt(e2) - 1.0)))
         worst_dist_violation = max(worst_dist_violation, viol)
-        end_states.append(cur)
-        if idx == 0:
-            _write_traj(traj, out_dir, "outside_0.csv", report)
+    if last_0 is not None:
+        _write_traj(last_0, out_dir, "outside_0.csv", report)
 
     if initials_outside:
         report.add(
@@ -466,16 +489,16 @@ def exp_two_trajectory(
 
     # the lower-order sup looks ahead one unit
     run_cfg = replace(icfg, horizon=icfg.horizon + 1.0)
-    t1 = integrate(model, source, damping, forcing, initial_1, run_cfg)
-    t2 = integrate(model, source, damping, forcing, initial_2, run_cfg)
+    t1, t2 = integrate_batch(
+        model, source, damping, [forcing] * 2, [initial_1, initial_2], run_cfg
+    )
 
     da = t1.a - t2.a
     db = t1.b - t2.b
     d = da**2 @ model.sigma + np.sum(db**2, axis=1)
     times = t1.t
 
-    mu2a = model.mu ** (2.0 * icfg.alpha)
-    a_alpha = np.sqrt(da**2 @ mu2a)
+    a_alpha = np.sqrt(da**2 @ _mu2alpha(model, icfg.alpha))
     w_grid = da @ model.basis_table
     lp = (
         model.quad_weight * np.sum(np.abs(w_grid) ** (p_exponent + 2.0), axis=1)
@@ -564,16 +587,18 @@ def exp_lambda_lipschitz(
         icfg, horizon=t_probe, sample_stride=max(1, int(round(t_probe / icfg.dt)))
     )
 
-    def final(lam):
-        traj = integrate(
-            model, source, damping, Forcing(lam, h), initial, run_cfg
-        )
-        return traj.final_state
-
-    ref = final(float(lambda0))
+    runs = [float(lambda0)] + lams
+    trajs = integrate_batch(
+        model,
+        source,
+        damping,
+        [Forcing(lam, h) for lam in runs],
+        [initial] * len(runs),
+        run_cfg,
+    )
+    ref, *finals = [traj.final_state for traj in trajs]
     ratios = {}
-    for lam in lams:
-        st = final(lam)
+    for lam, st in zip(lams, finals):
         diff = math.sqrt(
             float(np.sum(model.sigma * (st.a - ref.a) ** 2))
             + float(np.sum((st.b - ref.b) ** 2))
@@ -629,7 +654,7 @@ def _integrate_decomposed(model, source, gamma, forcing, initial, icfg, horizon)
     """
     damping = K2Constant(gamma)
     cfg = replace(icfg, horizon=horizon, scheme="strang")
-    st = _Stepper(model, source, damping, forcing, cfg)
+    st = _Stepper(model, source, damping, forcing.effective, cfg)
     dt = cfg.dt
     hdt = 0.5 * dt
     lh = forcing.effective
@@ -723,11 +748,8 @@ def exp_decomposition(
 
     # Contraction of the linear component for a pair of initial states.
     lin_cfg = replace(icfg, horizon=dcfg.horizon, scheme="strang")
-    v1 = integrate(
-        model, ZeroSource(), damping, forcing, initial_1, lin_cfg
-    )
-    v2 = integrate(
-        model, ZeroSource(), damping, forcing, initial_2, lin_cfg
+    v1, v2 = integrate_batch(
+        model, ZeroSource(), damping, [forcing] * 2, [initial_1, initial_2], lin_cfg
     )
     gap_v = phase_norms(model, v1.a - v2.a, v1.b - v2.b)
     denom = float(gap_v[0])

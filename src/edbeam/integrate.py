@@ -38,6 +38,7 @@ __all__ = [
     "ConvergenceResult",
     "step",
     "integrate",
+    "integrate_batch",
     "energy_identity_residual",
     "convergence_order",
     "coercivity_offset",
@@ -165,9 +166,13 @@ def coercivity_offset(model, constants, forcing):
 
 
 class _Stepper:
-    """Precomputed tables shared by every step of one integration."""
+    """Precomputed tables shared by every step of one integration.
 
-    def __init__(self, model, source, damping, forcing, cfg):
+    ``lh`` is the applied force lam*h: one row (N,) for a single run, or one
+    row per run (B, N) for a batch.
+    """
+
+    def __init__(self, model, source, damping, lh, cfg):
         self.model = model
         self.source = source
         self.damping = damping
@@ -175,7 +180,7 @@ class _Stepper:
         self.zero_source = isinstance(source, ZeroSource)
         self.mu2a = _mu2alpha(model, cfg.alpha)
         self.lam2 = model.sigma + model.kappa * model.mu
-        self.lh = forcing.effective.copy()
+        self.lh = np.array(lh, dtype=float)
         om = np.sqrt(self.lam2)
         self.omega_max = float(om[-1])
         self.cos = np.cos(om * cfg.dt)
@@ -188,10 +193,20 @@ class _Stepper:
             )
 
     def project(self, a):
+        """Galerkin projection of f(u) for one row (N,) or each row of (B, N).
+
+        A batch goes through stacked matrix-vector products, so every row
+        takes the same gemv as a single run; one 2-D product would be a gemm
+        and round differently.
+        """
         if self.zero_source:
             return None
         m = self.model
-        return m.quad_weight * (m.basis_table @ self.source.f(a @ m.basis_table))
+        bt = m.basis_table
+        if a.ndim == 1:
+            return m.quad_weight * (bt @ self.source.f(a @ bt))
+        u = a[:, None, :] @ bt
+        return m.quad_weight * (bt @ self.source.f(u)[:, 0, :, None])[:, :, 0]
 
     def dissipation_rate(self, a, b):
         """k(E_alpha(a, b)) * ||b||^2, the integrand of D."""
@@ -220,15 +235,17 @@ class _Stepper:
 
 
 class _Recorder:
-    """Fills preallocated sample arrays row by row."""
+    """Preallocated sample arrays for states of ``shape``, (N,) or (B, N),
+    filled one sample at a time."""
 
     __slots__ = ("times", "amat", "bmat", "dvec", "count")
 
-    def __init__(self, times, amat, bmat, dvec):
-        self.times = times
-        self.amat = amat
-        self.bmat = bmat
-        self.dvec = dvec
+    def __init__(self, n_rec, shape):
+        self.times = np.empty(n_rec)
+        self.amat = np.empty((n_rec, *shape))
+        self.bmat = np.empty((n_rec, *shape))
+        # D is one scalar per run; a batch keeps it as a (B, 1) column
+        self.dvec = np.empty((n_rec,) if len(shape) == 1 else (n_rec, shape[0], 1))
         self.count = 0
 
     def push(self, t, a, b, dcum):
@@ -240,6 +257,33 @@ class _Recorder:
         self.count = i + 1
 
 
+def _dot(x, y):
+    # the same BLAS ddot as x @ y, without the matmul ufunc's dispatch cost
+    return float(np.dot(x, y))
+
+
+def _dot_rows(x, y):
+    # one BLAS ddot per row, bitwise the float(x @ y) of a single run;
+    # einsum, (x*y).sum(1) and a gemv all round differently
+    return np.vecdot(x, y)[:, None]
+
+
+def _k_rows(kf):
+    # the law's own scalar evaluator, row by row: the array form _k is
+    # 1 ulp off scalar_k on some arguments for powers, exp and expm1
+    def k(s):
+        return np.array(list(map(kf, s[:, 0].tolist())))[:, None]
+
+    return k
+
+
+def _raise_unless_finite(ok, t, step):
+    """Raise BlowUpError at (t, step) unless every per-run flag in ``ok`` holds."""
+    if not np.all(ok):
+        row = None if np.ndim(ok) == 0 else int(np.argmin(np.ravel(ok)))
+        raise BlowUpError(t, step=step, row=row)
+
+
 def _run_strang(st, a, b, n_steps, stride, t0, rec):
     """The Strang splitting loop: half kick, exact rotation, half kick.
 
@@ -247,7 +291,12 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     displacement part of E_alpha are evaluated once per kick; each kick is
     one explicit-midpoint sub-evaluation of the nonlocal damping.  Caches
     the scalar pieces of the damping argument across substeps and checks
-    for blow-up in batches to keep the per-step cost down.
+    for blow-up every 128 steps to keep the per-step cost down.
+
+    The state is one run, a and b of shape (N,), or a batch of independent
+    runs, shape (B, N), whose per-run scalars are (B, 1) columns.  Only the
+    row dot product, the damping evaluation and the source projection
+    depend on the shape, and each batched row is bitwise the single run.
     """
     dt = st.cfg.dt
     hdt = 0.5 * dt
@@ -255,11 +304,14 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     cos, sin_over, omsin = st.cos, st.sin_over, st.omsin
     mu2a, lh = st.mu2a, st.lh
     kf = st.damping.scalar_k()
+    dot = _dot
+    if a.ndim == 2:
+        dot, kf = _dot_rows, _k_rows(kf)
     zero_source = st.zero_source
     project = st.project
 
-    sa = float(mu2a @ (a * a))
-    bb = float(b @ b)
+    sa = dot(a * a, mu2a)
+    bb = dot(b, b)
     kv = kf(sa + bb)
     ell_prev = kv * bb
     dcum = 0.0
@@ -271,42 +323,114 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
         # first half kick (a frozen; sa, kv valid for the incoming state)
         base = lh if zero_source else lh - project(a)
         bm = b + qdt * (base - kv * b)
-        b = b + hdt * (base - kf(sa + float(bm @ bm)) * bm)
+        b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
         # exact rotation over dt
         a, b = cos * a + sin_over * b, omsin * (-a) + cos * b
         # second half kick
         base = lh if zero_source else lh - project(a)
-        sa = float(mu2a @ (a * a))
-        bb = float(b @ b)
+        sa = dot(a * a, mu2a)
+        bb = dot(b, b)
         g0 = base - kf(sa + bb) * b
         bm = b + qdt * g0
-        b = b + hdt * (base - kf(sa + float(bm @ bm)) * bm)
+        b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
         # trapezoid dissipation increment to the new state
-        bb = float(b @ b)
+        bb = dot(b, b)
         kv = kf(sa + bb)
         ell = kv * bb
         dcum += hdt * (ell_prev + ell)
         ell_prev = ell
-        if n % check_every == check_every - 1 and not math.isfinite(ell + sa):
-            raise BlowUpError(t0 + (n + 1) * dt)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise BlowUpError(t0 + n_steps * dt)
+        if n % check_every == check_every - 1:
+            _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+    _raise_unless_finite(
+        np.isfinite(a).all(-1) & np.isfinite(b).all(-1), t0 + n_steps * dt, n_steps
+    )
+    rec.push(t0 + n_steps * dt, a, b, dcum)
+
+
+def _run_rk4(st, a, b, n_steps, stride, t0, rec):
+    """Classical RK4 on the first-order system; one run, shape (N,), only."""
+    dt = st.cfg.dt
+    dcum = 0.0
+    ell_prev = st.dissipation_rate(a, b)
+    for n in range(n_steps):
+        if n % stride == 0:
+            rec.push(t0 + n * dt, a, b, dcum)
+        a, b = st.step_rk4(a, b)
+        _raise_unless_finite(
+            np.isfinite(a).all() & np.isfinite(b).all(), t0 + (n + 1) * dt, n + 1
+        )
+        ell = st.dissipation_rate(a, b)
+        dcum += 0.5 * dt * (ell_prev + ell)
+        ell_prev = ell
     rec.push(t0 + n_steps * dt, a, b, dcum)
 
 
 def step(model, source, damping, forcing, state, cfg):
     """Advance one step of the selected scheme; pure and re-entrant."""
-    st = _Stepper(model, source, damping, forcing, cfg)
-    t = state.t + cfg.dt
-    if cfg.scheme == "strang":
-        n = state.n_modes
-        rec = _Recorder(np.empty(2), np.empty((2, n)), np.empty((2, n)), np.empty(2))
-        _run_strang(st, state.a, state.b, 1, 1, state.t, rec)
-        return ModalState(rec.amat[1], rec.bmat[1], t)
-    a, b = st.step_rk4(state.a, state.b)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise BlowUpError(t)
-    return ModalState(a, b, t)
+    st = _Stepper(model, source, damping, forcing.effective, cfg)
+    rec = _Recorder(2, state.a.shape)
+    run = _run_strang if cfg.scheme == "strang" else _run_rk4
+    run(st, state.a, state.b, 1, 1, state.t, rec)
+    return ModalState(rec.amat[1], rec.bmat[1], state.t + cfg.dt)
+
+
+def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
+    """One run's Trajectory from its recorded samples."""
+    energy = np.array(
+        [total_energy(model, source, forcing, a[i], b[i]) for i in range(t.shape[0])]
+    )
+    return Trajectory(
+        t=t,
+        a=a,
+        b=b,
+        energy=energy,
+        energy_mod=energy + k_lam,
+        dissipation=d,
+        phase=phase_norms(model, a, b),
+        alpha=cfg.alpha,
+        K_lambda=k_lam,
+    )
+
+
+def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
+    """Integrate from (a, b), one run (N,) or a batch (B, N) with one
+    forcing per row, and return one Trajectory per run."""
+    batched = a.ndim == 2
+    lh = np.stack([f.effective for f in forcings]) if batched else forcings[0].effective
+    st = _Stepper(model, source, damping, lh, cfg)
+    if constants is None:
+        constants = assumption_constants(source)
+    k_lams = [coercivity_offset(model, constants, f)[1] for f in forcings]
+
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    stride = int(cfg.sample_stride)
+    # one sample at each n < n_steps with n % stride == 0, plus the final one
+    rec = _Recorder((n_steps - 1) // stride + 2, a.shape)
+
+    # overflow inside the loop is exactly the blow-up condition, which the
+    # loop detects and raises; the transient float warnings say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _run_strang if cfg.scheme == "strang" else _run_rk4
+        run(st, a, b, n_steps, stride, t0, rec)
+
+    if not batched:
+        rows = [(rec.times, rec.amat, rec.bmat, rec.dvec)]
+    else:
+        # contiguous per-run copies, so post-processing sees the same
+        # memory layout (and so the same BLAS paths) as a single run
+        rows = [
+            (
+                rec.times.copy(),
+                rec.amat[:, r].copy(),
+                rec.bmat[:, r].copy(),
+                rec.dvec[:, r, 0].copy(),
+            )
+            for r in range(len(forcings))
+        ]
+    return [
+        _trajectory(model, source, f, cfg, k_lam, *row)
+        for f, k_lam, row in zip(forcings, k_lams, rows)
+    ]
 
 
 def integrate(model, source, damping, forcing, initial, cfg, constants=None):
@@ -318,61 +442,36 @@ def integrate(model, source, damping, forcing, initial, cfg, constants=None):
     """
     if initial.n_modes != model.n_modes:
         raise ValueError("initial state dimension does not match model")
-    st = _Stepper(model, source, damping, forcing, cfg)
-    if constants is None:
-        constants = assumption_constants(source)
-    _, k_lam = coercivity_offset(model, constants, forcing)
-
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    stride = int(cfg.sample_stride)
+    a, b = initial.a.copy(), initial.b.copy()
     t0 = float(initial.t)
-    dt = cfg.dt
+    return _integrate_rows(model, source, damping, [forcing], a, b, t0, cfg, constants)[0]
 
-    a = initial.a.copy()
-    b = initial.b.copy()
 
-    # one sample at each n < n_steps with n % stride == 0, plus the final one
-    n_rec = (n_steps - 1) // stride + 2
-    times = np.empty(n_rec)
-    amat = np.empty((n_rec, model.n_modes))
-    bmat = np.empty((n_rec, model.n_modes))
-    dvec = np.empty(n_rec)
-    rec = _Recorder(times, amat, bmat, dvec)
+def integrate_batch(model, source, damping, forcings, initials, cfg, constants=None):
+    """Integrate independent runs that share one law, one config and one
+    start time; row i starts from ``initials[i]`` under ``forcings[i]``.
 
-    # overflow inside the loop is exactly the blow-up condition, which the
-    # loop detects and raises; the transient float warnings say nothing more
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.scheme == "strang":
-            _run_strang(st, a, b, n_steps, stride, t0, rec)
-        else:
-            dcum = 0.0
-            ell_prev = st.dissipation_rate(a, b)
-            for n in range(n_steps):
-                if n % stride == 0:
-                    rec.push(t0 + n * dt, a, b, dcum)
-                a, b = st.step_rk4(a, b)
-                if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-                    raise BlowUpError(t0 + (n + 1) * dt)
-                ell = st.dissipation_rate(a, b)
-                dcum += 0.5 * dt * (ell_prev + ell)
-                ell_prev = ell
-            rec.push(t0 + n_steps * dt, a, b, dcum)
-
-    energy = np.array(
-        [total_energy(model, source, forcing, amat[i], bmat[i]) for i in range(n_rec)]
-    )
-    phase = phase_norms(model, amat, bmat)
-    return Trajectory(
-        t=times,
-        a=amat,
-        b=bmat,
-        energy=energy,
-        energy_mod=energy + k_lam,
-        dissipation=dvec,
-        phase=phase,
-        alpha=cfg.alpha,
-        K_lambda=k_lam,
-    )
+    The Strang scheme advances all rows in one loop, and every returned
+    Trajectory is bitwise the one ``integrate`` returns for that row alone.
+    RK4 configs run row by row through ``integrate``.  On blow-up,
+    :class:`BlowUpError` names the first non-finite row in ``row``.
+    """
+    initials, forcings = list(initials), list(forcings)
+    if len(forcings) != len(initials):
+        raise ValueError(f"{len(forcings)} forcings for {len(initials)} initial states")
+    if any(s.n_modes != model.n_modes for s in initials):
+        raise ValueError("initial state dimension does not match model")
+    if len({float(s.t) for s in initials}) > 1:
+        raise ValueError("the initial states of one batch must share their start time")
+    if cfg.scheme != "strang" or not initials:
+        return [
+            integrate(model, source, damping, f, s, cfg, constants)
+            for f, s in zip(forcings, initials)
+        ]
+    a = np.stack([s.a for s in initials])
+    b = np.stack([s.b for s in initials])
+    t0 = float(initials[0].t)
+    return _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants)
 
 
 def energy_identity_residual(traj):

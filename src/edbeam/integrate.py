@@ -169,14 +169,17 @@ class _Stepper:
     """Precomputed tables shared by every step of one integration.
 
     ``lh`` is the applied force lam*h: one row (N,) for a single run, or one
-    row per run (B, N) for a batch.
+    row per run (B, N) for a batch.  ``drive`` couples the rows of a batch:
+    row r feels the source projection of row ``drive[r]``; None drives each
+    row by itself.
     """
 
-    def __init__(self, model, source, damping, lh, cfg):
+    def __init__(self, model, source, damping, lh, cfg, drive=None):
         self.model = model
         self.source = source
         self.damping = damping
         self.cfg = cfg
+        self.drive = drive
         self.zero_source = isinstance(source, ZeroSource)
         self.mu2a = _mu2alpha(model, cfg.alpha)
         self.lam2 = model.sigma + model.kappa * model.mu
@@ -293,10 +296,12 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     the scalar pieces of the damping argument across substeps and checks
     for blow-up every 128 steps to keep the per-step cost down.
 
-    The state is one run, a and b of shape (N,), or a batch of independent
-    runs, shape (B, N), whose per-run scalars are (B, 1) columns.  Only the
-    row dot product, the damping evaluation and the source projection
-    depend on the shape, and each batched row is bitwise the single run.
+    The state is one run, a and b of shape (N,), or a batch of runs, shape
+    (B, N), whose per-run scalars are (B, 1) columns.  Only the row dot
+    product, the damping evaluation and the source projection depend on the
+    shape, and each batched row is bitwise the single run.  A power law can
+    overflow on large finite states before the 128-step check sees a
+    non-finite one; that overflow is reported as the same BlowUpError.
     """
     dt = st.cfg.dt
     hdt = 0.5 * dt
@@ -309,6 +314,11 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
         dot, kf = _dot_rows, _k_rows(kf)
     zero_source = st.zero_source
     project = st.project
+    if st.drive is not None:
+        drive, project_rows = st.drive, project
+
+        def project(a):
+            return project_rows(a[drive])
 
     sa = dot(a * a, mu2a)
     bb = dot(b, b)
@@ -317,30 +327,37 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     dcum = 0.0
     check_every = 128
 
-    for n in range(n_steps):
-        if n % stride == 0:
-            rec.push(t0 + n * dt, a, b, dcum)
-        # first half kick (a frozen; sa, kv valid for the incoming state)
-        base = lh if zero_source else lh - project(a)
-        bm = b + qdt * (base - kv * b)
-        b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
-        # exact rotation over dt
-        a, b = cos * a + sin_over * b, omsin * (-a) + cos * b
-        # second half kick
-        base = lh if zero_source else lh - project(a)
-        sa = dot(a * a, mu2a)
-        bb = dot(b, b)
-        g0 = base - kf(sa + bb) * b
-        bm = b + qdt * g0
-        b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
-        # trapezoid dissipation increment to the new state
-        bb = dot(b, b)
-        kv = kf(sa + bb)
-        ell = kv * bb
-        dcum += hdt * (ell_prev + ell)
-        ell_prev = ell
-        if n % check_every == check_every - 1:
-            _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+    try:
+        for n in range(n_steps):
+            if n % stride == 0:
+                rec.push(t0 + n * dt, a, b, dcum)
+            # first half kick (a frozen; sa, kv valid for the incoming state)
+            base = lh if zero_source else lh - project(a)
+            bm = b + qdt * (base - kv * b)
+            b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+            # exact rotation over dt
+            a, b = cos * a + sin_over * b, omsin * (-a) + cos * b
+            # second half kick
+            base = lh if zero_source else lh - project(a)
+            sa = dot(a * a, mu2a)
+            bb = dot(b, b)
+            g0 = base - kf(sa + bb) * b
+            bm = b + qdt * g0
+            b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+            # trapezoid dissipation increment to the new state
+            bb = dot(b, b)
+            kv = kf(sa + bb)
+            ell = kv * bb
+            dcum += hdt * (ell_prev + ell)
+            ell_prev = ell
+            if n % check_every == check_every - 1:
+                _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+    except OverflowError as exc:
+        row = None
+        if a.ndim == 2:
+            # name the row furthest out; argmax counts a NaN as furthest
+            row = int(np.argmax(np.maximum(np.abs(a).max(1), np.abs(b).max(1))))
+        raise BlowUpError(t0 + (n + 1) * dt, step=n + 1, row=row) from exc
     _raise_unless_finite(
         np.isfinite(a).all(-1) & np.isfinite(b).all(-1), t0 + n_steps * dt, n_steps
     )
@@ -392,16 +409,9 @@ def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
     )
 
 
-def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
-    """Integrate from (a, b), one run (N,) or a batch (B, N) with one
-    forcing per row, and return one Trajectory per run."""
-    batched = a.ndim == 2
-    lh = np.stack([f.effective for f in forcings]) if batched else forcings[0].effective
-    st = _Stepper(model, source, damping, lh, cfg)
-    if constants is None:
-        constants = assumption_constants(source)
-    k_lams = [coercivity_offset(model, constants, f)[1] for f in forcings]
-
+def _advance(st, a, b, t0):
+    """Run the configured scheme from (a, b) at t0; return the _Recorder."""
+    cfg = st.cfg
     n_steps = int(round(cfg.horizon / cfg.dt))
     stride = int(cfg.sample_stride)
     # one sample at each n < n_steps with n % stride == 0, plus the final one
@@ -412,6 +422,26 @@ def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
     with np.errstate(over="ignore", invalid="ignore"):
         run = _run_strang if cfg.scheme == "strang" else _run_rk4
         run(st, a, b, n_steps, stride, t0, rec)
+    return rec
+
+
+def _integrate_driven(model, source, damping, lh, drive, a, b, cfg):
+    """Advance a Strang batch (B, N) from t = 0, row r forced by lh[r] and
+    driven by the source projection of row drive[r]; return the _Recorder,
+    with no energy post-processing and no coercivity check."""
+    return _advance(_Stepper(model, source, damping, lh, cfg, drive), a, b, 0.0)
+
+
+def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
+    """Integrate from (a, b), one run (N,) or a batch (B, N) with one
+    forcing per row, and return one Trajectory per run."""
+    batched = a.ndim == 2
+    lh = np.stack([f.effective for f in forcings]) if batched else forcings[0].effective
+    st = _Stepper(model, source, damping, lh, cfg)
+    if constants is None:
+        constants = assumption_constants(source)
+    k_lams = [coercivity_offset(model, constants, f)[1] for f in forcings]
+    rec = _advance(st, a, b, t0)
 
     if not batched:
         rows = [(rec.times, rec.amat, rec.bmat, rec.dvec)]

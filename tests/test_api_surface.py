@@ -43,3 +43,13 @@ def _unused_imports(tree):
 def test_no_unused_imports(name):
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+def test_one_strang_kernel():
+    # the rotation tables belong to the kernel alone, and no driver builds
+    # its own stepper to run a private copy of the kick and rotation
+    for path in SRC.glob("*.py"):
+        if path.stem != "integrate":
+            text = path.read_text(encoding="utf-8")
+            assert "sin_over" not in text and "omsin" not in text, path.name
+    assert "_Stepper" not in (SRC / "experiments.py").read_text(encoding="utf-8")

@@ -127,6 +127,29 @@ def test_batch_blow_up_names_the_row():
     assert batch.value.time == pytest.approx(batch.value.step * cfg.dt)
 
 
+def test_power_law_overflow_is_a_blow_up():
+    # with q = 3 the monomial g * s**q overflows a Python float while the
+    # state is still finite; that must surface as BlowUpError, not as a
+    # bare OverflowError, in a single run and in a batch
+    m = build_model(2, math.pi, 0.0, 16)
+    bad = ModalState(np.array([1.0, 0.5]), np.array([1.0, -0.5]))
+    calm = ModalState(np.zeros(2), np.zeros(2))
+    law = K1Monomial(1e8, 3.0)
+    cfg = IntegratorConfig(dt=0.5, horizon=400.0, alpha=1.0, sample_stride=1)
+    zero = Forcing.zero(2)
+    with pytest.raises(BlowUpError) as single:
+        integrate(m, ZeroSource(), law, zero, bad, cfg)
+    with pytest.raises(BlowUpError) as batch:
+        integrate_batch(m, ZeroSource(), law, [zero, zero], [calm, bad], cfg)
+    assert isinstance(single.value.__cause__, OverflowError)
+    assert single.value.row is None
+    assert batch.value.row == 1
+    assert batch.value.step == single.value.step
+    assert batch.value.time == single.value.time
+    assert 0 < single.value.step < 128
+    assert single.value.time == pytest.approx(single.value.step * cfg.dt)
+
+
 def _ball_states(m, rng, rows):
     """Random states inside the unit energy ball, 2E = E_1 < 1.
 

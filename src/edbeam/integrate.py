@@ -134,17 +134,23 @@ def _source_integral(model, source, a):
     if isinstance(source, ZeroSource):
         return 0.0
     u = a @ model.basis_table
-    return float(model.quad_weight * np.sum(source.f_primitive(u)))
+    # ndarray.sum is the same reduction as np.sum without its Python wrapper
+    return float(model.quad_weight * source.f_primitive(u).sum())
 
 
 def total_energy(model, source, forcing, a, b):
-    """E = kinetic + bending + membrane + source integral - forcing work."""
+    """E = kinetic + bending + membrane + source integral - forcing work.
+
+    ``forcing`` is a Forcing or its applied force lam*h, which a caller
+    evaluating many samples builds once.
+    """
     quad = 0.5 * (
         float(b @ b)
-        + float(np.sum(model.sigma * a**2))
-        + model.kappa * float(np.sum(model.mu * a**2))
+        + float((model.sigma * a**2).sum())
+        + model.kappa * float((model.mu * a**2).sum())
     )
-    work = float(forcing.effective @ a)
+    lh = forcing if isinstance(forcing, np.ndarray) else forcing.effective
+    work = float(lh @ a)
     return quad + _source_integral(model, source, a) - work
 
 
@@ -261,8 +267,9 @@ class _Recorder:
 
 
 def _dot(x, y):
-    # the same BLAS ddot as x @ y, without the matmul ufunc's dispatch cost
-    return float(np.dot(x, y))
+    # the same BLAS ddot as x @ y, without the matmul ufunc's or np.dot's
+    # dispatch cost
+    return float(x.dot(y))
 
 
 def _dot_rows(x, y):
@@ -275,7 +282,7 @@ def _k_rows(kf):
     # the law's own scalar evaluator, row by row: the array form _k is
     # 1 ulp off scalar_k on some arguments for powers, exp and expm1
     def k(s):
-        return np.array(list(map(kf, s[:, 0].tolist())))[:, None]
+        return np.fromiter(map(kf, s[:, 0].tolist()), float, len(s))[:, None]
 
     return k
 
@@ -292,21 +299,26 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
 
     a is frozen through each kick, so its source projection and the
     displacement part of E_alpha are evaluated once per kick; each kick is
-    one explicit-midpoint sub-evaluation of the nonlocal damping.  Caches
-    the scalar pieces of the damping argument across substeps and checks
-    for blow-up every 128 steps to keep the per-step cost down.
+    one explicit-midpoint sub-evaluation of the nonlocal damping.  Nothing
+    moves a between the second half kick of one step and the first half
+    kick of the next, so the source part of the kick, ``base = lh -
+    project(a)``, is computed once after each rotation and carried into the
+    next step, as are the scalar pieces of the damping argument: one
+    projection per step plus one before the loop.  Checks for blow-up every
+    128 steps to keep the per-step cost down.
 
     The state is one run, a and b of shape (N,), or a batch of runs, shape
     (B, N), whose per-run scalars are (B, 1) columns.  Only the row dot
     product, the damping evaluation and the source projection depend on the
     shape, and each batched row is bitwise the single run.  A power law can
     overflow on large finite states before the 128-step check sees a
-    non-finite one; that overflow is reported as the same BlowUpError.
+    non-finite one, even on the initial state; that overflow is reported as
+    the same BlowUpError, at step 0 when no step has completed.
     """
     dt = st.cfg.dt
     hdt = 0.5 * dt
     qdt = 0.25 * dt
-    cos, sin_over, omsin = st.cos, st.sin_over, st.omsin
+    cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
     mu2a, lh = st.mu2a, st.lh
     kf = st.damping.scalar_k()
     dot = _dot
@@ -320,25 +332,27 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
         def project(a):
             return project_rows(a[drive])
 
-    sa = dot(a * a, mu2a)
-    bb = dot(b, b)
-    kv = kf(sa + bb)
-    ell_prev = kv * bb
     dcum = 0.0
     check_every = 128
+    n = -1  # the last completed step is n + 1
 
     try:
+        sa = dot(a * a, mu2a)
+        bb = dot(b, b)
+        kv = kf(sa + bb)
+        ell_prev = kv * bb
+        base = lh if zero_source else lh - project(a)
         for n in range(n_steps):
             if n % stride == 0:
                 rec.push(t0 + n * dt, a, b, dcum)
-            # first half kick (a frozen; sa, kv valid for the incoming state)
-            base = lh if zero_source else lh - project(a)
+            # first half kick (a frozen; sa, kv, base valid for the incoming state)
             bm = b + qdt * (base - kv * b)
             b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
             # exact rotation over dt
-            a, b = cos * a + sin_over * b, omsin * (-a) + cos * b
-            # second half kick
-            base = lh if zero_source else lh - project(a)
+            a, b = cos * a + sin_over * b, nomsin * a + cos * b
+            # second half kick; base also serves the next step's first kick
+            if not zero_source:
+                base = lh - project(a)
             sa = dot(a * a, mu2a)
             bb = dot(b, b)
             g0 = base - kf(sa + bb) * b
@@ -393,8 +407,9 @@ def step(model, source, damping, forcing, state, cfg):
 
 def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
     """One run's Trajectory from its recorded samples."""
+    lh = forcing.effective
     energy = np.array(
-        [total_energy(model, source, forcing, a[i], b[i]) for i in range(t.shape[0])]
+        [total_energy(model, source, lh, a[i], b[i]) for i in range(t.shape[0])]
     )
     return Trajectory(
         t=t,

@@ -150,6 +150,27 @@ def test_power_law_overflow_is_a_blow_up():
     assert single.value.time == pytest.approx(single.value.step * cfg.dt)
 
 
+def test_power_law_overflow_on_the_initial_state_is_a_blow_up():
+    # a huge but finite start overflows g * s**q in the damping evaluation
+    # before the first step; that is a blow-up at step 0, time t0
+    m = build_model(2, math.pi, 0.0, 16)
+    t0 = 1.5
+    bad = ModalState(np.array([1e60, 0.5]), np.array([1e60, -0.5]), t0)
+    calm = ModalState(np.zeros(2), np.zeros(2), t0)
+    law = K1Monomial(1.0, 3.0)
+    cfg = IntegratorConfig(dt=0.5, horizon=4.0, alpha=1.0)
+    zero = Forcing.zero(2)
+    with pytest.raises(BlowUpError) as single:
+        integrate(m, ZeroSource(), law, zero, bad, cfg)
+    with pytest.raises(BlowUpError) as batch:
+        integrate_batch(m, ZeroSource(), law, [zero, zero], [calm, bad], cfg)
+    for info, row in ((single, None), (batch, 1)):
+        assert isinstance(info.value.__cause__, OverflowError)
+        assert info.value.step == 0
+        assert info.value.time == t0
+        assert info.value.row == row
+
+
 def _ball_states(m, rng, rows):
     """Random states inside the unit energy ball, 2E = E_1 < 1.
 

@@ -46,7 +46,7 @@ from .experiments import (
     synthetic_torus,
 )
 from .integrate import integrate
-from .laws import assumption_constants
+from .laws import ZeroSource, assumption_constants
 from .series import write_csv
 from .stationary import multi_start, stationary_bound_check
 
@@ -119,9 +119,11 @@ def _run_exp_k2(cfg, run_dir):
 
 
 def _run_exp_k3(cfg, run_dir):
-    model, damping, _, forcing, rng, _ = _start(cfg)
+    model, damping, source, forcing, rng, _ = _start(cfg)
     if forcing.effective_norm > 0.0:
         raise InvalidConfigurationError("exp_k3_ball requires zero forcing")
+    if not isinstance(source, ZeroSource):
+        raise InvalidConfigurationError("exp_k3_ball requires the zero source")
     opts = cfg.options
     inside = [
         make_initial_state(model, rng, rng.uniform(0.05, 0.95), opts["decay"])
@@ -146,7 +148,9 @@ def _run_exp_k3(cfg, run_dir):
 
 
 def _run_exp_two(cfg, run_dir):
-    model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
+    model, damping, source, forcing, _, (u1, u2) = _start(cfg, 2)
+    if forcing.effective_norm > 0.0:
+        raise InvalidConfigurationError("exp_two_trajectory requires zero forcing")
     return exp_two_trajectory(
         model,
         damping,
@@ -186,10 +190,14 @@ def _run_exp_lambda(cfg, run_dir):
 
 def _run_exp_decomposition(cfg, run_dir):
     model, damping, source, forcing, _, (u1, u2) = _start(cfg, 2)
-    probes = tuple(int(x) for x in str(cfg.options["probe_modes"]).split(","))
-    dcfg = DecompositionConfig(
-        s=cfg.options["s"], horizon=cfg.integrator.horizon, probe_modes=probes
-    )
+    raw = cfg.options["probe_modes"]
+    try:
+        probes = tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise InvalidConfigurationError(
+            f"[experiment] probe_modes = {raw!r}: expected a comma list of modes"
+        ) from None
+    dcfg = DecompositionConfig(s=cfg.options["s"], probe_modes=probes)
     return exp_decomposition(
         model,
         damping,
@@ -230,12 +238,9 @@ def _run_exp_entropy(cfg, run_dir):
     return report
 
 
-def _run_nakao(cfg, run_dir):
-    return nakao_suite(seed=cfg.seed, trials=int(cfg.options["trials"]))
-
-
-def _run_haraux(cfg, run_dir):
-    return haraux_suite(seed=cfg.seed, trials=int(cfg.options["trials"]))
+def _run_suite(cfg, run_dir):
+    suite = nakao_suite if cfg.experiment_id == "nakao_suite" else haraux_suite
+    return suite(seed=cfg.seed, trials=int(cfg.options["trials"]))
 
 
 def _run_stationary(cfg, run_dir):
@@ -279,8 +284,8 @@ _RUNNERS = {
     "exp_lambda_lipschitz": _run_exp_lambda,
     "exp_decomposition": _run_exp_decomposition,
     "exp_entropy": _run_exp_entropy,
-    "nakao_suite": _run_nakao,
-    "haraux_suite": _run_haraux,
+    "nakao_suite": _run_suite,
+    "haraux_suite": _run_suite,
     "stationary": _run_stationary,
 }
 
@@ -363,14 +368,7 @@ def main(argv=None):
         list_experiments()
         return 0
 
-    default_id = {
-        "simulate": "simulate",
-        "nakao-suite": "nakao_suite",
-        "haraux-suite": "haraux_suite",
-        "stationary": "stationary",
-    }.get(args.command)
-    if args.command == "exp":
-        default_id = args.id
+    default_id = args.id if args.command == "exp" else args.command.replace("-", "_")
     try:
         cfg = _load_config(args, default_id)
         return run(cfg, quiet=args.quiet)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .integrate import _mu2alpha, _source_integral, coercivity_offset
+from .integrate import (
+    _dot,
+    _mu2alpha,
+    _source_integral,
+    coercivity_offset,
+    total_energy,
+)
 from .laws import K1Monomial, assumption_constants
 
 __all__ = [
@@ -34,8 +40,9 @@ __all__ = [
 class EnergyBreakdown:
     """Itemized energy of one state.
 
-    ``total`` is the sum of the five parts; ``total_mod`` adds the offset
-    K_lambda; ``e_alpha`` is the damping argument ||A^alpha u||^2 + ||u_t||^2.
+    ``total`` is the sum of the five parts as ``total_energy`` computes it;
+    ``total_mod`` adds the offset K_lambda; ``e_alpha`` is the damping
+    argument ||A^alpha u||^2 + ||u_t||^2.
     """
 
     kinetic: float
@@ -57,12 +64,12 @@ def energy(model, source, forcing, state, alpha=1.0, constants=None):
     membrane = 0.5 * model.kappa * float(np.sum(model.mu * a**2))
     src = _source_integral(model, source, a)
     work = -float(forcing.effective @ a)
-    total = kinetic + bending + membrane + src + work
+    total = total_energy(model, source, forcing, a, b)
 
     if constants is None:
         constants = assumption_constants(source, model=model)
     _, k_lam = coercivity_offset(model, constants, forcing)
-    e_alpha = float(_mu2alpha(model, alpha) @ (a * a)) + float(b @ b)
+    e_alpha = _dot(a * a, _mu2alpha(model, alpha)) + _dot(b, b)
     return EnergyBreakdown(
         kinetic=kinetic,
         bending=bending,

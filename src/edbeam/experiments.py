@@ -40,7 +40,7 @@ from .laws import (
 )
 from .nakao import haraux_check, nakao_verify, random_nakao_problem
 from .series import SampledSeries, write_csv
-from .spectral import ModalState, phase_norms
+from .spectral import ModalState, phase_norm, phase_norms
 
 __all__ = [
     "Criterion",
@@ -154,13 +154,11 @@ def _common_checks(report, traj, omega):
     )
 
 
-def _fill_defaults(model, source, forcing, constants):
-    """Zero source and forcing unless given; the source's constants unless given."""
+def _fill_defaults(model, source, forcing):
+    """Zero source and forcing unless given, and the source's constants."""
     source = source if source is not None else ZeroSource()
     forcing = forcing if forcing is not None else Forcing.zero(model.n_modes)
-    if constants is None:
-        constants = assumption_constants(source, model=model)
-    return source, forcing, constants
+    return source, forcing, assumption_constants(source, model=model)
 
 
 def _write_traj(traj, out_dir, name, report):
@@ -178,7 +176,6 @@ def exp_k1_decay(
     *,
     source=None,
     forcing=None,
-    constants=None,
     slack=0.02,
     fit_window=None,
     rate_tol=0.15,
@@ -194,7 +191,7 @@ def exp_k1_decay(
     """
     if not isinstance(damping, K1Monomial):
         raise InvalidConfigurationError("exp_k1_decay requires the monomial law")
-    source, forcing, constants = _fill_defaults(model, source, forcing, constants)
+    source, forcing, constants = _fill_defaults(model, source, forcing)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k1_decay", seed=seed)
@@ -258,7 +255,6 @@ def exp_k2_exponential(
     *,
     source=None,
     forcing=None,
-    constants=None,
     fit_window=None,
     r2_min=0.999,
     seed=None,
@@ -271,7 +267,7 @@ def exp_k2_exponential(
     Etilde(t) <= C Etilde(0) exp(-c t) + 8 K_lambda holds at every sample,
     and must eventually enter the absorbing ball 64 K_lambda / omega.
     """
-    source, forcing, constants = _fill_defaults(model, source, forcing, constants)
+    source, forcing, constants = _fill_defaults(model, source, forcing)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k2_exponential", seed=seed)
@@ -599,10 +595,7 @@ def exp_lambda_lipschitz(
     ref, *finals = [traj.final_state for traj in trajs]
     ratios = {}
     for lam, st in zip(lams, finals):
-        diff = math.sqrt(
-            float(np.sum(model.sigma * (st.a - ref.a) ** 2))
-            + float(np.sum((st.b - ref.b) ** 2))
-        )
+        diff = phase_norm(model, ModalState(st.a - ref.a, st.b - ref.b))
         ratios[lam] = diff / abs(lam - lambda0)
 
     report = ExperimentReport("exp_lambda_lipschitz", seed=seed)
@@ -632,17 +625,18 @@ def exp_lambda_lipschitz(
 
 @dataclass(frozen=True)
 class DecompositionConfig:
-    """Parameters of the contraction + smoothing splitting experiment."""
+    """Splitting-experiment parameters; the horizon is the integrator's."""
 
     s: float = 1.0
-    horizon: float = 20.0
     probe_modes: tuple = (4, 8, 16, 32)
 
     def __post_init__(self):
         if not 0.0 < self.s < 2.0:
             raise InvalidConfigurationError(f"s must be in (0, 2), got {self.s}")
-        if not self.horizon > 0.0:
-            raise InvalidConfigurationError("horizon must be > 0")
+        if not self.probe_modes or min(self.probe_modes) < 1:
+            raise InvalidConfigurationError(
+                f"probe_modes must be one or more modes >= 1, got {self.probe_modes}"
+            )
 
 
 def _integrate_decomposed(model, source, damping, forcing, initials, cfg):
@@ -685,7 +679,7 @@ def exp_decomposition(
     Checks (i) the split reassembles the full solution, (ii) the linear part
     contracts pairs of initial states exponentially, and (iii) the smoothing
     part is controlled by the weak-space norm of single-mode perturbations
-    uniformly over the probe modes.
+    uniformly over the probe modes.  Runs the Strang scheme only.
     """
     if not isinstance(damping, K2Constant):
         raise InvalidConfigurationError(
@@ -693,9 +687,10 @@ def exp_decomposition(
         )
     if max(dcfg.probe_modes) > model.n_modes:
         raise InvalidConfigurationError("probe mode exceeds model truncation")
+    if icfg.scheme != "strang":
+        raise InvalidConfigurationError("exp_decomposition requires scheme = strang")
 
     report = ExperimentReport("exp_decomposition", seed=seed)
-    cfg = replace(icfg, horizon=dcfg.horizon, scheme="strang")
     # u and z for initial_1 (row 0) and each single-mode probe perturbation
     probes = []
     for j in dcfg.probe_modes:
@@ -703,11 +698,11 @@ def exp_decomposition(
         a_pert[j - 1] += probe_eps
         probes.append(ModalState(a_pert, initial_1.b.copy(), 0.0))
     times, au, bu, az, bz = _integrate_decomposed(
-        model, source, damping, forcing, [initial_1, *probes], cfg
+        model, source, damping, forcing, [initial_1, *probes], icfg
     )
     # v, the linear forced part, for the pair of initial states
     v1, v2 = integrate_batch(
-        model, ZeroSource(), damping, [forcing] * 2, [initial_1, initial_2], cfg
+        model, ZeroSource(), damping, [forcing] * 2, [initial_1, initial_2], icfg
     )
     gap = phase_norms(
         model, au[:, 0] - (v1.a + az[:, 0]), bu[:, 0] - (v1.b + bz[:, 0])
@@ -727,7 +722,7 @@ def exp_decomposition(
     if denom > 0.0 and int(np.count_nonzero(pos)) >= 10:
         fit = fit_exp_rate(
             SampledSeries(times[pos], gap_v[pos] / denom),
-            (0.0, dcfg.horizon),
+            (0.0, icfg.horizon),
         )
         report.add(
             "linear_contraction",
@@ -820,13 +815,10 @@ def box_count_entropy(points, eps_list, weights=None):
     return EntropyEstimate(tuple(eps), tuple(counts), tuple(h), dim)
 
 
-def synthetic_circle(n_points, rng=None, radius=1.0):
+def synthetic_circle(n_points, rng):
     """Unit circle embedded in the first two coefficients."""
-    if rng is None:
-        theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    else:
-        theta = rng.uniform(0.0, 2.0 * math.pi, n_points)
-    return radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    theta = rng.uniform(0.0, 2.0 * math.pi, n_points)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def synthetic_torus(n_points, rng):
@@ -864,17 +856,17 @@ def nakao_suite(seed=0, trials=1000, rhos=(0.0, 0.5, 1.0, 2.0)):
     return report
 
 
-def haraux_suite(seed=0, trials=100000, max_dim=8, r_range=(1.0, 6.0)):
-    """Randomized sweep of the norm power-difference bound."""
+def haraux_suite(seed=0, trials=100000):
+    """Randomized sweep of the norm power-difference bound, dims 1..8, r in [1, 6)."""
     rng = np.random.default_rng(seed)
     report = ExperimentReport("haraux_suite", seed=seed)
     violations = 0
     worst = -math.inf
     for _ in range(trials):
-        dim = int(rng.integers(1, max_dim + 1))
+        dim = int(rng.integers(1, 9))
         u = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 2)
         v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 2)
-        r = rng.uniform(*r_range)
+        r = rng.uniform(1.0, 6.0)
         res = haraux_check(u, v, r)
         worst = max(worst, res.lhs - res.rhs)
         if not res.ok:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BlowUpError, InvalidConfigurationError
 from .laws import ZeroSource, assumption_constants
 from .series import write_csv
-from .spectral import ModalState, phase_norms
+from .spectral import ModalState, _project, phase_norms
 
 __all__ = [
     "IntegratorConfig",
@@ -177,13 +177,14 @@ class _Stepper:
     ``lh`` is the applied force lam*h: one row (N,) for a single run, or one
     row per run (B, N) for a batch.  ``drive`` couples the rows of a batch:
     row r feels the source projection of row ``drive[r]``; None drives each
-    row by itself.
+    row by itself.  ``kf`` is the damping law's scalar evaluator, which
+    both schemes use for k(E_alpha).
     """
 
     def __init__(self, model, source, damping, lh, cfg, drive=None):
         self.model = model
         self.source = source
-        self.damping = damping
+        self.kf = damping.scalar_k()
         self.cfg = cfg
         self.drive = drive
         self.zero_source = isinstance(source, ZeroSource)
@@ -211,25 +212,23 @@ class _Stepper:
         if self.zero_source:
             return None
         m = self.model
-        bt = m.basis_table
         if a.ndim == 1:
-            return m.quad_weight * (bt @ self.source.f(a @ bt))
+            return _project(m, self.source.f, a)
+        bt = m.basis_table
         u = a[:, None, :] @ bt
         return m.quad_weight * (bt @ self.source.f(u)[:, 0, :, None])[:, :, 0]
 
     def dissipation_rate(self, a, b):
         """k(E_alpha(a, b)) * ||b||^2, the integrand of D."""
-        bb = float(b @ b)
-        e = float(self.mu2a @ (a * a)) + bb
-        return self.damping.k(e) * bb
+        bb = _dot(b, b)
+        return self.kf(_dot(a * a, self.mu2a) + bb) * bb
 
     def _rhs(self, a, b):
         fv = self.project(a)
         acc = -self.lam2 * a + self.lh
         if fv is not None:
             acc = acc - fv
-        e = float(self.mu2a @ (a * a)) + float(b @ b)
-        acc = acc - self.damping.k(e) * b
+        acc = acc - self.kf(_dot(a * a, self.mu2a) + _dot(b, b)) * b
         return b, acc
 
     def step_rk4(self, a, b):
@@ -279,8 +278,8 @@ def _dot_rows(x, y):
 
 
 def _k_rows(kf):
-    # the law's own scalar evaluator, row by row: the array form _k is
-    # 1 ulp off scalar_k on some arguments for powers, exp and expm1
+    # the law's one scalar evaluator, row by row; a vectorised numpy form
+    # would be 1 ulp off it on some arguments for powers, exp and expm1
     def k(s):
         return np.fromiter(map(kf, s[:, 0].tolist()), float, len(s))[:, None]
 
@@ -320,7 +319,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     qdt = 0.25 * dt
     cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
     mu2a, lh = st.mu2a, st.lh
-    kf = st.damping.scalar_k()
+    kf = st.kf
     dot = _dot
     if a.ndim == 2:
         dot, kf = _dot_rows, _k_rows(kf)
@@ -382,17 +381,21 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec):
     """Classical RK4 on the first-order system; one run, shape (N,), only."""
     dt = st.cfg.dt
     dcum = 0.0
-    ell_prev = st.dissipation_rate(a, b)
-    for n in range(n_steps):
-        if n % stride == 0:
-            rec.push(t0 + n * dt, a, b, dcum)
-        a, b = st.step_rk4(a, b)
-        _raise_unless_finite(
-            np.isfinite(a).all() & np.isfinite(b).all(), t0 + (n + 1) * dt, n + 1
-        )
-        ell = st.dissipation_rate(a, b)
-        dcum += 0.5 * dt * (ell_prev + ell)
-        ell_prev = ell
+    n = -1  # as in _run_strang, an overflow is reported at step n + 1
+    try:
+        ell_prev = st.dissipation_rate(a, b)
+        for n in range(n_steps):
+            if n % stride == 0:
+                rec.push(t0 + n * dt, a, b, dcum)
+            a, b = st.step_rk4(a, b)
+            _raise_unless_finite(
+                np.isfinite(a).all() & np.isfinite(b).all(), t0 + (n + 1) * dt, n + 1
+            )
+            ell = st.dissipation_rate(a, b)
+            dcum += 0.5 * dt * (ell_prev + ell)
+            ell_prev = ell
+    except OverflowError as exc:
+        raise BlowUpError(t0 + (n + 1) * dt, step=n + 1) from exc
     rec.push(t0 + n_steps * dt, a, b, dcum)
 
 

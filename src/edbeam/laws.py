@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .spectral import synthesize
+from .spectral import _check_coeffs, _project
 
 __all__ = [
     "DampingLaw",
@@ -37,10 +37,11 @@ __all__ = [
 
 
 class DampingLaw:
-    """Base class; subclasses store ``gamma`` > 0 and implement ``_k``.
+    """Base class; subclasses store ``gamma`` > 0 and implement ``scalar_k``.
 
-    ``k`` checks the argument and unwraps scalars; ``_k`` evaluates the law
-    on a float array of non-negative arguments.
+    ``scalar_k`` is the law's one formula, on Python floats; ``k`` checks its
+    argument and maps that formula over it, so a power law whose value
+    leaves float range raises OverflowError.
     """
 
     def __post_init__(self):
@@ -51,15 +52,12 @@ class DampingLaw:
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise ValueError("damping argument must be >= 0")
-        out = self._k(s)
-        return float(out) if out.ndim == 0 else out
-
-    def _k(self, s):
-        raise NotImplementedError
+        out = np.fromiter(map(self.scalar_k(), s.ravel().tolist()), float, s.size)
+        return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
     def scalar_k(self):
-        """Unchecked scalar evaluator for integrator hot loops."""
-        return self.k
+        """Unchecked scalar evaluator s -> k(s) for integrator hot loops."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,6 @@ class K1Monomial(DampingLaw):
         if not self.q >= 0.5:
             raise InvalidConfigurationError(f"q >= 1/2 required, got {self.q}")
 
-    def _k(self, s):
-        return self.gamma * s**self.q
-
     def scalar_k(self):
         g, q = self.gamma, self.q
         return lambda s: g * s**q
@@ -87,9 +82,6 @@ class K2Constant(DampingLaw):
     """k(s) = gamma."""
 
     gamma: float
-
-    def _k(self, s):
-        return np.full_like(s, self.gamma)
 
     def scalar_k(self):
         g = self.gamma
@@ -102,9 +94,6 @@ class K2ExpDecay(DampingLaw):
 
     gamma: float
 
-    def _k(self, s):
-        return self.gamma * np.exp(-s)
-
     def scalar_k(self):
         g = self.gamma
         return lambda s: g * math.exp(-s)
@@ -116,9 +105,6 @@ class K2Rational(DampingLaw):
 
     gamma: float
 
-    def _k(self, s):
-        return self.gamma / (1.0 + s)
-
     def scalar_k(self):
         g = self.gamma
         return lambda s: g / (1.0 + s)
@@ -129,9 +115,6 @@ class K3Rational(DampingLaw):
     """k = 0 on [0, 1], gamma*(1 - 1/s) for s > 1; continuous at the kink."""
 
     gamma: float
-
-    def _k(self, s):
-        return np.where(s > 1.0, self.gamma * (1.0 - 1.0 / np.maximum(s, 1.0)), 0.0)
 
     def scalar_k(self):
         g = self.gamma
@@ -147,9 +130,6 @@ class K3ShiftedExp(DampingLaw):
     """
 
     gamma: float
-
-    def _k(self, s):
-        return np.where(s > 1.0, self.gamma * (-np.expm1(-(s - 1.0))), 0.0)
 
     def scalar_k(self):
         g = self.gamma
@@ -275,12 +255,10 @@ class Forcing:
 
 def project_source(model, law, a):
     """Galerkin projection of f(u): g_j = quad_weight * sum_m f(u(x_m)) w_j(x_m)."""
+    a = _check_coeffs(model, a)
     if isinstance(law, ZeroSource):
-        if np.shape(a) != (model.n_modes,):
-            raise ValueError(f"expected {model.n_modes} coefficients")
         return np.zeros(model.n_modes)
-    u = synthesize(model, a)
-    return model.quad_weight * (model.basis_table @ law.f(u))
+    return _project(model, law.f, a)
 
 
 @dataclass(frozen=True)
@@ -301,22 +279,16 @@ class AssumptionConstants:
 
 
 def assumption_constants(law, sample_range=10.0, samples=20001, model=None):
-    """Scan [-R, R] for the smallest constants satisfying both inequalities.
+    """Scan [-R, R], R = ``sample_range``, for the smallest constants
+    satisfying both inequalities.
 
-    ``sample_range`` may be a scalar R or a pair (-R, R).  The scan is a
-    sampled feasibility search, not a symbolic proof; the scanned constants
-    are exact for the zero source and for the pure-power source (sigma_c = 0),
-    where both inequalities hold with c_f = C_f = 0.
+    The scan is a sampled feasibility search, not a symbolic proof; the
+    scanned constants are exact for the zero source and for the pure-power
+    source (sigma_c = 0), where both inequalities hold with c_f = C_f = 0.
     """
-    if isinstance(sample_range, (tuple, list)):
-        lo, hi = float(sample_range[0]), float(sample_range[1])
-        if not (lo < 0.0 < hi):
-            raise ValueError("sample_range must straddle 0")
-        r_max = max(-lo, hi)
-    else:
-        r_max = float(sample_range)
-        if not r_max > 0.0:
-            raise ValueError("sample_range must be positive")
+    r_max = float(sample_range)
+    if not r_max > 0.0:
+        raise ValueError("sample_range must be positive")
 
     if isinstance(law, ZeroSource):
         c_f, big_c, c_fp = 0.0, 0.0, 0.0

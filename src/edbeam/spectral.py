@@ -146,6 +146,13 @@ def synthesize(model, coeffs):
     return c @ model.basis_table
 
 
+def _project(model, f, a):
+    # the Galerkin projection of f(u) for u with coefficients a: synthesize,
+    # apply f on the grid, analyze; unchecked, for callers that checked a
+    bt = model.basis_table
+    return model.quad_weight * (bt @ f(a @ bt))
+
+
 def analyze(model, field):
     """Project a grid field back onto modal coefficients.
 

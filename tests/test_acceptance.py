@@ -316,7 +316,7 @@ def test_criterion_9_decomposition():
     rng = np.random.default_rng(5)
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, horizon=20.0, probe_modes=(4, 8, 16, 32))
+    dcfg = DecompositionConfig(s=1.0, probe_modes=(4, 8, 16, 32))
     icfg = IntegratorConfig(dt=1e-3, horizon=20.0, alpha=1.0, sample_stride=10)
     rep = exp_decomposition(
         m,

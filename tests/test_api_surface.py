@@ -53,3 +53,16 @@ def test_one_strang_kernel():
             text = path.read_text(encoding="utf-8")
             assert "sin_over" not in text and "omsin" not in text, path.name
     assert "_Stepper" not in (SRC / "experiments.py").read_text(encoding="utf-8")
+
+
+def test_one_formula_per_damping_law():
+    # each law is spelled once, as scalar_k; k maps it over its argument
+    from edbeam import laws
+
+    subclasses = [
+        obj
+        for obj in vars(laws).values()
+        if isinstance(obj, type) and issubclass(obj, laws.DampingLaw)
+    ]
+    assert len(subclasses) == 7  # the base and the six families
+    assert [c.__name__ for c in subclasses if "_k" in vars(c)] == []

@@ -3,6 +3,7 @@ the row, and the batched Strang flow keeps the exact structure of the scheme
 (time reversal without damping, conservation inside the threshold ball)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +165,10 @@ def test_power_law_overflow_on_the_initial_state_is_a_blow_up():
         integrate(m, ZeroSource(), law, zero, bad, cfg)
     with pytest.raises(BlowUpError) as batch:
         integrate_batch(m, ZeroSource(), law, [zero, zero], [calm, bad], cfg)
-    for info, row in ((single, None), (batch, 1)):
+    # RK4 evaluates k through the same scalar_k and reports the same way
+    with pytest.raises(BlowUpError) as rk4:
+        integrate(m, ZeroSource(), law, zero, bad, replace(cfg, scheme="rk4"))
+    for info, row in ((single, None), (batch, 1), (rk4, None)):
         assert isinstance(info.value.__cause__, OverflowError)
         assert info.value.step == 0
         assert info.value.time == t0

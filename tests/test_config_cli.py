@@ -239,3 +239,50 @@ def test_parse_law_errors_name_the_section():
         parse_config("[source]\nvariant = double_power\ndelta = 1.0\nr = 2.0\n")
     with pytest.raises(InvalidConfigurationError, match=r"^\[source\] double_power requires r$"):
         parse_config("[source]\nvariant = double_power\ndelta = 1.0\n")
+
+
+
+
+@pytest.mark.parametrize(
+    "exp_id, sections, options, message",
+    [
+        (
+            "exp_decomposition",
+            "[damping]\nvariant = k2_constant\n",
+            "probe_modes = 2,x\n",
+            "error: [experiment] probe_modes = '2,x'",
+        ),
+        # each run below used to go ahead without the input and exit 0
+        (
+            "exp_k3_ball",
+            "[damping]\nvariant = k3_rational\n"
+            "[source]\nvariant = double_power\ndelta = 2.0\nr = 1.0\n",
+            "n_inside = 1\nn_outside = 1\n",
+            "error: exp_k3_ball requires the zero source",
+        ),
+        (
+            "exp_two_trajectory",
+            "[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
+            "",
+            "error: exp_two_trajectory requires zero forcing",
+        ),
+        (
+            "exp_decomposition",
+            # a leading key lands in the [integrator] section
+            "scheme = rk4\n[damping]\nvariant = k2_constant\n",
+            "probe_modes = 2,4\n",
+            "error: exp_decomposition requires scheme = strang",
+        ),
+    ],
+    ids=["probe_modes_not_integers", "k3_source", "two_trajectory_forcing", "decomposition_rk4"],
+)
+def test_cli_rejects_input_it_would_drop(tmp_path, capsys, exp_id, sections, options, message):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(
+        "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
+        f"{sections}[experiment]\nid = {exp_id}\n{options}"
+    )
+    code = main(["exp", exp_id, "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / f"{exp_id}-seed0" / "report.txt").exists()

@@ -136,7 +136,7 @@ def test_decomposition_blow_up_raises():
         ref = _lockstep_reference(m, src, 1.0, zero, start, cfg, 50.0)
     assert not np.all(np.isfinite(ref[1]))
 
-    dcfg = DecompositionConfig(s=1.0, horizon=50.0, probe_modes=(1, 2, 3, 4))
+    dcfg = DecompositionConfig(s=1.0, probe_modes=(1, 2, 3, 4))
     with pytest.raises(BlowUpError) as info:
         exp_decomposition(m, law, src, zero, start, start, dcfg, cfg)
     assert info.value.step == 100

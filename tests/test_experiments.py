@@ -140,7 +140,7 @@ def test_exp_decomposition_zero_source_gives_u_equals_v():
     rng = np.random.default_rng(6)
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, horizon=5.0, probe_modes=(2, 4, 8))
+    dcfg = DecompositionConfig(s=1.0, probe_modes=(2, 4, 8))
     icfg = IntegratorConfig(dt=1e-3, horizon=5.0, alpha=1.0, sample_stride=10)
     from edbeam.experiments import _integrate_decomposed
 
@@ -158,7 +158,7 @@ def test_exp_decomposition_requires_constant_damping():
     rng = np.random.default_rng(7)
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, horizon=1.0, probe_modes=(2,))
+    dcfg = DecompositionConfig(s=1.0, probe_modes=(2,))
     icfg = IntegratorConfig(dt=1e-2, horizon=1.0)
     with pytest.raises(InvalidConfigurationError):
         exp_decomposition(
@@ -166,11 +166,19 @@ def test_exp_decomposition_requires_constant_damping():
         )
 
 
+def test_decomposition_rejects_probe_modes_below_one():
+    # probe mode 0 used to perturb a[-1], the last mode, and so reported the
+    # ratios of probe mode N under the name 0
+    for modes in [(0, 2), (2, -1), ()]:
+        with pytest.raises(InvalidConfigurationError, match="probe_modes"):
+            DecompositionConfig(s=1.0, probe_modes=modes)
+
+
 def test_exp_decomposition_equal_initials():
     m = build_model(8, math.pi, 0.0, 64)
     rng = np.random.default_rng(8)
     u1 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, horizon=3.0, probe_modes=(2, 4))
+    dcfg = DecompositionConfig(s=1.0, probe_modes=(2, 4))
     icfg = IntegratorConfig(dt=1e-3, horizon=3.0, alpha=1.0, sample_stride=10)
     src = DoublePower(2.0, 1.0, 0.0)
     rep = exp_decomposition(

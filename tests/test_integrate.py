@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from edbeam import (
     BlowUpError,
@@ -120,13 +122,27 @@ def test_identity_residual_undamped():
     assert energy_identity_residual(traj) <= 1e-12
 
 
-def test_identity_residual_second_order_in_dt():
+@pytest.mark.parametrize(
+    "law, energy2",
+    [
+        (K1Monomial(1.0, 1.0), 1.0),
+        (K2Constant(1.0), 1.0),
+        (K2ExpDecay(1.0), 1.0),
+        (K2Rational(1.0), 1.0),
+        # the threshold laws damp only outside the unit energy ball
+        (K3Rational(1.0), 4.0),
+        (K3ShiftedExp(1.0), 4.0),
+    ],
+    ids=lambda x: type(x).__name__ if not isinstance(x, float) else None,
+)
+@settings(max_examples=2, deadline=None)
+@given(seed=hs.integers(1, 39))
+def test_identity_residual_second_order_in_dt(law, energy2, seed):
     from edbeam.experiments import make_initial_state
 
     m = build_model(8, math.pi, 0.0, 64)
-    rng = np.random.default_rng(1)
-    init = make_initial_state(m, rng, 1.0)
-    law = K1Monomial(1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    init = make_initial_state(m, rng, energy2)
 
     def residual(dt):
         cfg = IntegratorConfig(dt=dt, horizon=5.0, alpha=0.5, sample_stride=10)

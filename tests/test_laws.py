@@ -30,6 +30,39 @@ def test_k_eval_examples():
     assert K2Rational(3.0).k(0.0) == pytest.approx(3.0, abs=1e-15)
 
 
+ALL_LAWS = [
+    K1Monomial(1.0, 0.5),
+    K1Monomial(0.8, 1.5),
+    K1Monomial(2.0, 2.0),
+    K2Constant(1.3),
+    K2ExpDecay(1.3),
+    K2Rational(1.3),
+    K3Rational(1.3),
+    K3ShiftedExp(1.3),
+]
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=repr)
+def test_k_is_scalar_k_elementwise_bitwise(law):
+    # one formula per law: k maps scalar_k, so an array form can no longer
+    # round differently from the evaluator the integrators use
+    rng = np.random.default_rng(3)
+    grid = np.concatenate(
+        [np.linspace(0.0, 5.0, 2001), rng.uniform(0.0, 50.0, 2001), [1.0, 1e-300]]
+    )
+    kf = law.scalar_k()
+    expected = np.array([kf(x) for x in grid.tolist()])
+    assert np.array_equal(law.k(grid), expected)
+    assert np.array_equal(law.k(grid.reshape(2, -1)), expected.reshape(2, -1))
+    one = law.k(2.5)
+    assert type(one) is float and one == kf(2.5)
+
+
+def test_power_law_k_overflow_raises():
+    with pytest.raises(OverflowError):
+        K1Monomial(1.0, 3.0).k(np.array([1.0, 1e200]))
+
+
 def test_k1_degenerate_at_origin_and_monotone():
     law = K1Monomial(1.5, 0.5)
     assert law.k(0.0) == 0.0

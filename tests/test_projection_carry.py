@@ -19,6 +19,7 @@ from edbeam import (
     build_model,
     integrate,
     integrate_batch,
+    project_source,
     step,
 )
 from edbeam.experiments import make_initial_state
@@ -38,8 +39,8 @@ def _dot(x, y):
 
 
 def _k_rows(kf):
-    # the law's own scalar evaluator, row by row: the array form _k is
-    # 1 ulp off scalar_k on some arguments for powers, exp and expm1
+    # the law's one scalar evaluator, row by row; a vectorised numpy form
+    # would be 1 ulp off it on some arguments for powers, exp and expm1
     def k(s):
         return np.array(list(map(kf, s[:, 0].tolist())))[:, None]
 
@@ -55,7 +56,7 @@ def _two_projection_reference(st, a, b, n_steps, stride, t0, rec):
     qdt = 0.25 * dt
     cos, sin_over, omsin = st.cos, st.sin_over, st.omsin
     mu2a, lh = st.mu2a, st.lh
-    kf = st.damping.scalar_k()
+    kf = st.kf  # the law's scalar_k(), which the stepper now holds
     dot = _dot
     if a.ndim == 2:
         dot, kf = _dot_rows, _k_rows(kf)
@@ -208,3 +209,16 @@ def test_zero_source_never_projects(projection_calls):
     cfg = IntegratorConfig(dt=1e-2, horizon=0.5, alpha=0.5)
     integrate(m, ZeroSource(), _LAW, Forcing.zero(_N), start, cfg)
     assert projection_calls == []
+
+
+def test_project_source_is_the_stepper_projection_bitwise():
+    # one projection kernel serves the public project_source and the
+    # integrator's single-run projection
+    m = build_model(16, math.pi, 0.0, 128)
+    src = DoublePower(2.0, 1.0, 3.0)
+    cfg = IntegratorConfig(dt=1e-2, horizon=0.5)
+    st = _Stepper(m, src, K1Monomial(1.0, 1.0), np.zeros(16), cfg)
+    rng = np.random.default_rng(11)
+    for energy2 in (0.1, 1.0, 4.0, 25.0):
+        a = make_initial_state(m, rng, energy2).a
+        assert np.array_equal(project_source(m, src, a), st.project(a))

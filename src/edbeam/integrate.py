@@ -47,6 +47,8 @@ __all__ = [
 
 RK4_STABILITY_LIMIT = 2.8
 
+_CHECK_EVERY = 128  # steps between blow-up checks, which also test ``until``
+
 _SCHEMES = ("strang", "rk4")
 
 
@@ -293,7 +295,7 @@ def _raise_unless_finite(ok, t, step):
         raise BlowUpError(t, step=step, row=row)
 
 
-def _run_strang(st, a, b, n_steps, stride, t0, rec):
+def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     """The Strang splitting loop: half kick, exact rotation, half kick.
 
     a is frozen through each kick, so its source projection and the
@@ -304,7 +306,8 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     project(a)``, is computed once after each rotation and carried into the
     next step, as are the scalar pieces of the damping argument: one
     projection per step plus one before the loop.  Checks for blow-up every
-    128 steps to keep the per-step cost down.
+    128 steps to keep the per-step cost down; the same check ends the run
+    early once ``until(a_row, b_row)`` holds for every row.
 
     The state is one run, a and b of shape (N,), or a batch of runs, shape
     (B, N), whose per-run scalars are (B, 1) columns.  Only the row dot
@@ -332,7 +335,6 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
             return project_rows(a[drive])
 
     dcum = 0.0
-    check_every = 128
     n = -1  # the last completed step is n + 1
 
     try:
@@ -363,8 +365,12 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
             ell = kv * bb
             dcum += hdt * (ell_prev + ell)
             ell_prev = ell
-            if n % check_every == check_every - 1:
+            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
                 _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+                # atleast_2d makes a single run a batch of one row
+                if until is not None and all(map(until, *np.atleast_2d(a, b))):
+                    n_steps = n + 1
+                    break
     except OverflowError as exc:
         row = None
         if a.ndim == 2:
@@ -377,7 +383,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec):
     rec.push(t0 + n_steps * dt, a, b, dcum)
 
 
-def _run_rk4(st, a, b, n_steps, stride, t0, rec):
+def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
     """Classical RK4 on the first-order system; one run, shape (N,), only."""
     dt = st.cfg.dt
     dcum = 0.0
@@ -394,6 +400,9 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec):
             ell = st.dissipation_rate(a, b)
             dcum += 0.5 * dt * (ell_prev + ell)
             ell_prev = ell
+            if until is not None and n % _CHECK_EVERY == _CHECK_EVERY - 1 and until(a, b):
+                n_steps = n + 1
+                break
     except OverflowError as exc:
         raise BlowUpError(t0 + (n + 1) * dt, step=n + 1) from exc
     rec.push(t0 + n_steps * dt, a, b, dcum)
@@ -427,7 +436,7 @@ def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
     )
 
 
-def _advance(st, a, b, t0):
+def _advance(st, a, b, t0, until=None):
     """Run the configured scheme from (a, b) at t0; return the _Recorder."""
     cfg = st.cfg
     n_steps = int(round(cfg.horizon / cfg.dt))
@@ -439,7 +448,12 @@ def _advance(st, a, b, t0):
     # loop detects and raises; the transient float warnings say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         run = _run_strang if cfg.scheme == "strang" else _run_rk4
-        run(st, a, b, n_steps, stride, t0, rec)
+        run(st, a, b, n_steps, stride, t0, rec, until)
+    # a run that ``until`` stopped fills fewer samples than were allocated
+    n = rec.count
+    rec.times, rec.amat, rec.bmat, rec.dvec = (
+        x[:n] for x in (rec.times, rec.amat, rec.bmat, rec.dvec)
+    )
     return rec
 
 
@@ -450,7 +464,7 @@ def _integrate_driven(model, source, damping, lh, drive, a, b, cfg):
     return _advance(_Stepper(model, source, damping, lh, cfg, drive), a, b, 0.0)
 
 
-def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
+def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants, until):
     """Integrate from (a, b), one run (N,) or a batch (B, N) with one
     forcing per row, and return one Trajectory per run."""
     batched = a.ndim == 2
@@ -459,7 +473,7 @@ def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
     if constants is None:
         constants = assumption_constants(source)
     k_lams = [coercivity_offset(model, constants, f)[1] for f in forcings]
-    rec = _advance(st, a, b, t0)
+    rec = _advance(st, a, b, t0, until)
 
     if not batched:
         rows = [(rec.times, rec.amat, rec.bmat, rec.dvec)]
@@ -481,28 +495,35 @@ def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants):
     ]
 
 
-def integrate(model, source, damping, forcing, initial, cfg, constants=None):
+def integrate(model, source, damping, forcing, initial, cfg, constants=None, until=None):
     """Integrate over [t0, t0 + horizon] and record sampled series.
 
     States are recorded every ``sample_stride`` steps plus the final step;
     the dissipation integral is accumulated at every step regardless of the
     stride.  Raises :class:`BlowUpError` if the state leaves float range.
+    The run ends early at the first 128-step blow-up check where
+    ``until(a, b)``, if given, holds.
     """
     if initial.n_modes != model.n_modes:
         raise ValueError("initial state dimension does not match model")
     a, b = initial.a.copy(), initial.b.copy()
     t0 = float(initial.t)
-    return _integrate_rows(model, source, damping, [forcing], a, b, t0, cfg, constants)[0]
+    return _integrate_rows(
+        model, source, damping, [forcing], a, b, t0, cfg, constants, until
+    )[0]
 
 
-def integrate_batch(model, source, damping, forcings, initials, cfg, constants=None):
+def integrate_batch(
+    model, source, damping, forcings, initials, cfg, constants=None, until=None
+):
     """Integrate independent runs that share one law, one config and one
     start time; row i starts from ``initials[i]`` under ``forcings[i]``.
 
     The Strang scheme advances all rows in one loop, and every returned
     Trajectory is bitwise the one ``integrate`` returns for that row alone.
-    RK4 configs run row by row through ``integrate``.  On blow-up,
-    :class:`BlowUpError` names the first non-finite row in ``row``.
+    A Strang batch with ``until`` ends when ``until`` holds for every row;
+    RK4 configs run, and so stop, row by row through ``integrate``.  On
+    blow-up, :class:`BlowUpError` names the first non-finite row in ``row``.
     """
     initials, forcings = list(initials), list(forcings)
     if len(forcings) != len(initials):
@@ -513,13 +534,15 @@ def integrate_batch(model, source, damping, forcings, initials, cfg, constants=N
         raise ValueError("the initial states of one batch must share their start time")
     if cfg.scheme != "strang" or not initials:
         return [
-            integrate(model, source, damping, f, s, cfg, constants)
+            integrate(model, source, damping, f, s, cfg, constants, until)
             for f, s in zip(forcings, initials)
         ]
     a = np.stack([s.a for s in initials])
     b = np.stack([s.b for s in initials])
     t0 = float(initials[0].t)
-    return _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants)
+    return _integrate_rows(
+        model, source, damping, forcings, a, b, t0, cfg, constants, until
+    )
 
 
 def energy_identity_residual(traj):

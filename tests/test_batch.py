@@ -28,6 +28,7 @@ from edbeam import (
     integrate_batch,
 )
 from edbeam.experiments import make_initial_state
+from edbeam.integrate import _advance, _integrate_driven, _Stepper, total_energy
 
 _ALL_DAMPING = [
     K1Monomial(1.0, 1.0),
@@ -126,6 +127,117 @@ def test_batch_blow_up_names_the_row():
     assert batch.value.time == single.value.time
     assert batch.value.step == single.value.step
     assert batch.value.time == pytest.approx(batch.value.step * cfg.dt)
+
+
+def _assert_prefix(short, full):
+    n = short.n_samples
+    for name in _FIELDS:
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:n]), name
+
+
+def test_until_that_never_holds_changes_nothing():
+    n = 8
+    m = build_model(n, math.pi, 0.5, 8 * n)
+    rng = np.random.default_rng(4)
+    states = [make_initial_state(m, rng, e2) for e2 in (1.0, 3.0, 6.0)]
+    forcings = [Forcing.single_mode(n, 1, 1.0, lam) for lam in (0.2, 0.5, 0.9)]
+    src, law = DoublePower(2.0, 1.0, 0.5), K1Monomial(0.8, 1.5)
+    # 300 steps: two checks, at steps 128 and 256, then 44 more steps
+    cfg = IntegratorConfig(dt=0.01, horizon=3.0, alpha=0.5, sample_stride=7)
+    calls = []
+
+    def never(a, b):
+        calls.append(a.shape)
+        return False
+
+    single = integrate(m, src, law, forcings[0], states[0], cfg, until=never)
+    assert calls == [(n,)] * 2
+    _assert_prefix(single, integrate(m, src, law, forcings[0], states[0], cfg))
+    assert single.n_samples == 44
+
+    calls.clear()
+    batch = integrate_batch(m, src, law, forcings, states, cfg, until=never)
+    assert calls == [(n,)] * 2  # each check ends at the first row that fails
+    for row, full in zip(batch, integrate_batch(m, src, law, forcings, states, cfg)):
+        _assert_prefix(row, full)
+        assert row.n_samples == full.n_samples
+
+    # a driven batch: row 1 feels the source projection of row 0
+    a = np.stack([states[0].a, np.zeros(n)])
+    b = np.stack([states[0].b, np.zeros(n)])
+    lh = np.stack([forcings[0].effective, np.zeros(n)])
+    drive = np.array([0, 0])
+    full = _integrate_driven(m, src, law, lh, drive, a, b, cfg)
+    st = _Stepper(m, src, law, lh, cfg, drive)
+    got = _advance(st, a, b, 0.0, until=never)
+    assert got.count == full.count == got.times.shape[0]
+    for field in ("times", "amat", "bmat", "dvec"):
+        assert np.array_equal(getattr(got, field), getattr(full, field)), field
+
+
+def test_stopped_batch_is_a_prefix_of_its_full_run():
+    n = 8
+    m = build_model(n, math.pi, 0.0, 8 * n)
+    rng = np.random.default_rng(8)
+    states = [make_initial_state(m, rng, e2) for e2 in (2.0, 4.0, 8.0)]
+    zero, src, law = Forcing.zero(n), ZeroSource(), K3Rational(1.0)
+    # the stride divides the 128-step check interval, so the stop is a sample
+    cfg = IntegratorConfig(dt=0.01, horizon=40.0, sample_stride=4)
+
+    def near_sphere(a, b):
+        return abs(2.0 * total_energy(m, src, zero, a, b) - 1.0) <= 1e-2
+
+    full = integrate_batch(m, src, law, [zero] * 3, states, cfg)
+    stopped = integrate_batch(m, src, law, [zero] * 3, states, cfg, until=near_sphere)
+    steps = round(stopped[0].t[-1] / cfg.dt)
+    assert steps % 128 == 0 and 0 < steps < 4000
+    for short, traj in zip(stopped, full):
+        _assert_prefix(short, traj)
+        assert short.t[-1] == stopped[0].t[-1]
+        assert near_sphere(short.a[-1], short.b[-1])
+    # the check before the stop found a row still off the sphere
+    before = (steps - 128) // cfg.sample_stride
+    assert not all(near_sphere(traj.a[before], traj.b[before]) for traj in full)
+
+
+def test_blow_up_is_found_before_the_stop_test():
+    # the batch of test_batch_blow_up_names_the_row blows up at step 128, the
+    # first check; a stop test that always holds must not hide it
+    m = build_model(2, math.pi, 0.0, 16)
+    bad = ModalState(np.array([1.0, 0.5]), np.array([1.0, -0.5]))
+    calm = ModalState(np.zeros(2), np.zeros(2))
+    law = K1Monomial(1e8, 2.0)
+    cfg = IntegratorConfig(dt=0.5, horizon=400.0, alpha=1.0, sample_stride=1)
+    zero = Forcing.zero(2)
+    with pytest.raises(BlowUpError) as info:
+        integrate_batch(
+            m, ZeroSource(), law, [zero, zero], [calm, bad], cfg, until=lambda a, b: True
+        )
+    assert info.value.step == 128
+    assert info.value.row == 1
+    assert info.value.time == 128 * cfg.dt
+
+
+def test_rk4_batch_stops_row_by_row():
+    n = 4
+    m = build_model(n, math.pi, 0.0, 8 * n)
+    rng = np.random.default_rng(2)
+    states = [make_initial_state(m, rng, e2) for e2 in (1.0, 3.0)]
+    zero, src, law = Forcing.zero(n), ZeroSource(), K2Constant(1.0)
+    cfg = IntegratorConfig(dt=1e-3, horizon=5.0, scheme="rk4", sample_stride=8)
+
+    def below_half(a, b):
+        return 2.0 * total_energy(m, src, zero, a, b) <= 0.5
+
+    full = integrate_batch(m, src, law, [zero] * 2, states, cfg)
+    stopped = integrate_batch(m, src, law, [zero] * 2, states, cfg, until=below_half)
+    steps = [round(traj.t[-1] / cfg.dt) for traj in stopped]
+    assert steps[0] < steps[1] < 5000
+    for k, short, traj in zip(steps, stopped, full):
+        assert k % 128 == 0
+        _assert_prefix(short, traj)
+        assert below_half(short.a[-1], short.b[-1])
+        assert not below_half(traj.a[(k - 128) // 8], traj.b[(k - 128) // 8])
 
 
 def test_power_law_overflow_is_a_blow_up():

@@ -25,7 +25,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,6 +108,8 @@ EXPERIMENT_OPTIONS = {
     "haraux_suite": {"trials": 100000},
     "stationary": {"n_starts": 20, "start_scale": 1.0, "tol": 1e-8},
 }
+# Every int option is a count, at least 1; these float options have a floor.
+OPTION_MINIMA = {"energy2": 0.0}
 
 
 @dataclass(frozen=True)
@@ -303,9 +305,23 @@ def parse_config(text):
                 f"[experiment] unknown key {key!r} for {exp_id} "
                 f"(allowed: {sorted(defaults)})"
             )
-        options[key] = _typed("experiment", key, raw, type(defaults[key]))
+        value = _typed("experiment", key, raw, type(defaults[key]))
+        low = 1 if type(value) is int else OPTION_MINIMA.get(key)
+        if low is not None and not value >= low:
+            raise InvalidConfigurationError(
+                f"[experiment] {key} = {value}: {key} >= {low} required"
+            )
+        options[key] = value
     for key, val in defaults.items():
         options.setdefault(key, val)
+    if "horizon_outside" in options:
+        # the outside runs of exp_k3_ball step with the [integrator] dt
+        try:
+            replace(integrator, horizon=options["horizon_outside"])
+        except InvalidConfigurationError as exc:
+            raise InvalidConfigurationError(
+                f"[experiment] horizon_outside = {options['horizon_outside']}: {exc}"
+            ) from None
 
     r = _consume(parser, "run", {"seed", "output_dir"})
     seed = _typed("run", "seed", r.get("seed", "0"), int)

@@ -378,8 +378,6 @@ def exp_k3_ball(
     )
     report.metrics["inside_drift"] = worst_drift
 
-    # The outside runs share one batch, which ends at the first 128-step
-    # check where every run lies within target_tol of the sphere 2E = 1.
     def on_sphere(a, b):
         return abs(2.0 * total_energy(model, source, forcing, a, b) - 1.0) <= target_tol
 

@@ -273,8 +273,28 @@ def test_parse_law_errors_name_the_section():
             "probe_modes = 2,4\n",
             "error: exp_decomposition requires scheme = strang",
         ),
+        # horizon_outside = 0 crashed, and 60.005 was stepped as 60.0
+        (
+            "exp_k3_ball",
+            "[damping]\nvariant = k3_rational\n",
+            "horizon_outside = 0\n",
+            "error: [experiment] horizon_outside = 0.0: horizon must be > 0",
+        ),
+        (
+            "exp_k3_ball",
+            "[damping]\nvariant = k3_rational\n",
+            "horizon_outside = 60.005\n",
+            "error: [experiment] horizon_outside = 60.005: dt = 0.01 does not divide",
+        ),
     ],
-    ids=["probe_modes_not_integers", "k3_source", "two_trajectory_forcing", "decomposition_rk4"],
+    ids=[
+        "probe_modes_not_integers",
+        "k3_source",
+        "two_trajectory_forcing",
+        "decomposition_rk4",
+        "k3_horizon_outside_zero",
+        "k3_horizon_outside_off_grid",
+    ],
 )
 def test_cli_rejects_input_it_would_drop(tmp_path, capsys, exp_id, sections, options, message):
     cfg_file = tmp_path / "run.ini"
@@ -286,3 +306,28 @@ def test_cli_rejects_input_it_would_drop(tmp_path, capsys, exp_id, sections, opt
     assert code == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / f"{exp_id}-seed0" / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "exp_id, option",
+    [
+        ("nakao_suite", "trials = -5"),  # passed on 0 violations in 0 trials
+        ("haraux_suite", "trials = 0"),
+        ("exp_k3_ball", "n_outside = -3"),  # dropped the outside criteria
+        ("exp_k3_ball", "n_inside = 0"),
+        ("stationary", "n_starts = 0"),  # ran one start
+        ("exp_entropy", "n_points = 0"),  # traceback
+        ("exp_k1_decay", "energy2 = -1.0"),  # traceback
+    ],
+)
+def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
+    key, value = option.split(" = ")
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(f"[experiment]\nid = {exp_id}\n{option}\n")
+    code = main(["exp", exp_id, "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: [experiment] {key} = {value}: {key} >= {0.0 if key == 'energy2' else 1} "
+        "required\n"
+    )
+    assert not (tmp_path / f"{exp_id}-seed0").exists()

@@ -237,6 +237,28 @@ def test_k3_end_state_cloud_sits_on_unit_sphere():
     assert np.max(np.abs(norms2 - 1.0)) <= 1e-3
 
 
+def test_k3_outside_runs_that_miss_the_sphere_fail(tmp_path):
+    # 2.0 time units are too short for starts at 2E in [2, 6] to decay to
+    # 2E = 1: the batch runs to the horizon and the report says so
+    m = build_model(8, math.pi, 0.0, 64)
+    rng = np.random.default_rng(12)
+    outside = [make_initial_state(m, rng, rng.uniform(2.0, 6.0)) for _ in range(3)]
+    cfg = IntegratorConfig(dt=1e-2, horizon=1.0, alpha=1.0, sample_stride=10)
+    rep = exp_k3_ball(
+        m, K3Rational(1.0), [], outside, cfg, horizon_outside=2.0, out_dir=str(tmp_path)
+    )
+    verdicts = {c.name: c.passed for c in rep.criteria}
+    assert verdicts["outside_reaches_sphere"] is False
+    assert verdicts["outside_monotone"] and verdicts["distance_estimate"]
+    assert not rep.passed
+    assert rep.metrics["latest_hit_time"] == math.inf
+    assert rep.metrics["max_final_gap"] > 1e-3
+    assert "latest hit t = inf" in rep.to_text()
+    assert [s.t for s in rep.end_states] == [2.0] * 3
+    csv = np.loadtxt(tmp_path / "outside_0.csv", delimiter=",", skiprows=1)
+    assert csv[0, 0] == 0.0 and csv[-1, 0] == 2.0
+
+
 def test_determinism_same_seed_same_report():
     m = build_model(6, math.pi, 0.0, 48)
     cfg = IntegratorConfig(dt=1e-2, horizon=5.0, alpha=0.5, sample_stride=5)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENT_OPTIONS, build_objects, emit_config, parse_config
+from .config import build_objects, emit_config, parse_config
 from .errors import InvalidConfigurationError
 from .experiments import (
     DRIVER_DESCRIPTIONS,
@@ -304,41 +304,29 @@ def run(cfg, quiet=False):
     return 0 if report.passed else 1
 
 
-_BUILTIN_DESCRIPTIONS = {
-    "simulate": "plain trajectory integration with CSV export",
-    "stationary": "variational stationary solver with a-priori bound check",
-}
-
-
 def list_experiments(stream=None):
-    """Print the experiment catalog (plus the plain 'simulate' runner)."""
+    """Print the experiment catalog."""
     stream = stream or sys.stdout
-    ids = ["simulate", "stationary"] + sorted(DRIVER_DESCRIPTIONS)
+    ids = sorted(DRIVER_DESCRIPTIONS)
     for name in ids:
-        desc = DRIVER_DESCRIPTIONS.get(name) or _BUILTIN_DESCRIPTIONS[name]
-        stream.write(f"{name:22s} {desc}\n")
+        stream.write(f"{name:22s} {DRIVER_DESCRIPTIONS[name]}\n")
     return ids
 
 
-def _load_config(args, default_id=None):
+def _load_config(args, experiment_id):
     text = ""
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise InvalidConfigurationError(f"cannot read config: {exc}") from None
-    cfg = parse_config(text)
+    cfg = parse_config(text, experiment_id)
     updates = {}
-    if default_id is not None and cfg.experiment_id != default_id:
-        options = dict(EXPERIMENT_OPTIONS[default_id])
-        updates.update(experiment_id=default_id, options=options)
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.out is not None:
         updates["output_dir"] = args.out
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def main(argv=None):
@@ -368,9 +356,9 @@ def main(argv=None):
         list_experiments()
         return 0
 
-    default_id = args.id if args.command == "exp" else args.command.replace("-", "_")
+    exp_id = args.id if args.command == "exp" else args.command.replace("-", "_")
     try:
-        cfg = _load_config(args, default_id)
+        cfg = _load_config(args, exp_id)
         return run(cfg, quiet=args.quiet)
     except InvalidConfigurationError as exc:
         sys.stderr.write(f"error: {exc}\n")

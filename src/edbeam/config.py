@@ -25,13 +25,14 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import InvalidConfigurationError
 from .integrate import IntegratorConfig
 from .laws import (
+    DampingLaw,
     DoublePower,
     Forcing,
     K1Monomial,
@@ -40,6 +41,7 @@ from .laws import (
     K2Rational,
     K3Rational,
     K3ShiftedExp,
+    SourceLaw,
     ZeroSource,
 )
 from .spectral import build_model
@@ -121,21 +123,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class DampingConfig:
-    variant: str = "k1"
-    gamma: float = 1.0
-    q: float | None = 1.0
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    variant: str = "zero"
-    delta: float | None = None
-    r: float | None = None
-    sigma: float | None = None
-
-
-@dataclass(frozen=True)
 class ForcingConfig:
     lam: float = 0.0
     h: str = "zero"
@@ -144,14 +131,27 @@ class ForcingConfig:
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = ModelConfig()
-    damping: DampingConfig = DampingConfig()
-    source: SourceConfig = SourceConfig()
+    damping: DampingLaw = K1Monomial(gamma=1.0, q=1.0)
+    source: SourceLaw = ZeroSource()
     forcing: ForcingConfig = ForcingConfig()
     integrator: IntegratorConfig = IntegratorConfig(dt=1e-3, horizon=10.0)
     experiment_id: str = "simulate"
     options: dict = field(default_factory=dict)
     seed: int = 0
     output_dir: str = "runs"
+
+
+# The keys of the plain sections and their types, in emit order; their
+# defaults are the fields of RunConfig().
+MODEL_KEYS = {"n_modes": int, "length": float, "kappa": float, "quad_points": int}
+INTEGRATOR_KEYS = {
+    "dt": float,
+    "horizon": float,
+    "scheme": str,
+    "alpha": float,
+    "sample_stride": int,
+}
+RUN_KEYS = {"seed": int, "output_dir": str}
 
 
 def _typed(section, key, raw, kind):
@@ -162,6 +162,10 @@ def _typed(section, key, raw, kind):
         raise InvalidConfigurationError(
             f"[{section}] {key} = {raw!r}: expected {kind.__name__}"
         ) from None
+
+
+def _fmt(value):
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _consume(parser, section, known):
@@ -177,15 +181,32 @@ def _consume(parser, section, known):
     return got
 
 
-def _parse_law(parser, section, laws, default_variant):
-    """Read a law section into {field: value}, validated by building the law.
+def _parse_section(parser, section, keys, default):
+    """``default`` with the section's values, typed by ``keys``; the
+    dataclass's own checks name the section on failure."""
+    got = _consume(parser, section, keys)
+    values = {key: _typed(section, key, raw, keys[key]) for key, raw in got.items()}
+    try:
+        return replace(default, **values)
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"[{section}] {exc}") from None
 
-    Every key of the family is present in the result; keys the variant does
-    not take are None.
-    """
+
+def _emit_fields(obj, keys):
+    values = {key: getattr(obj, key) for key in keys}
+    return {key: _fmt(value) for key, value in values.items() if value is not None}
+
+
+def _variant(law, laws):
+    return next(variant for variant, (cls, _) in laws.items() if type(law) is cls)
+
+
+def _parse_law(parser, section, laws, default):
+    """Read a law section and build the law, which validates its values; an
+    omitted variant is that of the ``default`` law."""
     family = {key for _, keys in laws.values() for key in keys}
     got = _consume(parser, section, family | {"variant"})
-    variant = got.pop("variant", default_variant)
+    variant = got.pop("variant", _variant(default, laws))
     if variant not in laws:
         raise InvalidConfigurationError(
             f"[{section}] variant = {variant!r} (allowed: {tuple(laws)})"
@@ -204,27 +225,24 @@ def _parse_law(parser, section, laws, default_variant):
             f"[{section}] {variant} requires {' and '.join(missing)}"
         )
     try:
-        cls(*params.values())
+        return cls(*params.values())
     except InvalidConfigurationError as exc:
         raise InvalidConfigurationError(f"[{section}] {exc}") from None
-    return {key: params.get(key) for key in family} | {"variant": variant}
 
 
-def _build_law(law_cfg, laws):
-    cls, keys = laws[law_cfg.variant]
-    return cls(*(getattr(law_cfg, key) for key in keys))
+def _emit_law(law, laws):
+    # a law's fields are its table keys, in order (sigma is DoublePower.sigma_c)
+    variant = _variant(law, laws)
+    keys = laws[variant][1]
+    values = (getattr(law, f.name) for f in fields(law))
+    return {"variant": variant} | {key: _fmt(v) for key, v in zip(keys, values)}
 
 
-def _emit_law(law_cfg, laws):
-    _, keys = laws[law_cfg.variant]
-    return {"variant": law_cfg.variant} | {
-        key: repr(getattr(law_cfg, key)) for key in keys
-    }
-
-
-def parse_config(text):
+def parse_config(text, experiment_id=None):
     """Parse and validate a run file; returns a :class:`RunConfig`.
 
+    ``experiment_id`` is the experiment a command runs: a run file without
+    ``[experiment] id`` runs it, and one that names another id is rejected.
     Syntax errors carry the offending line number; semantic violations name
     the invariant that failed.
     """
@@ -249,21 +267,10 @@ def parse_config(text):
                 f"unknown section [{sec}] (allowed: {sorted(known_sections)})"
             )
 
-    m = _consume(parser, "model", {"n_modes", "length", "kappa", "quad_points"})
-    n_modes = _typed("model", "n_modes", m.get("n_modes", "16"), int)
-    model = ModelConfig(
-        n_modes=n_modes,
-        length=_typed("model", "length", m.get("length", repr(math.pi)), float),
-        kappa=_typed("model", "kappa", m.get("kappa", "0.0"), float),
-        quad_points=(
-            _typed("model", "quad_points", m["quad_points"], int)
-            if "quad_points" in m
-            else None
-        ),
-    )
-
-    damping = DampingConfig(**_parse_law(parser, "damping", DAMPING_LAWS, "k1"))
-    source = SourceConfig(**_parse_law(parser, "source", SOURCE_LAWS, "zero"))
+    base = RunConfig()
+    model = _parse_section(parser, "model", MODEL_KEYS, base.model)
+    damping = _parse_law(parser, "damping", DAMPING_LAWS, base.damping)
+    source = _parse_law(parser, "source", SOURCE_LAWS, base.source)
 
     f = _consume(parser, "forcing", {"lambda", "h"})
     lam = _typed("forcing", "lambda", f.get("lambda", "0.0"), float)
@@ -275,27 +282,17 @@ def parse_config(text):
     _forcing(lam, h_spec, model.n_modes)
     forcing = ForcingConfig(lam=lam, h=h_spec)
 
-    i = _consume(
-        parser, "integrator", {"dt", "scheme", "horizon", "sample_stride", "alpha"}
-    )
-    try:
-        integrator = IntegratorConfig(
-            dt=_typed("integrator", "dt", i.get("dt", "1e-3"), float),
-            horizon=_typed("integrator", "horizon", i.get("horizon", "10.0"), float),
-            scheme=i.get("scheme", "strang"),
-            alpha=_typed("integrator", "alpha", i.get("alpha", "1.0"), float),
-            sample_stride=_typed(
-                "integrator", "sample_stride", i.get("sample_stride", "1"), int
-            ),
-        )
-    except InvalidConfigurationError as exc:
-        raise InvalidConfigurationError(f"[integrator] {exc}") from None
+    integrator = _parse_section(parser, "integrator", INTEGRATOR_KEYS, base.integrator)
 
     e = dict(parser.items("experiment")) if parser.has_section("experiment") else {}
-    exp_id = e.pop("id", "simulate")
+    exp_id = e.pop("id", experiment_id or base.experiment_id)
     if exp_id not in EXPERIMENT_OPTIONS:
         raise InvalidConfigurationError(
             f"[experiment] id = {exp_id!r} (allowed: {sorted(EXPERIMENT_OPTIONS)})"
+        )
+    if experiment_id is not None and exp_id != experiment_id:
+        raise InvalidConfigurationError(
+            f"[experiment] id = {exp_id}: the command runs {experiment_id}"
         )
     defaults = EXPERIMENT_OPTIONS[exp_id]
     options = {}
@@ -323,16 +320,7 @@ def parse_config(text):
                 f"[experiment] horizon_outside = {options['horizon_outside']}: {exc}"
             ) from None
 
-    r = _consume(parser, "run", {"seed", "output_dir"})
-    seed = _typed("run", "seed", r.get("seed", "0"), int)
-    if not 0 <= seed < 2**64:
-        raise InvalidConfigurationError(f"[run] seed = {seed}: 64-bit value required")
-    output_dir = r.get("output_dir", "runs")
-
-    # Model-level invariants are re-checked by actually building the model.
-    build_model(model.n_modes, model.length, model.kappa, model.quad_points)
-
-    return RunConfig(
+    cfg = RunConfig(
         model=model,
         damping=damping,
         source=source,
@@ -340,9 +328,14 @@ def parse_config(text):
         integrator=integrator,
         experiment_id=exp_id,
         options=options,
-        seed=seed,
-        output_dir=output_dir,
     )
+    cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
+    if not 0 <= cfg.seed < 2**64:
+        raise InvalidConfigurationError(f"[run] seed = {cfg.seed}: 64-bit value required")
+
+    # Model-level invariants are re-checked by actually building the model.
+    build_model(model.n_modes, model.length, model.kappa, model.quad_points)
+    return cfg
 
 
 def _forcing(lam, spec, n_modes):
@@ -374,38 +367,22 @@ def build_objects(cfg):
     """Instantiate (model, damping, source, forcing) from a RunConfig."""
     mc = cfg.model
     model = build_model(mc.n_modes, mc.length, mc.kappa, mc.quad_points)
-
-    damping = _build_law(cfg.damping, DAMPING_LAWS)
-    source = _build_law(cfg.source, SOURCE_LAWS)
     forcing = _forcing(cfg.forcing.lam, cfg.forcing.h, model.n_modes)
-    return model, damping, source, forcing
+    return model, cfg.damping, cfg.source, forcing
 
 
 def emit_config(cfg):
     """Serialize a RunConfig back to run-file text; parse(emit(c)) == c."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["model"] = {
-        "n_modes": str(cfg.model.n_modes),
-        "length": repr(cfg.model.length),
-        "kappa": repr(cfg.model.kappa),
-    }
-    if cfg.model.quad_points is not None:
-        parser["model"]["quad_points"] = str(cfg.model.quad_points)
+    parser["model"] = _emit_fields(cfg.model, MODEL_KEYS)
     parser["damping"] = _emit_law(cfg.damping, DAMPING_LAWS)
     parser["source"] = _emit_law(cfg.source, SOURCE_LAWS)
-    parser["forcing"] = {"lambda": repr(cfg.forcing.lam), "h": cfg.forcing.h}
-    parser["integrator"] = {
-        "dt": repr(cfg.integrator.dt),
-        "horizon": repr(cfg.integrator.horizon),
-        "scheme": cfg.integrator.scheme,
-        "alpha": repr(cfg.integrator.alpha),
-        "sample_stride": str(cfg.integrator.sample_stride),
+    parser["forcing"] = {"lambda": _fmt(cfg.forcing.lam), "h": cfg.forcing.h}
+    parser["integrator"] = _emit_fields(cfg.integrator, INTEGRATOR_KEYS)
+    parser["experiment"] = {"id": cfg.experiment_id} | {
+        key: _fmt(cfg.options[key]) for key in sorted(cfg.options)
     }
-    parser["experiment"] = {"id": cfg.experiment_id}
-    for key in sorted(cfg.options):
-        val = cfg.options[key]
-        parser["experiment"][key] = repr(val) if isinstance(val, float) else str(val)
-    parser["run"] = {"seed": str(cfg.seed), "output_dir": cfg.output_dir}
+    parser["run"] = _emit_fields(cfg, RUN_KEYS)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

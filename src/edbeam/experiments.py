@@ -852,6 +852,8 @@ def haraux_suite(seed=0, trials=100000):
 
 
 DRIVER_DESCRIPTIONS = {
+    "simulate": "plain trajectory integration with CSV export",
+    "stationary": "variational stationary solver with a-priori bound check",
     "exp_k1_decay": "two-sided polynomial energy envelope and 1/q rate fit for the monomial damping",
     "exp_k2_exponential": "exponential decay fit, floored fit under forcing, absorbing-ball entry",
     "exp_k3_ball": "conservation inside and attraction to the unit energy sphere for the threshold damping",

@@ -410,10 +410,9 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
 
 def step(model, source, damping, forcing, state, cfg):
     """Advance one step of the selected scheme; pure and re-entrant."""
+    cfg = replace(cfg, horizon=cfg.dt)
     st = _Stepper(model, source, damping, forcing.effective, cfg)
-    rec = _Recorder(2, state.a.shape)
-    run = _run_strang if cfg.scheme == "strang" else _run_rk4
-    run(st, state.a, state.b, 1, 1, state.t, rec)
+    rec = _advance(st, state.a, state.b, state.t)
     return ModalState(rec.amat[1], rec.bmat[1], state.t + cfg.dt)
 
 

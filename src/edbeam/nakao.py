@@ -89,6 +89,13 @@ class NakaoVerdict:
     degenerate_sup: bool = False
 
 
+def _windows(phi, m, rho):
+    """(sup phi^(1+rho), phi(t) - phi(t+1)) over each unit window of m + 1
+    samples, [i, i+m]."""
+    sup = np.max(np.lib.stride_tricks.sliding_window_view(phi, m + 1), axis=1)
+    return sup ** (1.0 + rho), phi[: len(sup)] - phi[m:]
+
+
 def nakao_hypothesis_residual(p):
     """Largest violation of the per-window hypothesis over the grid.
 
@@ -98,14 +105,9 @@ def nakao_hypothesis_residual(p):
     """
     if p.horizon < 1.0:
         raise ValueError("grid must span at least one unit window")
-    m = p.steps_per_unit
-    phi = p.phi.y
-    n = phi.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(phi, m + 1)
-    sup = np.max(win, axis=1) ** (1.0 + p.rho)
-    starts = n - m  # windows [i, i+m]
-    rhs = p.C0 * (phi[:starts] - phi[m : m + starts]) + p.K.y[:starts]
-    return float(np.max(sup[:starts] - rhs))
+    sup, drop = _windows(p.phi.y, p.steps_per_unit, p.rho)
+    rhs = p.C0 * drop + p.K.y[: len(drop)]
+    return float(np.max(sup - rhs))
 
 
 def _k_at(p, t):
@@ -179,12 +181,8 @@ def minimal_C0(phi, K, rho, steps_per_unit):
     Returns None when some window has a flat phi but a supremum exceeding
     K(t); no finite constant can close such a window.
     """
-    m = int(steps_per_unit)
-    win = np.lib.stride_tricks.sliding_window_view(phi, m + 1)
-    n_windows = phi.shape[0] - m
-    sup = np.max(win, axis=1)[:n_windows] ** (1.0 + rho)
-    drop = phi[:n_windows] - phi[m : m + n_windows]
-    need = sup - K[:n_windows]
+    sup, drop = _windows(phi, int(steps_per_unit), rho)
+    need = sup - K[: len(drop)]
     active = need > 0.0
     if np.any(active & (drop <= 0.0)):
         return None

@@ -66,3 +66,12 @@ def test_one_formula_per_damping_law():
     ]
     assert len(subclasses) == 7  # the base and the six families
     assert [c.__name__ for c in subclasses if "_k" in vars(c)] == []
+
+
+def test_one_reading_of_the_run_file():
+    # config resolves the experiment and its options, and keeps the laws
+    # themselves rather than mirror dataclasses of them
+    from edbeam import config
+
+    assert "EXPERIMENT_OPTIONS" not in (SRC / "cli.py").read_text(encoding="utf-8")
+    assert not hasattr(config, "DampingConfig") and not hasattr(config, "SourceConfig")

@@ -7,7 +7,14 @@ import pytest
 
 from edbeam import InvalidConfigurationError
 from edbeam.cli import _RUNNERS, list_experiments, main, run
-from edbeam.config import EXPERIMENT_OPTIONS, build_objects, emit_config, parse_config
+from edbeam.config import (
+    DAMPING_LAWS,
+    EXPERIMENT_OPTIONS,
+    SOURCE_LAWS,
+    build_objects,
+    emit_config,
+    parse_config,
+)
 from edbeam.experiments import DRIVER_DESCRIPTIONS
 
 
@@ -101,6 +108,25 @@ output_dir = out
 """
     cfg = parse_config(text)
     assert parse_config(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("source", sorted(SOURCE_LAWS))
+@pytest.mark.parametrize("damping", sorted(DAMPING_LAWS))
+def test_round_trip_every_law(damping, source):
+    # values off the defaults, so the emitted file has to carry them
+    text = f"[damping]\nvariant = {damping}\ngamma = 0.75\n"
+    if damping == "k1":
+        text += "q = 1.5\n"
+    text += f"[source]\nvariant = {source}\n"
+    if source == "double_power":
+        text += "delta = 3.0\nr = 0.5\nsigma = 0.125\n"
+    cfg = parse_config(text)
+    assert type(cfg.damping) is DAMPING_LAWS[damping][0]
+    assert type(cfg.source) is SOURCE_LAWS[source][0]
+    assert cfg.damping.gamma == 0.75
+    assert parse_config(emit_config(cfg)) == cfg
+    _, damping_law, source_law, _ = build_objects(cfg)
+    assert damping_law is cfg.damping and source_law is cfg.source
 
 
 def test_list_experiments_catalog(capsys):
@@ -331,3 +357,45 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         "required\n"
     )
     assert not (tmp_path / f"{exp_id}-seed0").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, code, expected",
+    [
+        # the experiment's options were swapped in after the checks, so the
+        # inside runs went ahead and the outside horizon failed unnamed
+        (
+            ["exp", "exp_k3_ball"],
+            "[model]\nn_modes = 8\n[damping]\nvariant = k3_rational\n"
+            "[integrator]\ndt = 0.3\nhorizon = 0.9\n",
+            2,
+            "error: [experiment] horizon_outside = 1000.0: dt = 0.3 does not divide",
+        ),
+        # the other experiment's options were dropped without a word
+        (
+            ["exp", "exp_two_trajectory"],
+            "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
+            "[experiment]\nid = exp_k1_decay\nslack = 0.5\n",
+            2,
+            "error: [experiment] id = exp_k1_decay: the command runs exp_two_trajectory\n",
+        ),
+        # the options were checked against those of simulate
+        (["nakao-suite"], "[experiment]\ntrials = 20\n", 0, "0 violations in 80 trials"),
+        # the section was named twice
+        (["simulate"], "[integrator]\ndt = x\n", 2, "error: [integrator] dt = 'x': expected float\n"),
+    ],
+    ids=["k3_no_id_bad_horizon_outside", "other_id", "suite_no_id", "integrator_type"],
+)
+def test_cli_resolves_the_command_experiment_at_parse_time(
+    tmp_path, capsys, command, text, code, expected
+):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg_file), "--out", str(out), "--quiet"]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith(expected)
+        assert not out.exists()
+    else:
+        (report,) = out.glob("*-seed0/report.txt")
+        assert expected in report.read_text()

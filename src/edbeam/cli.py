@@ -158,7 +158,6 @@ def _run_exp_two(cfg, run_dir):
         u2,
         cfg.integrator,
         source=source,
-        p_exponent=cfg.options["p_exponent"],
         seed=cfg.seed,
         out_dir=str(run_dir),
     )

@@ -90,7 +90,7 @@ EXPERIMENT_OPTIONS = {
         "horizon_outside": 1000.0,
         "decay": 2.0,
     },
-    "exp_two_trajectory": {"energy2": 1.0, "decay": 2.0, "p_exponent": 2.0},
+    "exp_two_trajectory": {"energy2": 1.0, "decay": 2.0},
     "exp_lambda_lipschitz": {
         "lambda0": 0.5,
         "t_probe": 10.0,

@@ -435,7 +435,6 @@ def exp_two_trajectory(
     icfg,
     *,
     source=None,
-    p_exponent=None,
     seed=None,
     out_dir=None,
 ):
@@ -443,15 +442,15 @@ def exp_two_trajectory(
 
     The squared phase-space gap d(t) must fit under a polynomial decay term
     plus a multiple of the lower-order series built from the weaker norms of
-    the difference.  Constants are fitted from the data; the experiment
-    passes when the fit leaves no positive residual.
+    the difference; its L^(p+2) part takes p from the source (2 for the zero
+    source).  Constants are fitted from the data; the experiment passes when
+    the fit leaves no positive residual.
     """
     if not isinstance(damping, K1Monomial):
         raise InvalidConfigurationError("exp_two_trajectory requires the monomial law")
     source = source if source is not None else ZeroSource()
     forcing = Forcing.zero(model.n_modes)
-    if p_exponent is None:
-        p_exponent = source.p if hasattr(source, "p") else 2.0
+    p_exponent = source.p if hasattr(source, "p") else 2.0
     q = damping.q
 
     # the lower-order sup looks ahead one unit

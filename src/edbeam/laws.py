@@ -145,6 +145,9 @@ class SourceLaw:
     def f_primitive(self, s):
         raise NotImplementedError
 
+    def f_derivative(self, s):
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class ZeroSource(SourceLaw):
@@ -156,6 +159,9 @@ class ZeroSource(SourceLaw):
         return float(out) if out.ndim == 0 else out
 
     def f_primitive(self, s):
+        return self.f(s)
+
+    def f_derivative(self, s):
         return self.f(s)
 
 

@@ -7,15 +7,18 @@ Stationary solutions solve the elliptic system
 which is the Euler-Lagrange equation of
 
     I(u) = 1/2 ||A_1^(1/2) u||^2 + kappa/2 ||A^(1/2) u||^2
-           + ||u||_{d+2}^{d+2}/(d+2) - sig ||u||_{r+2}^{r+2}/(r+2) - (lam h, u).
+           + int F(u) dx - (lam h, u),
 
-The forcing potential -(lam h, u) extends the homogeneous functional so one
-solver serves the whole forcing family.  For the double-power source with
-0 < r < d the functional is coercive, so a descent method converges; the
-solver runs Armijo-backtracked gradient descent to sqrt(tol) and then a
-Newton polish (finite-difference Hessian products, conjugate-gradient inner
-solve) to tol.  The reported residual is the final gradient norm, which is
-exactly the modal residual of the elliptic system.
+with F the primitive of the source law f (for the double power,
+F(s) = |s|^(d+2)/(d+2) - sig |s|^(r+2)/(r+2)), integrated by the model's
+quadrature.  The forcing potential -(lam h, u) extends the homogeneous
+functional so one solver serves the whole forcing family.  For the
+double-power source with 0 < r < d the functional is coercive, so a descent
+method converges.  The solver takes damped Newton steps on the exact Hessian
+diag(sigma + kappa mu) + <f'(u) w_i, w_j>; its eigenvalues are replaced by
+their absolute values so every step descends, and an Armijo line search
+globalizes the iteration.  The reported residual is the final gradient norm,
+which is exactly the modal residual of the elliptic system.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
-from .laws import DoublePower, ZeroSource, project_source
+from .laws import project_source
 from .spectral import synthesize
 
 __all__ = [
@@ -38,6 +40,10 @@ __all__ = [
     "multi_start",
     "stationary_bound_check",
 ]
+
+# Newton iterations per start; the stall guard usually ends a failing solve
+# long before this.
+_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -53,21 +59,9 @@ def euler_lagrange_value(model, source, forcing, coeffs):
     """Value of the variational functional at the given modal coefficients."""
     c = np.asarray(coeffs, dtype=float)
     quad = 0.5 * float(np.sum((model.sigma + model.kappa * model.mu) * c**2))
-    value = quad - float(forcing.effective @ c)
-    if isinstance(source, ZeroSource):
-        return value
-    if not isinstance(source, DoublePower):
-        raise InvalidConfigurationError(
-            f"unsupported source law {type(source).__name__}"
-        )
-    u = synthesize(model, c)
-    w = model.quad_weight
-    ab = np.abs(u)
-    value += w * float(np.sum(ab ** (source.delta + 2.0))) / (source.delta + 2.0)
-    value -= (
-        source.sigma_c * w * float(np.sum(ab ** (source.r + 2.0))) / (source.r + 2.0)
-    )
-    return value
+    work = float(forcing.effective @ c)
+    potential = float(source.f_primitive(synthesize(model, c)).sum())
+    return quad - work + model.quad_weight * potential
 
 
 def el_gradient(model, source, forcing, coeffs):
@@ -80,40 +74,25 @@ def el_gradient(model, source, forcing, coeffs):
     )
 
 
-def _cg(hess_vec, rhs, tol, max_iter):
-    """Conjugate gradients for the Newton system; truncates on negative
-    curvature and returns the best iterate so far."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    if math.sqrt(rs) <= tol:
-        return x
-    for _ in range(max_iter):
-        hp = hess_vec(p)
-        curv = float(p @ hp)
-        if curv <= 1e-14 * float(p @ p):
-            return x if np.any(x) else rhs
-        alpha = rs / curv
-        x = x + alpha * p
-        r = r - alpha * hp
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+def _el_hessian(model, source, c):
+    """Exact Hessian: diag(sigma_j + kappa mu_j) + <f'(u) w_i, w_j>."""
+    bt = model.basis_table
+    fp = source.f_derivative(synthesize(model, c))
+    return np.diag(model.sigma + model.kappa * model.mu) + model.quad_weight * (
+        (bt * fp) @ bt.T
+    )
 
 
-def minimize_functional(model, source, forcing, start, tol=1e-8, max_iter=10000):
-    """Descend the functional from ``start`` until the gradient norm <= tol.
+def minimize_functional(model, source, forcing, start, tol=1e-8):
+    """Damped Newton descent of the functional from ``start`` to gradient norm <= tol.
 
-    Phase 1 is gradient descent with an Armijo backtracking line search down
-    to sqrt(tol); phase 2 polishes with inexact Newton steps.  The returned
-    ``residual`` is the final gradient norm; ``converged`` is False when the
-    iteration budget runs out, in which case the best iterate is returned.
-    A source law other than zero or double power is rejected by the first
-    functional evaluation.
+    Each iteration solves with the exact Hessian after eigenvalue
+    modification: eigenvalues are replaced by their absolute values (floored
+    at 1e-12 of the largest), so the step descends even where the functional
+    is not convex.  An Armijo backtracking line search globalizes it.  The
+    returned ``residual`` is the final gradient norm; ``converged`` is False
+    when the iteration budget runs out or progress stalls, in which case the
+    best iterate is returned.
     """
     c = np.asarray(start, dtype=float).copy()
     if c.shape != (model.n_modes,):
@@ -123,49 +102,16 @@ def minimize_functional(model, source, forcing, start, tol=1e-8, max_iter=10000)
     grad = el_gradient(model, source, forcing, c)
     gnorm = float(np.linalg.norm(grad))
     iters = 0
-    step_size = 1.0 / max(1.0, float(model.sigma[-1]))
-    coarse_tol = math.sqrt(tol)
-    # The stiff linear part makes plain descent crawl, so phase 1 only
-    # globalizes; the Newton polish does the real convergence work.
-    phase1_budget = min(max_iter // 2, 200)
-
-    # Phase 1: Armijo gradient descent.
-    while gnorm > coarse_tol and iters < phase1_budget:
-        step_size *= 2.0
-        while True:
-            trial = c - step_size * grad
-            trial_value = euler_lagrange_value(model, source, forcing, trial)
-            if trial_value <= value - 1e-4 * step_size * gnorm**2:
-                break
-            step_size *= 0.5
-            if step_size < 1e-18:
-                break
-        if step_size < 1e-18:
-            break
-        c, value = trial, trial_value
-        grad = el_gradient(model, source, forcing, c)
-        gnorm = float(np.linalg.norm(grad))
-        iters += 1
-
-    # Phase 2: Newton polish with finite-difference Hessian products.
-    def hess_vec(v):
-        vn = float(np.linalg.norm(v))
-        if vn == 0.0:
-            return np.zeros_like(v)
-        eps = 1e-7 * (1.0 + float(np.linalg.norm(c))) / vn
-        gp = el_gradient(model, source, forcing, c + eps * v)
-        gm = el_gradient(model, source, forcing, c - eps * v)
-        return (gp - gm) / (2.0 * eps)
 
     # Near the optimum the predicted Armijo decrease falls below the float
     # resolution of the value, so the test carries a rounding allowance and
     # a stagnation guard ends the loop once progress stops.
     value_ulp = 4.0 * np.finfo(float).eps * max(1.0, abs(value))
     stall = 0
-    while gnorm > tol and iters < max_iter:
-        direction = _cg(hess_vec, -grad, tol=0.1 * gnorm, max_iter=2 * model.n_modes)
-        if float(direction @ grad) >= 0.0:
-            direction = -grad
+    while gnorm > tol and iters < _MAX_ITER:
+        w, v = np.linalg.eigh(_el_hessian(model, source, c))
+        aw = np.abs(w)
+        direction = -v @ ((v.T @ grad) / np.maximum(aw, 1e-12 * aw.max()))
         t = 1.0
         slope = float(grad @ direction)
         accepted = False
@@ -200,7 +146,7 @@ def minimize_functional(model, source, forcing, start, tol=1e-8, max_iter=10000)
     )
 
 
-def multi_start(model, source, forcing, starts, tol=1e-8, max_iter=10000):
+def multi_start(model, source, forcing, starts, tol=1e-8):
     """Minimize from each start and de-duplicate the converged endpoints.
 
     Branches are independent; endpoints closer than 1e-4 in phase norm are
@@ -208,7 +154,7 @@ def multi_start(model, source, forcing, starts, tol=1e-8, max_iter=10000):
     """
     results = []
     for s in starts:
-        res = minimize_functional(model, source, forcing, s, tol, max_iter)
+        res = minimize_functional(model, source, forcing, s, tol)
         merged = False
         for i, other in enumerate(results):
             diff = res.coeffs - other.coeffs

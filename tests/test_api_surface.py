@@ -68,6 +68,16 @@ def test_one_formula_per_damping_law():
     assert [c.__name__ for c in subclasses if "_k" in vars(c)] == []
 
 
+def test_stationary_reads_no_source_parameters():
+    # the functional and its derivatives go through the law's own f_primitive,
+    # f and f_derivative, so stationary never spells a source formula
+    tree = ast.parse((SRC / "stationary.py").read_text(encoding="utf-8"))
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(attrs & {"delta", "r", "sigma_c"}) == []
+    assert sorted(names & {"DoublePower", "ZeroSource"}) == []
+
+
 def test_one_reading_of_the_run_file():
     # config resolves the experiment and its options, and keeps the laws
     # themselves rather than mirror dataclasses of them

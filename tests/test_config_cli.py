@@ -236,6 +236,45 @@ def test_cli_stationary_small(tmp_path):
     assert len(csv) >= 2
 
 
+_TWO_TRAJECTORY_DELTA3 = (
+    "[model]\nn_modes = 8\n"
+    "[damping]\nvariant = k1\ngamma = 1.0\nq = 1.0\n"
+    "[source]\nvariant = double_power\ndelta = 3.0\nr = 1.0\n"
+    "[integrator]\ndt = 0.01\nhorizon = 2.0\nalpha = 0.5\nsample_stride = 5\n"
+    "[experiment]\nid = exp_two_trajectory\n"
+)
+
+
+def test_cli_two_trajectory_takes_p_from_the_source(tmp_path):
+    # the run-file option fixed p = 2 whatever the source's delta
+    from edbeam.cli import _start
+    from edbeam.experiments import exp_two_trajectory
+
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(_TWO_TRAJECTORY_DELTA3)
+    out = tmp_path / "cli"
+    code = main(["exp", "exp_two_trajectory", "--config", str(cfg_file), "--out", str(out), "--quiet"])
+    assert code == 0
+    cfg = parse_config(_TWO_TRAJECTORY_DELTA3)
+    model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
+    assert source.p == 3.0
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    exp_two_trajectory(
+        model, damping, u1, u2, cfg.integrator, source=source, seed=0, out_dir=str(direct)
+    )
+    got = (out / "exp_two_trajectory-seed0" / "difference.csv").read_bytes()
+    assert got == (direct / "difference.csv").read_bytes()
+
+
+def test_cli_rejects_p_exponent(tmp_path, capsys):
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(_TWO_TRAJECTORY_DELTA3 + "p_exponent = 2.0\n")
+    code = main(["exp", "exp_two_trajectory", "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [experiment] unknown key 'p_exponent'")
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "edbeam.cli", "list"],

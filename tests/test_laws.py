@@ -123,6 +123,7 @@ def test_f_eval_examples():
     zero = ZeroSource()
     assert zero.f(1.7) == 0.0
     assert zero.f_primitive(-2.0) == 0.0
+    assert zero.f_derivative(3.1) == 0.0
     balanced = DoublePower(2.0, 1.0, 1.0)
     assert balanced.f(1.0) == pytest.approx(0.0, abs=1e-15)
 

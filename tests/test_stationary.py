@@ -15,7 +15,7 @@ from edbeam import (
     minimize_functional,
     stationary_bound_check,
 )
-from edbeam.stationary import multi_start
+from edbeam.stationary import _el_hessian, multi_start
 
 
 def _zero(n):
@@ -66,6 +66,29 @@ def test_gradient_matches_directional_difference():
         plus = euler_lagrange_value(m, law, forcing, c + eps * d)
         minus = euler_lagrange_value(m, law, forcing, c - eps * d)
         assert (plus - minus) / (2.0 * eps) == pytest.approx(float(g @ d), abs=1e-6)
+
+
+def test_hessian_matches_gradient_difference():
+    m = build_model(6, math.pi, 0.2, 48)
+    law = DoublePower(2.0, 1.0, 3.0)
+    forcing = Forcing.single_mode(6, 2, 0.7, 1.0)
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal(6) * 0.5
+    h = _el_hessian(m, law, c)
+    eps = 1e-5
+    for _ in range(4):
+        d = rng.standard_normal(6)
+        d /= np.linalg.norm(d)
+        plus = el_gradient(m, law, forcing, c + eps * d)
+        minus = el_gradient(m, law, forcing, c - eps * d)
+        np.testing.assert_allclose((plus - minus) / (2.0 * eps), h @ d, rtol=0.0, atol=1e-6)
+
+
+def test_hessian_of_zero_source_is_the_linear_part():
+    m = build_model(5, math.pi, 0.7, 40)
+    c = np.random.default_rng(0).standard_normal(5)
+    h = _el_hessian(m, ZeroSource(), c)
+    assert np.array_equal(h, np.diag(m.sigma + m.kappa * m.mu))
 
 
 def test_gradient_single_mode_symbolic():
@@ -156,6 +179,21 @@ def test_two_equilibria_for_large_sigma():
     values = sorted(r.functional_value for r in results)
     assert values[0] < 0.0  # a nontrivial negative-value critical point
     assert any(abs(r.functional_value) < 1e-12 for r in results)  # and zero
+
+
+def test_every_start_converges_at_default_tol():
+    # the stationary run's input set for seed 1 (N = 32, sigma 10, lambda
+    # 0.5, 20 starts drawn as the CLI draws them) used to stall near a
+    # gradient norm of 4e-7 on one start
+    n = 32
+    m = build_model(n, math.pi, 0.0)
+    law = DoublePower(2.0, 1.0, 10.0)
+    forcing = Forcing.single_mode(n, 1, 1.0, 0.5)
+    rng = np.random.default_rng(1)
+    j = np.arange(1, n + 1, dtype=float)
+    starts = [np.zeros(n)] + [rng.standard_normal(n) * j**-2.0 for _ in range(19)]
+    results = multi_start(m, law, forcing, starts, tol=1e-8)
+    assert all(r.converged for r in results)
 
 
 def test_bound_check_trivial_case():

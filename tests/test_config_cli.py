@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edbeam import InvalidConfigurationError
-from edbeam.cli import _RUNNERS, list_experiments, main, run
+from edbeam.cli import _RUNNERS, _start, list_experiments, main, run
 from edbeam.config import (
     DAMPING_LAWS,
     EXPERIMENT_OPTIONS,
@@ -15,7 +15,7 @@ from edbeam.config import (
     emit_config,
     parse_config,
 )
-from edbeam.experiments import DRIVER_DESCRIPTIONS
+from edbeam.experiments import DRIVER_DESCRIPTIONS, exp_two_trajectory
 
 
 def test_parse_minimal_defaults():
@@ -236,26 +236,23 @@ def test_cli_stationary_small(tmp_path):
     assert len(csv) >= 2
 
 
-_TWO_TRAJECTORY_DELTA3 = (
-    "[model]\nn_modes = 8\n"
-    "[damping]\nvariant = k1\ngamma = 1.0\nq = 1.0\n"
-    "[source]\nvariant = double_power\ndelta = 3.0\nr = 1.0\n"
-    "[integrator]\ndt = 0.01\nhorizon = 2.0\nalpha = 0.5\nsample_stride = 5\n"
-    "[experiment]\nid = exp_two_trajectory\n"
-)
-
-
 def test_cli_two_trajectory_takes_p_from_the_source(tmp_path):
     # the run-file option fixed p = 2 whatever the source's delta
-    from edbeam.cli import _start
-    from edbeam.experiments import exp_two_trajectory
-
+    text = (
+        "[model]\nn_modes = 8\n"
+        "[damping]\nvariant = k1\ngamma = 1.0\nq = 1.0\n"
+        "[source]\nvariant = double_power\ndelta = 3.0\nr = 1.0\n"
+        "[integrator]\ndt = 0.01\nhorizon = 2.0\nalpha = 0.5\nsample_stride = 5\n"
+        "[experiment]\nid = exp_two_trajectory\n"
+    )
     cfg_file = tmp_path / "run.ini"
-    cfg_file.write_text(_TWO_TRAJECTORY_DELTA3)
+    cfg_file.write_text(text)
     out = tmp_path / "cli"
-    code = main(["exp", "exp_two_trajectory", "--config", str(cfg_file), "--out", str(out), "--quiet"])
+    code = main(
+        ["exp", "exp_two_trajectory", "--config", str(cfg_file), "--out", str(out), "--quiet"]
+    )
     assert code == 0
-    cfg = parse_config(_TWO_TRAJECTORY_DELTA3)
+    cfg = parse_config(text)
     model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
     assert source.p == 3.0
     direct = tmp_path / "direct"
@@ -265,14 +262,6 @@ def test_cli_two_trajectory_takes_p_from_the_source(tmp_path):
     )
     got = (out / "exp_two_trajectory-seed0" / "difference.csv").read_bytes()
     assert got == (direct / "difference.csv").read_bytes()
-
-
-def test_cli_rejects_p_exponent(tmp_path, capsys):
-    cfg_file = tmp_path / "run.ini"
-    cfg_file.write_text(_TWO_TRAJECTORY_DELTA3 + "p_exponent = 2.0\n")
-    code = main(["exp", "exp_two_trajectory", "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: [experiment] unknown key 'p_exponent'")
 
 
 def test_cli_entrypoint_subprocess():
@@ -317,6 +306,13 @@ def test_parse_law_errors_name_the_section():
             "probe_modes = 2,x\n",
             "error: [experiment] probe_modes = '2,x'",
         ),
+        # p comes from the source; the option that overrode it is gone
+        (
+            "exp_two_trajectory",
+            "",
+            "p_exponent = 2.0\n",
+            "error: [experiment] unknown key 'p_exponent'",
+        ),
         # each run below used to go ahead without the input and exit 0
         (
             "exp_k3_ball",
@@ -354,6 +350,7 @@ def test_parse_law_errors_name_the_section():
     ],
     ids=[
         "probe_modes_not_integers",
+        "two_trajectory_p_exponent",
         "k3_source",
         "two_trajectory_forcing",
         "decomposition_rk4",

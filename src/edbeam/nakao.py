@@ -92,8 +92,13 @@ class NakaoVerdict:
 def _windows(phi, m, rho):
     """(sup phi^(1+rho), phi(t) - phi(t+1)) over each unit window of m + 1
     samples, [i, i+m]."""
-    sup = np.max(np.lib.stride_tricks.sliding_window_view(phi, m + 1), axis=1)
-    return sup ** (1.0 + rho), phi[: len(sup)] - phi[m:]
+    n = len(phi) - m
+    if n < 1:
+        raise ValueError(f"{len(phi)} samples hold no window of {m + 1}")
+    sup = phi[:n]
+    for k in range(1, m + 1):
+        sup = np.maximum(sup, phi[k : k + n])
+    return sup ** (1.0 + rho), phi[:n] - phi[m:]
 
 
 def nakao_hypothesis_residual(p):
@@ -110,32 +115,49 @@ def nakao_hypothesis_residual(p):
     return float(np.max(sup - rhs))
 
 
-def _k_at(p, t):
-    return float(np.interp(t, p.K.t, p.K.y))
+def _pow(base, exponent):
+    """Python's float ``**`` mapped over an array.
+
+    numpy's vector power differs from the scalar ``**`` in the last bit on a
+    few percent of arguments; mapping the scalar keeps array results
+    bitwise equal to one-at-a-time evaluation.
+    """
+    base, exponent = np.broadcast_arrays(
+        np.asarray(base, dtype=float), np.asarray(exponent, dtype=float)
+    )
+    powers = map(pow, base.ravel().tolist(), exponent.ravel().tolist())
+    return np.array(list(powers), dtype=float).reshape(base.shape)
 
 
 def nakao_bound(p, t):
-    """Explicit envelope at time t in [0, T].
+    """Explicit envelope at time t in [0, T], or at each time of an array.
 
     For rho > 0 the bound is
     (rho/C0 (t-1)^+ + (sup_[0,1] phi)^-rho)^(-1/rho) + K(t)^(1/(rho+1));
     for rho = 0 it is sup_[0,1] phi * (C0/(1+C0))^floor(t) + K(t).  When the
     early sup vanishes with rho > 0 the polynomial term is taken as its
-    limit 0 and the bound degenerates to the K term alone.
+    limit 0 and the bound degenerates to the K term alone.  A scalar t
+    gives a float; an array gives the bound at each time, bitwise equal to
+    the scalar calls.
     """
-    t = float(t)
-    if not 0.0 <= t <= p.phi.t[-1] + 1e-12:
-        raise ValueError(f"t = {t} outside grid range")
+    times = np.asarray(t, dtype=float)
+    inside = (times >= 0.0) & (times <= p.phi.t[-1] + 1e-12)
+    if not np.all(inside):
+        raise ValueError(f"t = {times[~inside].flat[0]} outside grid range")
     m = p.steps_per_unit
     sup01 = float(np.max(p.phi.y[: m + 1]))
-    kt = _k_at(p, t)
+    kt = np.interp(times, p.K.t, p.K.y)
     if p.rho == 0.0:
-        return sup01 * (p.C0 / (1.0 + p.C0)) ** math.floor(t) + kt
-    k_term = kt ** (1.0 / (p.rho + 1.0))
-    if sup01 == 0.0:
-        return k_term
-    tplus = max(t - 1.0, 0.0)
-    return (p.rho / p.C0 * tplus + sup01 ** (-p.rho)) ** (-1.0 / p.rho) + k_term
+        bound = sup01 * _pow(p.C0 / (1.0 + p.C0), np.floor(times)) + kt
+    else:
+        k_term = _pow(kt, 1.0 / (p.rho + 1.0))
+        if sup01 == 0.0:
+            bound = k_term
+        else:
+            tplus = np.maximum(times - 1.0, 0.0)
+            base = p.rho / p.C0 * tplus + sup01 ** (-p.rho)
+            bound = _pow(base, -1.0 / p.rho) + k_term
+    return float(bound) if times.ndim == 0 else bound
 
 
 def nakao_verify(p):
@@ -146,33 +168,55 @@ def nakao_verify(p):
     degenerate = p.rho > 0.0 and float(np.max(p.phi.y[: m + 1])) == 0.0
     if not hyp_ok:
         return NakaoVerdict(False, res, False, math.inf, degenerate)
-    bounds = np.array([nakao_bound(p, ti) for ti in p.phi.t])
-    margins = p.phi.y - bounds
+    margins = p.phi.y - nakao_bound(p, p.phi.t)
     worst = float(np.max(margins))
     return NakaoVerdict(True, res, worst <= CONCLUSION_TOL, worst, degenerate)
 
 
 @dataclass(frozen=True)
 class HarauxResult:
-    lhs: float
-    rhs: float
-    ok: bool
+    """Per-row sides of the power-difference bound; floats for one vector
+    pair, arrays for rows."""
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    ok: bool | np.ndarray
+
+
+def _row_norms(x):
+    return np.sqrt(np.vecdot(x, x))
 
 
 def haraux_check(u, v, r):
-    """Power-difference bound on Euclidean norms; requires r >= 1."""
-    r = float(r)
-    if r < 1.0:
-        raise ValueError(f"r >= 1 required, got {r}")
+    """Power-difference bound on Euclidean norms; requires r >= 1.
+
+    ``u`` and ``v`` are one vector each, or rows ``(T, d)`` with one ``r``
+    per row.  Zero-padding a row leaves its norms, and so the result,
+    unchanged, so rows of different lengths can share one array.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError("u and v must have equal shapes")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    lhs = abs(nu**r - nv**r)
-    rhs = r * max(nu, nv) ** (r - 1.0) * float(np.linalg.norm(u - v))
-    return HarauxResult(lhs, rhs, lhs <= rhs + CONCLUSION_TOL)
+    one = u.ndim < 2
+    u = u.reshape(1, -1) if one else u
+    v = v.reshape(1, -1) if one else v
+    if u.ndim != 2:
+        raise ValueError(f"u and v must be vectors or rows (T, d), got shape {u.shape}")
+    r = np.asarray(r, dtype=float)
+    if r.shape != (() if one else u.shape[:1]):
+        raise ValueError(f"one r per row required, got shape {r.shape} for {len(u)} rows")
+    r = r.reshape(len(u))
+    if np.any(~(r >= 1.0)):
+        raise ValueError(f"r >= 1 required, got {r[~(r >= 1.0)][0]}")
+    nu = _row_norms(u)
+    nv = _row_norms(v)
+    lhs = np.abs(_pow(nu, r) - _pow(nv, r))
+    rhs = r * _pow(np.maximum(nu, nv), r - 1.0) * _row_norms(u - v)
+    ok = lhs <= rhs + CONCLUSION_TOL
+    if one:
+        return HarauxResult(float(lhs[0]), float(rhs[0]), bool(ok[0]))
+    return HarauxResult(lhs, rhs, ok)
 
 
 def minimal_C0(phi, K, rho, steps_per_unit):

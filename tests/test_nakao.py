@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from edbeam import (
     nakao_hypothesis_residual,
     nakao_verify,
 )
-from edbeam.nakao import minimal_C0, random_nakao_problem
+from edbeam import experiments
+from edbeam.experiments import haraux_suite
+from edbeam.nakao import _windows, minimal_C0, random_nakao_problem
 
 
 def _grid(values, m=1):
@@ -173,3 +177,117 @@ def test_haraux_property(seed, r, dim):
     u = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
     v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
     assert haraux_check(u, v, r).ok
+
+
+def _scalar_bound(p, t):
+    """One-time-at-a-time envelope in Python floats, the reference for the
+    array form of nakao_bound."""
+    m = p.steps_per_unit
+    sup01 = float(np.max(p.phi.y[: m + 1]))
+    kt = float(np.interp(t, p.K.t, p.K.y))
+    if p.rho == 0.0:
+        return sup01 * (p.C0 / (1.0 + p.C0)) ** math.floor(t) + kt
+    k_term = kt ** (1.0 / (p.rho + 1.0))
+    if sup01 == 0.0:
+        return k_term
+    tplus = max(t - 1.0, 0.0)
+    return (p.rho / p.C0 * tplus + sup01 ** (-p.rho)) ** (-1.0 / p.rho) + k_term
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0, 2.0])
+def test_bound_array_matches_scalar_calls(rho):
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        p = random_nakao_problem(rng, rho)
+        t = p.phi.t
+        bounds = nakao_bound(p, t)
+        assert bounds.shape == t.shape
+        scalar = np.array([nakao_bound(p, ti) for ti in t])
+        reference = np.array([_scalar_bound(p, float(ti)) for ti in t])
+        assert bounds.tobytes() == scalar.tobytes()
+        assert bounds.tobytes() == reference.tobytes()
+        assert isinstance(nakao_bound(p, t[-1]), float)
+        with pytest.raises(ValueError):
+            nakao_bound(p, np.append(t, t[-1] + 0.5))
+        with pytest.raises(ValueError):
+            nakao_bound(p, -0.25)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 10])
+def test_windows_match_sliding_window_maxima(m):
+    rng = np.random.default_rng(m)
+    for n in (m + 1, m + 2, 6 * m + 1):
+        phi = rng.uniform(0.0, 2.0, size=n)  # not monotone
+        phi[rng.random(n) < 0.2] = 0.0
+        for rho in (0.0, 0.5, 2.0):
+            sup, drop = _windows(phi, m, rho)
+            ref = np.max(np.lib.stride_tricks.sliding_window_view(phi, m + 1), axis=1)
+            assert sup.tobytes() == (ref ** (1.0 + rho)).tobytes()
+            assert drop.tobytes() == (phi[: len(ref)] - phi[m:]).tobytes()
+    with pytest.raises(ValueError):
+        _windows(np.ones(m), m, 0.0)
+
+
+def _one_trial_haraux(u, v, r):
+    """The power-difference check of one vector pair in Python floats."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    lhs = abs(nu**r - nv**r)
+    rhs = r * max(nu, nv) ** (r - 1.0) * float(np.linalg.norm(u - v))
+    return lhs, rhs, lhs <= rhs + 1e-12
+
+
+def test_haraux_rows_match_one_trial_formula():
+    rng = np.random.default_rng(5)
+    n, width = 12000, 8
+    dims = rng.integers(1, width + 1, size=n)
+    live = np.arange(width) < dims[:, None]
+    u = np.where(live, rng.standard_normal((n, width)), 0.0)
+    v = np.where(live, rng.standard_normal((n, width)), 0.0)
+    u *= 10.0 ** rng.uniform(-3, 2, size=(n, 1))
+    v *= 10.0 ** rng.uniform(-3, 2, size=(n, 1))
+    v[::97] = u[::97]  # equal pairs: lhs = 0
+    r = rng.uniform(1.0, 6.0, size=n)
+    r[::89] = 1.0
+    rows = haraux_check(u, v, r)
+    ref = [_one_trial_haraux(u[i, : dims[i]], v[i, : dims[i]], float(r[i])) for i in range(n)]
+    lhs, rhs, ok = (np.array(col) for col in zip(*ref))
+    assert rows.lhs.tobytes() == lhs.tobytes()
+    assert rows.rhs.tobytes() == rhs.tobytes()
+    assert np.array_equal(rows.ok, ok)
+    for i in range(0, n, 1000):
+        one = haraux_check(u[i, : dims[i]], v[i, : dims[i]], r[i])
+        assert type(one.lhs) is float and type(one.rhs) is float and type(one.ok) is bool
+        assert (one.lhs, one.rhs, one.ok) == ref[i]
+
+
+def test_haraux_rows_reject_bad_input():
+    u = np.ones((3, 4))
+    with pytest.raises(ValueError):
+        haraux_check(u, u, np.array([1.0, 0.5, 2.0]))  # one row with r < 1
+    with pytest.raises(ValueError):
+        haraux_check(u, np.ones((3, 5)), np.full(3, 2.0))
+    with pytest.raises(ValueError):
+        haraux_check(u, u, np.full(2, 2.0))  # r per row, wrong count
+    with pytest.raises(ValueError):
+        haraux_check(u, u, 2.0)  # rows need one r each
+    with pytest.raises(ValueError):
+        haraux_check(np.ones(3), np.ones(3), np.full(3, 2.0))
+
+
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025])
+def test_haraux_suite_block_boundaries(trials, monkeypatch):
+    rows = []
+
+    def counting(u, v, r):
+        rows.append(len(u))
+        return haraux_check(u, v, r)
+
+    monkeypatch.setattr(experiments, "haraux_check", counting)
+    first = haraux_suite(seed=9, trials=trials)
+    assert sum(rows) == trials
+    assert len(rows) == -(-trials // experiments.HARAUX_BLOCK)
+    assert first.passed
+    assert first.metrics["trials"] == trials
+    assert f"0 violations in {trials} trials" in first.to_text()
+    assert haraux_suite(seed=9, trials=trials).to_text() == first.to_text()

@@ -196,19 +196,18 @@ def haraux_check(u, v, r):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    r = np.asarray(r, dtype=float)
     if u.shape != v.shape:
         raise ValueError("u and v must have equal shapes")
+    if u.ndim > 2 or r.shape != u.shape[:-1]:
+        raise ValueError(
+            f"need one vector pair with one r or rows (T, d) with one r per row;"
+            f" got u {u.shape} and r {r.shape}"
+        )
+    if not np.all(r >= 1.0):
+        raise ValueError(f"r >= 1 required, got {np.min(r)}")
     one = u.ndim < 2
-    u = u.reshape(1, -1) if one else u
-    v = v.reshape(1, -1) if one else v
-    if u.ndim != 2:
-        raise ValueError(f"u and v must be vectors or rows (T, d), got shape {u.shape}")
-    r = np.asarray(r, dtype=float)
-    if r.shape != (() if one else u.shape[:1]):
-        raise ValueError(f"one r per row required, got shape {r.shape} for {len(u)} rows")
-    r = r.reshape(len(u))
-    if np.any(~(r >= 1.0)):
-        raise ValueError(f"r >= 1 required, got {r[~(r >= 1.0)][0]}")
+    u, v, r = np.atleast_2d(u), np.atleast_2d(v), np.atleast_1d(r)
     nu = _row_norms(u)
     nv = _row_norms(v)
     lhs = np.abs(_pow(nu, r) - _pow(nv, r))

@@ -32,7 +32,8 @@ from edbeam.integrate import _Stepper
 def _lockstep_reference(model, source, gamma, forcing, initial, icfg, horizon):
     """The private lockstep loop the coupled batch replaced, kept verbatim
     as the reference: u (full), v (linear, forced) and z (driven by -f(u))
-    advance together through one hand-written kick and rotation."""
+    advance together through one hand-written kick and rotation.  A free
+    run (zero source, zero force) takes the kernel's scalar kick, verbatim."""
     damping = K2Constant(gamma)
     cfg = replace(icfg, horizon=horizon, scheme="strang")
     st = _Stepper(model, source, damping, forcing.effective, cfg)
@@ -46,8 +47,11 @@ def _lockstep_reference(model, source, gamma, forcing, initial, icfg, horizon):
     av, bv = initial.a.copy(), initial.b.copy()
     az, bz = np.zeros(model.n_modes), np.zeros(model.n_modes)
 
-    def kick_const(b, base):
+    def kick_const(b, base, free):
         # explicit-midpoint kick for constant-coefficient damping
+        if free:
+            p = 1.0 - (0.5 * hdt) * gamma
+            return (1.0 - hdt * gamma * p) * b
         g0 = base - gamma * b
         bm = b + (0.5 * hdt) * g0
         return b + hdt * (base - gamma * bm)
@@ -56,9 +60,11 @@ def _lockstep_reference(model, source, gamma, forcing, initial, icfg, horizon):
         nonlocal bu, bv, bz
         fv = st.project(au)
         neg_f = -fv if fv is not None else 0.0
-        bu = kick_const(bu, lh + neg_f)
-        bv = kick_const(bv, lh)
-        bz = kick_const(bz, neg_f)
+        # u and z run as one batch, free when it has no source and no force
+        free_v = not lh.any()
+        bu = kick_const(bu, lh + neg_f, free_v and st.zero_source)
+        bv = kick_const(bv, lh, free_v)
+        bz = kick_const(bz, neg_f, free_v and st.zero_source)
 
     def rotate(a, b):
         return st.cos * a + st.sin_over * b, -st.omsin * a + st.cos * b

@@ -50,7 +50,8 @@ def _k_rows(kf):
 def _two_projection_reference(st, a, b, n_steps, stride, t0, rec):
     """The loop before the projection was carried across steps, kept
     verbatim as the reference: it projects a at the top of every step and
-    again after the rotation, two projections per step."""
+    again after the rotation, two projections per step.  A free run (zero
+    source, zero force) takes the kernel's scalar kick, verbatim."""
     dt = st.cfg.dt
     hdt = 0.5 * dt
     qdt = 0.25 * dt
@@ -61,6 +62,7 @@ def _two_projection_reference(st, a, b, n_steps, stride, t0, rec):
     if a.ndim == 2:
         dot, kf = _dot_rows, _k_rows(kf)
     zero_source = st.zero_source
+    free = zero_source and not lh.any()
     project = st.project
     if st.drive is not None:
         drive, project_rows = st.drive, project
@@ -81,17 +83,25 @@ def _two_projection_reference(st, a, b, n_steps, stride, t0, rec):
                 rec.push(t0 + n * dt, a, b, dcum)
             # first half kick (a frozen; sa, kv valid for the incoming state)
             base = lh if zero_source else lh - project(a)
-            bm = b + qdt * (base - kv * b)
-            b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+            if free:
+                p = 1.0 - qdt * kv
+                b = (1.0 - hdt * kf(sa + p * p * bb) * p) * b
+            else:
+                bm = b + qdt * (base - kv * b)
+                b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
             # exact rotation over dt
             a, b = cos * a + sin_over * b, omsin * (-a) + cos * b
             # second half kick
             base = lh if zero_source else lh - project(a)
             sa = dot(a * a, mu2a)
             bb = dot(b, b)
-            g0 = base - kf(sa + bb) * b
-            bm = b + qdt * g0
-            b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+            if free:
+                p = 1.0 - qdt * kf(sa + bb)
+                b = (1.0 - hdt * kf(sa + p * p * bb) * p) * b
+            else:
+                g0 = base - kf(sa + bb) * b
+                bm = b + qdt * g0
+                b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
             # trapezoid dissipation increment to the new state
             bb = dot(b, b)
             kv = kf(sa + bb)

@@ -46,7 +46,7 @@ from .experiments import (
     synthetic_torus,
 )
 from .integrate import integrate
-from .laws import ZeroSource, assumption_constants
+from .laws import assumption_constants
 from .series import write_csv
 from .stationary import multi_start, stationary_bound_check
 
@@ -119,11 +119,7 @@ def _run_exp_k2(cfg, run_dir):
 
 
 def _run_exp_k3(cfg, run_dir):
-    model, damping, source, forcing, rng, _ = _start(cfg)
-    if forcing.effective_norm > 0.0:
-        raise InvalidConfigurationError("exp_k3_ball requires zero forcing")
-    if not isinstance(source, ZeroSource):
-        raise InvalidConfigurationError("exp_k3_ball requires the zero source")
+    model, damping, _, _, rng, _ = _start(cfg)
     opts = cfg.options
     inside = [
         make_initial_state(model, rng, rng.uniform(0.05, 0.95), opts["decay"])
@@ -148,9 +144,7 @@ def _run_exp_k3(cfg, run_dir):
 
 
 def _run_exp_two(cfg, run_dir):
-    model, damping, source, forcing, _, (u1, u2) = _start(cfg, 2)
-    if forcing.effective_norm > 0.0:
-        raise InvalidConfigurationError("exp_two_trajectory requires zero forcing")
+    model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
     return exp_two_trajectory(
         model,
         damping,
@@ -189,14 +183,8 @@ def _run_exp_lambda(cfg, run_dir):
 
 def _run_exp_decomposition(cfg, run_dir):
     model, damping, source, forcing, _, (u1, u2) = _start(cfg, 2)
-    raw = cfg.options["probe_modes"]
-    try:
-        probes = tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise InvalidConfigurationError(
-            f"[experiment] probe_modes = {raw!r}: expected a comma list of modes"
-        ) from None
-    dcfg = DecompositionConfig(s=cfg.options["s"], probe_modes=probes)
+    opts = cfg.options
+    dcfg = DecompositionConfig(s=opts["s"], probe_modes=opts["probe_modes"])
     return exp_decomposition(
         model,
         damping,
@@ -206,7 +194,7 @@ def _run_exp_decomposition(cfg, run_dir):
         u2,
         dcfg,
         cfg.integrator,
-        probe_eps=cfg.options["probe_eps"],
+        probe_eps=opts["probe_eps"],
         seed=cfg.seed,
         out_dir=str(run_dir),
     )

@@ -100,7 +100,7 @@ EXPERIMENT_OPTIONS = {
     },
     "exp_decomposition": {
         "s": 1.0,
-        "probe_modes": "4,8,16,32",
+        "probe_modes": (4, 8, 16, 32),
         "probe_eps": 1e-3,
         "energy2": 1.0,
         "decay": 2.0,
@@ -112,6 +112,28 @@ EXPERIMENT_OPTIONS = {
 }
 # Every int option is a count, at least 1; these float options have a floor.
 OPTION_MINIMA = {"energy2": 0.0}
+
+# What an experiment needs of the rest of the run file.  Each requirement is
+# named as it completes "<id> requires ...", and tests the RunConfig and its
+# Forcing.
+REQUIREMENTS = {
+    "the monomial law": lambda cfg, forcing: isinstance(cfg.damping, K1Monomial),
+    "a threshold law": lambda cfg, forcing: isinstance(
+        cfg.damping, (K3Rational, K3ShiftedExp)
+    ),
+    "a constant damping coefficient": lambda cfg, forcing: isinstance(
+        cfg.damping, K2Constant
+    ),
+    "zero forcing": lambda cfg, forcing: forcing.effective_norm == 0.0,
+    "the zero source": lambda cfg, forcing: isinstance(cfg.source, ZeroSource),
+    "scheme = strang": lambda cfg, forcing: cfg.integrator.scheme == "strang",
+}
+EXPERIMENT_REQUIRES = {
+    "exp_k1_decay": ("the monomial law",),
+    "exp_k3_ball": ("a threshold law", "zero forcing", "the zero source"),
+    "exp_two_trajectory": ("the monomial law", "zero forcing"),
+    "exp_decomposition": ("a constant damping coefficient", "scheme = strang"),
+}
 
 
 @dataclass(frozen=True)
@@ -155,16 +177,22 @@ RUN_KEYS = {"seed": int, "output_dir": str}
 
 
 def _typed(section, key, raw, kind):
-    """``kind(raw)`` for kind int, float or str, naming the key on failure."""
+    """``kind(raw)`` for kind int, float, str or tuple, naming the key on
+    failure; a tuple reads a comma list of ints."""
     try:
+        if kind is tuple:
+            return tuple(int(x) for x in raw.split(","))
         return kind(raw)
     except ValueError:
+        expected = "a comma list of modes" if kind is tuple else kind.__name__
         raise InvalidConfigurationError(
-            f"[{section}] {key} = {raw!r}: expected {kind.__name__}"
+            f"[{section}] {key} = {raw!r}: expected {expected}"
         ) from None
 
 
 def _fmt(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -279,7 +307,7 @@ def parse_config(text, experiment_id=None):
             f"[forcing] lambda = {lam}: lambda in [0, 1] required"
         )
     h_spec = f.get("h", "zero").strip()
-    _forcing(lam, h_spec, model.n_modes)
+    applied = _forcing(lam, h_spec, model.n_modes)
     forcing = ForcingConfig(lam=lam, h=h_spec)
 
     integrator = _parse_section(parser, "integrator", INTEGRATOR_KEYS, base.integrator)
@@ -311,6 +339,12 @@ def parse_config(text, experiment_id=None):
         options[key] = value
     for key, val in defaults.items():
         options.setdefault(key, val)
+    modes = options.get("probe_modes")
+    if modes is not None and not 1 <= min(modes) <= max(modes) <= model.n_modes:
+        raise InvalidConfigurationError(
+            f"[experiment] probe_modes = {_fmt(modes)}: "
+            f"modes in [1, n_modes = {model.n_modes}] required"
+        )
     if "horizon_outside" in options:
         # the outside runs of exp_k3_ball step with the [integrator] dt
         try:
@@ -332,6 +366,9 @@ def parse_config(text, experiment_id=None):
     cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
     if not 0 <= cfg.seed < 2**64:
         raise InvalidConfigurationError(f"[run] seed = {cfg.seed}: 64-bit value required")
+    for need in EXPERIMENT_REQUIRES.get(exp_id, ()):
+        if not REQUIREMENTS[need](cfg, applied):
+            raise InvalidConfigurationError(f"{exp_id} requires {need}")
 
     # Model-level invariants are re-checked by actually building the model.
     build_model(model.n_modes, model.length, model.kappa, model.quad_points)

@@ -322,6 +322,12 @@ def test_parse_law_errors_name_the_section():
             "error: exp_k3_ball requires the zero source",
         ),
         (
+            "exp_k3_ball",
+            "[damping]\nvariant = k3_rational\n[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
+            "",
+            "error: exp_k3_ball requires zero forcing",
+        ),
+        (
             "exp_two_trajectory",
             "[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
             "",
@@ -333,6 +339,36 @@ def test_parse_law_errors_name_the_section():
             "scheme = rk4\n[damping]\nvariant = k2_constant\n",
             "probe_modes = 2,4\n",
             "error: exp_decomposition requires scheme = strang",
+        ),
+        (
+            "exp_decomposition",
+            "[damping]\nvariant = k2_constant\n",
+            "probe_modes = 2,9\n",
+            "error: [experiment] probe_modes = 2,9: modes in [1, n_modes = 8] required",
+        ),
+        (
+            "exp_decomposition",
+            "[damping]\nvariant = k2_constant\n",
+            "probe_modes = 0,2\n",
+            "error: [experiment] probe_modes = 0,2: modes in [1, n_modes = 8] required",
+        ),
+        (
+            "exp_k1_decay",
+            "[damping]\nvariant = k2_constant\n",
+            "",
+            "error: exp_k1_decay requires the monomial law",
+        ),
+        (
+            "exp_k3_ball",
+            "",
+            "",
+            "error: exp_k3_ball requires a threshold law",
+        ),
+        (
+            "exp_decomposition",
+            "",
+            "probe_modes = 2,4\n",
+            "error: exp_decomposition requires a constant damping coefficient",
         ),
         # horizon_outside = 0 crashed, and 60.005 was stepped as 60.0
         (
@@ -352,8 +388,14 @@ def test_parse_law_errors_name_the_section():
         "probe_modes_not_integers",
         "two_trajectory_p_exponent",
         "k3_source",
+        "k3_forcing",
         "two_trajectory_forcing",
         "decomposition_rk4",
+        "probe_mode_above_n_modes",
+        "probe_mode_below_one",
+        "k1_law",
+        "k3_law",
+        "decomposition_law",
         "k3_horizon_outside_zero",
         "k3_horizon_outside_off_grid",
     ],
@@ -367,7 +409,8 @@ def test_cli_rejects_input_it_would_drop(tmp_path, capsys, exp_id, sections, opt
     code = main(["exp", exp_id, "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
     assert code == 2
     assert capsys.readouterr().err.startswith(message)
-    assert not (tmp_path / f"{exp_id}-seed0" / "report.txt").exists()
+    # rejected while parsing, before the run directory is made
+    assert not (tmp_path / f"{exp_id}-seed0").exists()
 
 
 @pytest.mark.parametrize(

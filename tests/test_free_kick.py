@@ -110,10 +110,10 @@ def _runs(lh, damping, a, b, cfg):
     m = build_model(a.shape[-1], math.pi, 0.5, 64)
     st = _Stepper(m, ZeroSource(), damping, lh, cfg)
     got = _advance(st, a.copy(), b.copy(), 0.0)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    want = _Recorder((n_steps - 1) // cfg.sample_stride + 2, a.shape)
+    n_steps, stride = int(round(cfg.horizon / cfg.dt)), cfg.sample_stride
+    want = _Recorder((n_steps - 1) // stride + 2, a.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        _general_kick_reference(st, a.copy(), b.copy(), n_steps, cfg.sample_stride, 0.0, want)
+        _general_kick_reference(st, a.copy(), b.copy(), n_steps, stride, 0.0, want)
     assert got.count == want.count == want.times.shape[0]
     return got, want
 

@@ -54,7 +54,8 @@ def run_dir(tmp_path_factory):
 
     def get(exp_id):
         if exp_id not in made:
-            made[exp_id] = run_artifacts(RUNS / f"{exp_id}.ini", tmp_path_factory.mktemp(exp_id))
+            workdir = tmp_path_factory.mktemp(exp_id)
+            made[exp_id] = run_artifacts(RUNS / f"{exp_id}.ini", workdir)
         return made[exp_id]
 
     return get

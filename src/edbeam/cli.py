@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import build_objects, emit_config, parse_config
+from .config import build_objects, emit_config, lambda_grid, parse_config
 from .errors import InvalidConfigurationError
 from .experiments import (
     DRIVER_DESCRIPTIONS,
@@ -159,20 +158,13 @@ def _run_exp_two(cfg, run_dir):
 
 def _run_exp_lambda(cfg, run_dir):
     model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
-    lam0 = cfg.options["lambda0"]
-    step = cfg.options["grid_step"]
-    grid = [
-        round(k * step, 12)
-        for k in range(int(math.floor(1.0 / step)) + 1)
-        if abs(k * step - lam0) > 1e-12
-    ]
     return exp_lambda_lipschitz(
         model,
         damping,
         source,
         forcing.h_coeffs,
-        grid,
-        lam0,
+        lambda_grid(cfg.options),
+        cfg.options["lambda0"],
         cfg.options["t_probe"],
         initial,
         cfg.integrator,

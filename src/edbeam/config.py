@@ -110,8 +110,29 @@ EXPERIMENT_OPTIONS = {
     "haraux_suite": {"trials": 100000},
     "stationary": {"n_starts": 20, "start_scale": 1.0, "tol": 1e-8},
 }
-# Every int option is a count, at least 1; these float options have a floor.
-OPTION_MINIMA = {"energy2": 0.0}
+# Every int option is a count, at least 1; these float options are bounded.
+# Each bound is named as it completes "<key> ... required".
+COUNT_BOUND = (">= 1", lambda v: v >= 1)
+OPTION_BOUNDS = {
+    "energy2": (">= 0.0", lambda v: v >= 0.0),
+    "s": ("in (0, 2)", lambda v: 0.0 < v < 2.0),
+    "lambda0": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "grid_step": ("> 0", lambda v: v > 0.0),
+}
+# Options that are run horizons, stepped with the [integrator] dt.
+HORIZON_OPTIONS = ("horizon_outside", "t_probe")
+
+
+def lambda_grid(options):
+    """The intensities exp_lambda_lipschitz compares with ``lambda0``: the
+    multiples of ``grid_step`` in [0, 1], ``lambda0`` left out."""
+    lam0, step = options["lambda0"], options["grid_step"]
+    return [
+        round(k * step, 12)
+        for k in range(int(math.floor(1.0 / step)) + 1)
+        if abs(k * step - lam0) > 1e-12
+    ]
+
 
 # What an experiment needs of the rest of the run file.  Each requirement is
 # named as it completes "<id> requires ...", and tests the RunConfig and its
@@ -127,12 +148,16 @@ REQUIREMENTS = {
     "zero forcing": lambda cfg, forcing: forcing.effective_norm == 0.0,
     "the zero source": lambda cfg, forcing: isinstance(cfg.source, ZeroSource),
     "scheme = strang": lambda cfg, forcing: cfg.integrator.scheme == "strang",
+    "two grid intensities besides lambda0": lambda cfg, forcing: (
+        len(lambda_grid(cfg.options)) >= 2
+    ),
 }
 EXPERIMENT_REQUIRES = {
     "exp_k1_decay": ("the monomial law",),
     "exp_k3_ball": ("a threshold law", "zero forcing", "the zero source"),
     "exp_two_trajectory": ("the monomial law", "zero forcing"),
     "exp_decomposition": ("a constant damping coefficient", "scheme = strang"),
+    "exp_lambda_lipschitz": ("two grid intensities besides lambda0",),
 }
 
 
@@ -331,10 +356,10 @@ def parse_config(text, experiment_id=None):
                 f"(allowed: {sorted(defaults)})"
             )
         value = _typed("experiment", key, raw, type(defaults[key]))
-        low = 1 if type(value) is int else OPTION_MINIMA.get(key)
-        if low is not None and not value >= low:
+        bound = COUNT_BOUND if type(value) is int else OPTION_BOUNDS.get(key)
+        if bound is not None and not bound[1](value):
             raise InvalidConfigurationError(
-                f"[experiment] {key} = {value}: {key} >= {low} required"
+                f"[experiment] {key} = {value}: {key} {bound[0]} required"
             )
         options[key] = value
     for key, val in defaults.items():
@@ -345,14 +370,14 @@ def parse_config(text, experiment_id=None):
             f"[experiment] probe_modes = {_fmt(modes)}: "
             f"modes in [1, n_modes = {model.n_modes}] required"
         )
-    if "horizon_outside" in options:
-        # the outside runs of exp_k3_ball step with the [integrator] dt
-        try:
-            replace(integrator, horizon=options["horizon_outside"])
-        except InvalidConfigurationError as exc:
-            raise InvalidConfigurationError(
-                f"[experiment] horizon_outside = {options['horizon_outside']}: {exc}"
-            ) from None
+    for key in HORIZON_OPTIONS:
+        if key in options:
+            try:
+                replace(integrator, horizon=options[key])
+            except InvalidConfigurationError as exc:
+                raise InvalidConfigurationError(
+                    f"[experiment] {key} = {options[key]}: {exc}"
+                ) from None
 
     cfg = RunConfig(
         model=model,

@@ -50,25 +50,11 @@ class NakaoProblem:
     K: SampledSeries
 
     def __post_init__(self):
-        if not self.C0 > 0.0:
-            raise ValueError(f"C0 must be > 0, got {self.C0}")
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
         t = self.phi.t
-        if abs(t[0]) > 1e-12:
-            raise ValueError("grid must start at t = 0")
         if self.K.t.shape != t.shape or np.max(np.abs(self.K.t - t)) > 1e-12:
             raise ValueError("phi and K must share one grid")
-        if np.any(self.phi.y < 0.0) or np.any(self.K.y < 0.0):
-            raise ValueError("phi and K must be non-negative")
-        if np.any(np.diff(self.K.y) < -1e-15):
-            raise ValueError("K must be non-decreasing")
-        dt = np.diff(t)
-        if np.max(np.abs(dt - dt[0])) > 1e-12:
-            raise ValueError("grid must be uniform")
-        m = round(1.0 / dt[0])
-        if m < 1 or abs(m * dt[0] - 1.0) > 1e-9:
-            raise ValueError(f"grid spacing {dt[0]} must divide 1")
+        row = np.ones((1, len(t)), dtype=bool)
+        (m,) = _check_rows(t[None], self.phi.y[None], self.K.y[None], self.C0, self.rho, row)
         object.__setattr__(self, "_steps_per_unit", int(m))
 
     @property
@@ -78,6 +64,42 @@ class NakaoProblem:
     @property
     def horizon(self) -> float:
         return float(self.phi.t[-1] - self.phi.t[0])
+
+
+def _check_rows(t, phi, K, C0, rho, live):
+    """Check the sample and problem invariants of rows ``(B, L)`` sharing one
+    ``rho``, with the messages of SampledSeries and NakaoProblem; returns each
+    row's steps per unit.
+
+    ``C0`` is one constant per row.  Only ``live`` samples are problem data:
+    K is checked non-decreasing between them, and every other check holds
+    on the whole row, so padding must be a finite, non-negative
+    continuation of the row's uniform grid.
+    """
+    if not np.all(np.diff(t, axis=1) > 0.0):
+        raise ValueError("times must be strictly increasing")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi)) and np.all(np.isfinite(K))):
+        raise ValueError("series values must be finite")
+    C0 = np.asarray(C0, dtype=float)
+    bad = ~(C0 > 0.0)
+    if np.any(bad):
+        raise ValueError(f"C0 must be > 0, got {float(C0[bad][0])}")
+    if rho < 0.0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    if np.max(np.abs(t[:, 0])) > 1e-12:
+        raise ValueError("grid must start at t = 0")
+    if np.any(phi < 0.0) or np.any(K < 0.0):
+        raise ValueError("phi and K must be non-negative")
+    if np.any((np.diff(K, axis=1) < -1e-15) & live[:, 1:]):
+        raise ValueError("K must be non-decreasing")
+    dt = np.diff(t, axis=1)
+    if np.max(np.abs(dt - dt[:, :1])) > 1e-12:
+        raise ValueError("grid must be uniform")
+    m = np.rint(1.0 / dt[:, 0])
+    bad = (m < 1) | (np.abs(m * dt[:, 0] - 1.0) > 1e-9)
+    if np.any(bad):
+        raise ValueError(f"grid spacing {float(dt[bad, 0][0])} must divide 1")
+    return m.astype(int)
 
 
 @dataclass(frozen=True)
@@ -101,6 +123,11 @@ def _windows(phi, m, rho):
     return sup ** (1.0 + rho), phi[:n] - phi[m:]
 
 
+def _residual(sup, drop, C0, K):
+    """Largest violation of the hypothesis over the windows ``(sup, drop)``."""
+    return float(np.max(sup - (C0 * drop + K[: len(drop)])))
+
+
 def nakao_hypothesis_residual(p):
     """Largest violation of the per-window hypothesis over the grid.
 
@@ -111,8 +138,7 @@ def nakao_hypothesis_residual(p):
     if p.horizon < 1.0:
         raise ValueError("grid must span at least one unit window")
     sup, drop = _windows(p.phi.y, p.steps_per_unit, p.rho)
-    rhs = p.C0 * drop + p.K.y[: len(drop)]
-    return float(np.max(sup - rhs))
+    return _residual(sup, drop, p.C0, p.K.y)
 
 
 def _pow(base, exponent):
@@ -127,6 +153,22 @@ def _pow(base, exponent):
     )
     powers = map(pow, base.ravel().tolist(), exponent.ravel().tolist())
     return np.array(list(powers), dtype=float).reshape(base.shape)
+
+
+def _envelope(times, kt, sup01, C0, rho):
+    """The envelope of :func:`nakao_bound` at ``times``, with ``kt`` = K(times).
+
+    ``sup01`` and ``C0`` are floats for one problem or ``(B, 1)`` columns for
+    rows of times ``(B, L)`` sharing one ``rho``.
+    """
+    if rho == 0.0:
+        return sup01 * _pow(C0 / (1.0 + C0), np.floor(times)) + kt
+    k_term = _pow(kt, 1.0 / (rho + 1.0))
+    # a vanishing sup takes the polynomial term's limit 0; pow(0.0, -rho) raises
+    live = sup01 > 0.0
+    tplus = np.maximum(times - 1.0, 0.0)
+    base = rho / C0 * tplus + _pow(np.where(live, sup01, 1.0), -rho)
+    return np.where(live, _pow(base, -1.0 / rho) + k_term, k_term)
 
 
 def nakao_bound(p, t):
@@ -144,19 +186,9 @@ def nakao_bound(p, t):
     inside = (times >= 0.0) & (times <= p.phi.t[-1] + 1e-12)
     if not np.all(inside):
         raise ValueError(f"t = {times[~inside].flat[0]} outside grid range")
-    m = p.steps_per_unit
-    sup01 = float(np.max(p.phi.y[: m + 1]))
+    sup01 = float(np.max(p.phi.y[: p.steps_per_unit + 1]))
     kt = np.interp(times, p.K.t, p.K.y)
-    if p.rho == 0.0:
-        bound = sup01 * _pow(p.C0 / (1.0 + p.C0), np.floor(times)) + kt
-    else:
-        k_term = _pow(kt, 1.0 / (p.rho + 1.0))
-        if sup01 == 0.0:
-            bound = k_term
-        else:
-            tplus = np.maximum(times - 1.0, 0.0)
-            base = p.rho / p.C0 * tplus + sup01 ** (-p.rho)
-            bound = _pow(base, -1.0 / p.rho) + k_term
+    bound = _envelope(times, kt, sup01, p.C0, p.rho)
     return float(bound) if times.ndim == 0 else bound
 
 
@@ -218,13 +250,8 @@ def haraux_check(u, v, r):
     return HarauxResult(lhs, rhs, ok)
 
 
-def minimal_C0(phi, K, rho, steps_per_unit):
-    """Smallest C0 validating the hypothesis for given samples.
-
-    Returns None when some window has a flat phi but a supremum exceeding
-    K(t); no finite constant can close such a window.
-    """
-    sup, drop = _windows(phi, int(steps_per_unit), rho)
+def _c0_from_windows(sup, drop, K):
+    """Smallest C0 closing every window ``(sup, drop)``, or None."""
     need = sup - K[: len(drop)]
     active = need > 0.0
     if np.any(active & (drop <= 0.0)):
@@ -234,19 +261,23 @@ def minimal_C0(phi, K, rho, steps_per_unit):
     return float(np.max(need[active] / drop[active]))
 
 
-def random_nakao_problem(rng, rho, max_resample=200):
-    """Draw a random instance whose hypothesis holds with its minimal C0.
+def minimal_C0(phi, K, rho, steps_per_unit):
+    """Smallest C0 validating the hypothesis for given samples.
 
-    phi is a non-increasing non-negative sample path, K a non-decreasing
-    one (zero half the time); the returned problem carries the smallest
-    feasible C0 inflated by a one-ulp-scale margin.  Instances admitting no
-    finite constant are resampled.
+    Returns None when some window has a flat phi but a supremum exceeding
+    K(t); no finite constant can close such a window.
     """
+    return _c0_from_windows(*_windows(phi, int(steps_per_unit), rho), K)
+
+
+def _draw(rng, rho, max_resample=200):
+    """The instance of :func:`random_nakao_problem` as ``(m, phi, K, C0,
+    residual)``, on the grid ``arange(len(phi)) / m``; ``residual`` <= 0 is
+    its hypothesis residual."""
     for _ in range(max_resample):
         m = int(rng.choice([1, 2, 4, 5, 10]))
         units = int(rng.integers(2, 7))
         n = units * m + 1
-        t = np.arange(n) / m
 
         kind = rng.integers(0, 3)
         if kind == 0:
@@ -268,13 +299,52 @@ def random_nakao_problem(rng, rho, max_resample=200):
         else:
             K = np.cumsum(rng.exponential(0.05, size=n) * (rng.random(n) < 0.3))
 
-        c0 = minimal_C0(phi, K, rho, m)
+        sup, drop = _windows(phi, m, rho)
+        c0 = _c0_from_windows(sup, drop, K)
         if c0 is None:
             continue
         c0 *= 1.0 + 1e-9
-        prob = NakaoProblem(
-            phi=SampledSeries(t, phi), C0=c0, rho=float(rho), K=SampledSeries(t, K)
-        )
-        if nakao_hypothesis_residual(prob) <= 0.0:
-            return prob
+        residual = _residual(sup, drop, c0, K)
+        if residual <= 0.0:
+            return m, phi, K, c0, residual
     raise RuntimeError("could not draw a feasible instance")
+
+
+def random_nakao_problem(rng, rho, max_resample=200):
+    """Draw a random instance whose hypothesis holds with its minimal C0.
+
+    phi is a non-increasing non-negative sample path, K a non-decreasing
+    one (zero half the time); the returned problem carries the smallest
+    feasible C0 inflated by a one-ulp-scale margin.  Instances admitting no
+    finite constant are resampled.
+    """
+    m, phi, K, c0, _ = _draw(rng, rho, max_resample)
+    t = np.arange(len(phi)) / m
+    return NakaoProblem(
+        phi=SampledSeries(t, phi), C0=c0, rho=float(rho), K=SampledSeries(t, K)
+    )
+
+
+def _verify_draws(draws, rho):
+    """Hypothesis residual and worst conclusion margin of each ``_draw``,
+    bitwise those of :func:`nakao_verify` on its problem.
+
+    The draws are zero-padded into rows ``(len(draws), longest)`` on grids
+    continued past their ends, checked against every problem invariant at
+    once, and bounded at their grid points, where K needs no interpolation.
+    Margins are -inf on the padding.
+    """
+    steps, phis, Ks, C0, residual = zip(*draws)
+    n = np.array([len(y) for y in phis])
+    cols = np.arange(n.max())
+    live = cols < n[:, None]
+    phi = np.zeros(live.shape)
+    K = np.zeros(live.shape)
+    phi[live] = np.concatenate(phis)
+    K[live] = np.concatenate(Ks)
+    C0 = np.array(C0, dtype=float)
+    t = cols / np.array(steps)[:, None]
+    m = _check_rows(t, phi, K, C0, rho, live)
+    sup01 = np.max(np.where(cols <= m[:, None], phi, 0.0), axis=1, keepdims=True)
+    margins = np.where(live, phi - _envelope(t, K, sup01, C0[:, None], rho), -np.inf)
+    return np.array(residual, dtype=float), np.max(margins, axis=1)

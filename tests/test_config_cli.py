@@ -383,6 +383,44 @@ def test_parse_law_errors_name_the_section():
             "horizon_outside = 60.005\n",
             "error: [experiment] horizon_outside = 60.005: dt = 0.01 does not divide",
         ),
+        # s = 3 exited 2 after the run directory was made; the lambda options
+        # failed with a traceback, and t_probe with an unnamed message
+        (
+            "exp_decomposition",
+            "[damping]\nvariant = k2_constant\n",
+            "probe_modes = 2,4\ns = 3.0\n",
+            "error: [experiment] s = 3.0: s in (0, 2) required",
+        ),
+        (
+            "exp_lambda_lipschitz",
+            "",
+            "lambda0 = 1.5\n",
+            "error: [experiment] lambda0 = 1.5: lambda0 in [0, 1] required",
+        ),
+        (
+            "exp_lambda_lipschitz",
+            "",
+            "grid_step = 0.0\n",
+            "error: [experiment] grid_step = 0.0: grid_step > 0 required",
+        ),
+        (
+            "exp_lambda_lipschitz",
+            "",
+            "grid_step = 2.0\n",
+            "error: exp_lambda_lipschitz requires two grid intensities besides lambda0",
+        ),
+        (
+            "exp_lambda_lipschitz",
+            "",
+            "lambda0 = 1.0\ngrid_step = 1.0\n",
+            "error: exp_lambda_lipschitz requires two grid intensities besides lambda0",
+        ),
+        (
+            "exp_lambda_lipschitz",
+            "",
+            "t_probe = 0.105\n",
+            "error: [experiment] t_probe = 0.105: dt = 0.01 does not divide the horizon 0.105",
+        ),
     ],
     ids=[
         "probe_modes_not_integers",
@@ -398,6 +436,12 @@ def test_parse_law_errors_name_the_section():
         "decomposition_law",
         "k3_horizon_outside_zero",
         "k3_horizon_outside_off_grid",
+        "decomposition_s",
+        "lambda0_outside_unit_interval",
+        "grid_step_zero",
+        "grid_step_above_one",
+        "grid_one_point_besides_lambda0",
+        "t_probe_off_grid",
     ],
 )
 def test_cli_rejects_input_it_would_drop(tmp_path, capsys, exp_id, sections, options, message):

@@ -14,8 +14,16 @@ from edbeam import (
     nakao_verify,
 )
 from edbeam import experiments
-from edbeam.experiments import haraux_suite
-from edbeam.nakao import _windows, minimal_C0, random_nakao_problem
+from edbeam.experiments import ExperimentReport, haraux_suite, nakao_suite
+from edbeam.nakao import (
+    CONCLUSION_TOL,
+    _check_rows,
+    _draw,
+    _verify_draws,
+    _windows,
+    minimal_C0,
+    random_nakao_problem,
+)
 
 
 def _grid(values, m=1):
@@ -291,3 +299,160 @@ def test_haraux_suite_block_boundaries(trials, monkeypatch):
     assert first.metrics["trials"] == trials
     assert f"0 violations in {trials} trials" in first.to_text()
     assert haraux_suite(seed=9, trials=trials).to_text() == first.to_text()
+
+
+def _drawn_problem(draw, rho):
+    m, phi, K, C0, _ = draw
+    t = np.arange(len(phi)) / m
+    return NakaoProblem(phi=SampledSeries(t, phi), C0=C0, rho=rho, K=SampledSeries(t, K))
+
+
+def _hand_draws(rho):
+    """Short rows the generator never makes: phi zero on the first window
+    with K(0) > 0, and a first-window maximum at the window's last sample
+    or just past it."""
+    rows = [
+        (1, np.zeros(4), np.array([0.2, 0.2, 0.3, 0.5])),
+        (2, np.zeros(7), np.linspace(0.1, 0.4, 7)),
+        (2, np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]), np.ones(7)),
+        (2, np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]), np.ones(7)),
+    ]
+    draws = []
+    for m, phi, K in rows:
+        p = _drawn_problem((m, phi, K, 1.0, None), rho)
+        draws.append((m, phi, K, 1.0, nakao_hypothesis_residual(p)))
+    return draws
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0, 2.0])
+def test_block_verdicts_match_nakao_verify(rho):
+    for seed in (0, 1, 2):
+        rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [_draw(rng_rows, rho) for _ in range(100)] + _hand_draws(rho)
+        problems = [random_nakao_problem(rng_one, rho) for _ in range(100)]
+        problems += [_drawn_problem(d, rho) for d in draws[100:]]
+        verdicts = [nakao_verify(p) for p in problems]
+        assert all(v.hypothesis_ok for v in verdicts)
+        assert sum(v.degenerate_sup for v in verdicts) == (3 if rho > 0.0 else 0)
+        residual, worst = _verify_draws(draws, rho)
+        expected = np.array([v.worst_hypothesis_residual for v in verdicts])
+        assert residual.tobytes() == expected.tobytes()
+        expected = np.array([v.worst_conclusion_margin for v in verdicts])
+        assert worst.tobytes() == expected.tobytes()
+        # and the scalar formula, which shares no code with the rows
+        scalar = [
+            np.max(p.phi.y - [_scalar_bound(p, float(ti)) for ti in p.phi.t]) for p in problems
+        ]
+        assert worst.tobytes() == np.array(scalar).tobytes()
+
+
+def _per_problem_suite(seed, trials, rhos=(0.0, 0.5, 1.0, 2.0)):
+    """nakao_suite one problem at a time, as it was before it ran blocks."""
+    rng = np.random.default_rng(seed)
+    report = ExperimentReport("nakao_suite", seed=seed)
+    worst = -math.inf
+    violations = 0
+    total = 0
+    for rho in rhos:
+        for _ in range(trials):
+            verdict = nakao_verify(random_nakao_problem(rng, rho))
+            total += 1
+            if not verdict.hypothesis_ok:
+                violations += 1
+                continue
+            worst = max(worst, verdict.worst_conclusion_margin)
+            if not verdict.conclusion_ok:
+                violations += 1
+    report.add(
+        "soundness",
+        violations == 0,
+        f"{violations} violations in {total} trials, worst margin {worst:.3g}",
+    )
+    report.metrics["worst_margin"] = worst
+    report.metrics["trials"] = total
+    return report
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 129])
+def test_nakao_suite_blocks_match_the_per_problem_loop(trials, monkeypatch):
+    rows = []
+
+    def counting(draws, rho):
+        rows.append(len(draws))
+        return _verify_draws(draws, rho)
+
+    monkeypatch.setattr(experiments, "_verify_draws", counting)
+    report = nakao_suite(seed=5, trials=trials)
+    assert sum(rows) == 4 * trials
+    assert len(rows) == 4 * -(-trials // experiments.NAKAO_BLOCK)
+    reference = _per_problem_suite(5, trials)
+    assert report.to_text() == reference.to_text()
+    assert report.metrics == reference.metrics
+    assert report.passed and report.metrics["worst_margin"] <= CONCLUSION_TOL
+
+
+def _broken(draw, name, index, value):
+    m, phi, K, C0, residual = draw
+    phi, K = phi.copy(), K.copy()
+    (phi if name == "phi" else K)[index] = value
+    return m, phi, K, C0, residual
+
+
+@pytest.mark.parametrize(
+    "break_row, rho, message",
+    [
+        (lambda d: _broken(d, "phi", 3, np.nan), 0.5, "series values must be finite"),
+        (lambda d: _broken(d, "phi", 3, -0.25), 0.5, "phi and K must be non-negative"),
+        (lambda d: _broken(d, "K", 2, -0.25), 0.5, "phi and K must be non-negative"),
+        (lambda d: _broken(d, "K", 1, d[2][2] + 0.5), 0.5, "K must be non-decreasing"),
+        (lambda d: (*d[:3], 0.0, d[4]), 0.5, "C0 must be > 0, got 0.0"),
+        (lambda d: (*d[:3], np.nan, d[4]), 0.5, "C0 must be > 0, got nan"),
+        (lambda d: d, -0.5, "rho must be >= 0, got -0.5"),
+        (lambda d: (1 / 0.3, *d[1:]), 0.5, "grid spacing 0.3 must divide 1"),
+    ],
+    ids=[
+        "phi_nan",
+        "phi_negative",
+        "K_negative",
+        "K_decreasing",
+        "C0_zero",
+        "C0_nan",
+        "rho_negative",
+        "spacing",
+    ],
+)
+def test_block_rejects_each_broken_invariant(break_row, rho, message):
+    rng = np.random.default_rng(4)
+    draws = [_draw(rng, 0.5) for _ in range(12)]
+    draws[7] = break_row(draws[7])
+    with pytest.raises(ValueError) as one:
+        _drawn_problem(draws[7], rho)
+    assert str(one.value) == message
+    with pytest.raises(ValueError) as block:
+        _verify_draws(draws, rho)
+    assert str(block.value) == message
+    # the rows before the broken one pass
+    assert _verify_draws(draws[:7], 0.5)[0].shape == (7,)
+
+
+def test_row_checks_reject_a_shifted_or_uneven_grid():
+    rng = np.random.default_rng(6)
+    phi = rng.uniform(0.0, 1.0, size=(3, 9))
+    K = np.zeros((3, 9))
+    live = np.ones((3, 9), dtype=bool)
+    t = np.tile(np.arange(9) / 2, (3, 1))
+    assert _check_rows(t, phi, K, np.ones(3), 0.0, live).tolist() == [2, 2, 2]
+    for row, message in (
+        (t[1] + 0.5, "grid must start at t = 0"),
+        (t[1] + np.where(np.arange(9) > 4, 0.01, 0.0), "grid must be uniform"),
+    ):
+        bad = t.copy()
+        bad[1] = row
+        with pytest.raises(ValueError) as one:
+            NakaoProblem(
+                phi=SampledSeries(row, phi[1]), C0=1.0, rho=0.0, K=SampledSeries(row, K[1])
+            )
+        assert str(one.value) == message
+        with pytest.raises(ValueError) as block:
+            _check_rows(bad, phi, K, np.ones(3), 0.0, live)
+        assert str(block.value) == message

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -28,244 +29,172 @@ from . import __version__
 from .config import build_objects, emit_config, lambda_grid, parse_config
 from .errors import InvalidConfigurationError
 from .experiments import (
-    DRIVER_DESCRIPTIONS,
     DecompositionConfig,
-    ExperimentReport,
-    box_count_entropy,
     exp_decomposition,
+    exp_entropy,
     exp_k1_decay,
     exp_k2_exponential,
     exp_k3_ball,
     exp_lambda_lipschitz,
+    exp_stationary,
     exp_two_trajectory,
     haraux_suite,
     make_initial_state,
     nakao_suite,
-    synthetic_circle,
-    synthetic_torus,
+    simulate,
 )
-from .integrate import integrate
-from .laws import assumption_constants
-from .series import write_csv
-from .stationary import multi_start, stationary_bound_check
+
+_Start = namedtuple("_Start", "model damping source forcing icfg opts rng")
 
 
-def _default_window(opts, horizon):
-    lo, hi = opts.get("fit_lo", 0.0), opts.get("fit_hi", 0.0)
-    if hi <= lo:
-        return (horizon / 10.0, horizon)
-    return (lo, hi)
+def _start(cfg):
+    """A run's inputs: the run file's model, damping, source, forcing,
+    integrator settings ``icfg`` and experiment options ``opts``, and the
+    run's seeded generator ``rng``."""
+    return _Start(*build_objects(cfg), cfg.integrator, cfg.options, np.random.default_rng(cfg.seed))
 
 
-def _start(cfg, n_states=0):
-    """(model, damping, source, forcing, rng, states) for one run.
-
-    ``states`` holds ``n_states`` random initial states drawn from the run's
-    seeded generator with the ``energy2`` and ``decay`` options.
-    """
-    model, damping, source, forcing = build_objects(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    states = [
-        make_initial_state(model, rng, cfg.options["energy2"], cfg.options["decay"])
-        for _ in range(n_states)
-    ]
-    return model, damping, source, forcing, rng, states
+def _states(inp, n):
+    """``n`` initial states drawn in turn from the run's generator with the
+    ``energy2`` and ``decay`` options."""
+    energy2, decay = inp.opts["energy2"], inp.opts["decay"]
+    return [make_initial_state(inp.model, inp.rng, energy2, decay) for _ in range(n)]
 
 
-def _run_simulate(cfg, run_dir):
-    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
-    traj = integrate(model, source, damping, forcing, initial, cfg.integrator)
-    traj.write_csv(run_dir / "trajectory.csv")
-    report = ExperimentReport("simulate", seed=cfg.seed)
-    report.add("completed", True, f"{traj.n_samples} samples over [0, {traj.t[-1]:g}]")
-    report.artifacts.append("trajectory.csv")
-    return report
-
-
-def _run_exp_k1(cfg, run_dir):
-    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
-    window = _default_window(cfg.options, cfg.integrator.horizon)
-    return exp_k1_decay(
-        model,
-        damping,
-        initial,
-        cfg.integrator,
-        source=source,
-        forcing=forcing,
-        slack=cfg.options["slack"],
-        fit_window=window,
-        rate_tol=cfg.options["rate_tol"],
-        seed=cfg.seed,
-        out_dir=str(run_dir),
-    )
-
-
-def _run_exp_k2(cfg, run_dir):
-    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
-    window = _default_window(cfg.options, cfg.integrator.horizon)
-    return exp_k2_exponential(
-        model,
-        damping,
-        initial,
-        cfg.integrator,
-        source=source,
-        forcing=forcing,
-        fit_window=window,
-        r2_min=cfg.options["r2_min"],
-        seed=cfg.seed,
-        out_dir=str(run_dir),
-    )
-
-
-def _run_exp_k3(cfg, run_dir):
-    model, damping, _, _, rng, _ = _start(cfg)
-    opts = cfg.options
+def _ball_starts(inp):
+    """exp_k3_ball's inside and outside starts, drawn in turn from the run's
+    generator: 2E uniform in (0.05, 0.95) inside the unit ball, and uniform
+    in (outside_lo, outside_hi) outside it."""
+    model, opts, rng = inp.model, inp.opts, inp.rng
     inside = [
         make_initial_state(model, rng, rng.uniform(0.05, 0.95), opts["decay"])
-        for _ in range(int(opts["n_inside"]))
+        for _ in range(opts["n_inside"])
     ]
     outside = [
         make_initial_state(
             model, rng, rng.uniform(opts["outside_lo"], opts["outside_hi"]), opts["decay"]
         )
-        for _ in range(int(opts["n_outside"]))
+        for _ in range(opts["n_outside"])
     ]
-    return exp_k3_ball(
-        model,
-        damping,
-        inside,
-        outside,
-        cfg.integrator,
-        horizon_outside=opts["horizon_outside"],
-        seed=cfg.seed,
-        out_dir=str(run_dir),
-    )
+    return inside, outside
 
 
-def _run_exp_two(cfg, run_dir):
-    model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
-    return exp_two_trajectory(
-        model,
-        damping,
-        u1,
-        u2,
-        cfg.integrator,
-        source=source,
-        seed=cfg.seed,
-        out_dir=str(run_dir),
-    )
+def _fit_window(inp):
+    """[fit_lo, fit_hi], or the last nine tenths of the horizon if that is empty."""
+    lo, hi = inp.opts["fit_lo"], inp.opts["fit_hi"]
+    return (inp.icfg.horizon / 10.0, inp.icfg.horizon) if hi <= lo else (lo, hi)
 
 
-def _run_exp_lambda(cfg, run_dir):
-    model, damping, source, forcing, _, (initial,) = _start(cfg, 1)
-    return exp_lambda_lipschitz(
-        model,
-        damping,
-        source,
-        forcing.h_coeffs,
-        lambda_grid(cfg.options),
-        cfg.options["lambda0"],
-        cfg.options["t_probe"],
-        initial,
-        cfg.integrator,
-        seed=cfg.seed,
-        out_dir=str(run_dir),
-    )
-
-
-def _run_exp_decomposition(cfg, run_dir):
-    model, damping, source, forcing, _, (u1, u2) = _start(cfg, 2)
-    opts = cfg.options
-    dcfg = DecompositionConfig(s=opts["s"], probe_modes=opts["probe_modes"])
-    return exp_decomposition(
-        model,
-        damping,
-        source,
-        forcing,
-        u1,
-        u2,
-        dcfg,
-        cfg.integrator,
-        probe_eps=opts["probe_eps"],
-        seed=cfg.seed,
-        out_dir=str(run_dir),
-    )
-
-
-def _run_exp_entropy(cfg, run_dir):
-    rng = np.random.default_rng(cfg.seed)
-    n = int(cfg.options["n_points"])
-    report = ExperimentReport("exp_entropy", seed=cfg.seed)
-    circle = box_count_entropy(
-        synthetic_circle(n, rng), np.geomspace(0.5, 0.02, 8)
-    )
-    report.add(
-        "circle_dimension",
-        abs(circle.dimension - 1.0) <= 0.2,
-        f"estimated {circle.dimension:.4f}",
-    )
-    torus = box_count_entropy(
-        synthetic_torus(n, rng), np.geomspace(1.2, 0.18, 6)
-    )
-    report.add(
-        "torus_dimension",
-        abs(torus.dimension - 2.0) <= 0.3,
-        f"estimated {torus.dimension:.4f}",
-    )
-    report.metrics["circle_dimension"] = circle.dimension
-    report.metrics["torus_dimension"] = torus.dimension
-    return report
-
-
-def _run_suite(cfg, run_dir):
-    suite = nakao_suite if cfg.experiment_id == "nakao_suite" else haraux_suite
-    return suite(seed=cfg.seed, trials=int(cfg.options["trials"]))
-
-
-def _run_stationary(cfg, run_dir):
-    model, _, source, forcing, rng, _ = _start(cfg)
-    opts = cfg.options
-    starts = [np.zeros(model.n_modes)]
-    j = np.arange(1, model.n_modes + 1, dtype=float)
-    for _ in range(int(opts["n_starts"]) - 1):
-        starts.append(opts["start_scale"] * rng.standard_normal(model.n_modes) * j**-2.0)
-    results = multi_start(model, source, forcing, starts, tol=opts["tol"])
-    constants = assumption_constants(source, model=model)
-    report = ExperimentReport("stationary", seed=cfg.seed)
-    report.add(
-        "all_converged",
-        all(r.converged for r in results),
-        f"{sum(r.converged for r in results)}/{len(results)} converged "
-        f"({len(starts)} starts, {len(results)} distinct)",
-    )
-    checks = [stationary_bound_check(model, constants, forcing, r) for r in results]
-    report.add(
-        "bound_check",
-        all(c.ok for c in checks),
-        "; ".join(f"lhs {c.lhs:.4g} <= rhs {c.rhs:.4g}" for c in checks[:4]),
-    )
-    report.metrics["n_distinct"] = len(results)
-    report.metrics["best_value"] = min(r.functional_value for r in results)
-    header = ["lambda", "functional_value", "residual"]
-    header += [f"c_{k}" for k in range(1, model.n_modes + 1)]
-    rows = [[forcing.lam, r.functional_value, r.residual, *r.coeffs] for r in results]
-    write_csv(run_dir / "stationary.csv", header, [rows])
-    report.artifacts.append("stationary.csv")
-    return report
-
-
+# experiment id -> (runner, `edbeam list` description).  A runner takes the
+# _start inputs and the driver's seed= and out_dir=.  It looks its driver up
+# in this module when it runs, so a driver rebound here (as a tracer does)
+# is the one that runs.
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "exp_k1_decay": _run_exp_k1,
-    "exp_k2_exponential": _run_exp_k2,
-    "exp_k3_ball": _run_exp_k3,
-    "exp_two_trajectory": _run_exp_two,
-    "exp_lambda_lipschitz": _run_exp_lambda,
-    "exp_decomposition": _run_exp_decomposition,
-    "exp_entropy": _run_exp_entropy,
-    "nakao_suite": _run_suite,
-    "haraux_suite": _run_suite,
-    "stationary": _run_stationary,
+    "simulate": (
+        lambda inp, **out: simulate(
+            inp.model, inp.damping, inp.source, inp.forcing, *_states(inp, 1), inp.icfg, **out
+        ),
+        "plain trajectory integration with CSV export",
+    ),
+    "exp_k1_decay": (
+        lambda inp, **out: exp_k1_decay(
+            inp.model,
+            inp.damping,
+            *_states(inp, 1),
+            inp.icfg,
+            source=inp.source,
+            forcing=inp.forcing,
+            slack=inp.opts["slack"],
+            fit_window=_fit_window(inp),
+            rate_tol=inp.opts["rate_tol"],
+            **out,
+        ),
+        "two-sided polynomial energy envelope and 1/q rate fit for the monomial damping",
+    ),
+    "exp_k2_exponential": (
+        lambda inp, **out: exp_k2_exponential(
+            inp.model,
+            inp.damping,
+            *_states(inp, 1),
+            inp.icfg,
+            source=inp.source,
+            forcing=inp.forcing,
+            fit_window=_fit_window(inp),
+            r2_min=inp.opts["r2_min"],
+            **out,
+        ),
+        "exponential decay fit, floored fit under forcing, absorbing-ball entry",
+    ),
+    "exp_k3_ball": (
+        lambda inp, **out: exp_k3_ball(
+            inp.model,
+            inp.damping,
+            *_ball_starts(inp),
+            inp.icfg,
+            horizon_outside=inp.opts["horizon_outside"],
+            **out,
+        ),
+        "conservation inside and attraction to the unit energy sphere for the threshold damping",
+    ),
+    "exp_two_trajectory": (
+        lambda inp, **out: exp_two_trajectory(
+            inp.model, inp.damping, *_states(inp, 2), inp.icfg, source=inp.source, **out
+        ),
+        "feasibility of the two-trajectory difference envelope",
+    ),
+    "exp_lambda_lipschitz": (
+        lambda inp, **out: exp_lambda_lipschitz(
+            inp.model,
+            inp.damping,
+            inp.source,
+            inp.forcing.h_coeffs,
+            lambda_grid(inp.opts),
+            inp.opts["lambda0"],
+            inp.opts["t_probe"],
+            *_states(inp, 1),
+            inp.icfg,
+            **out,
+        ),
+        "Lipschitz sensitivity of trajectories to the forcing intensity",
+    ),
+    "exp_decomposition": (
+        lambda inp, **out: exp_decomposition(
+            inp.model,
+            inp.damping,
+            inp.source,
+            inp.forcing,
+            *_states(inp, 2),
+            DecompositionConfig(s=inp.opts["s"], probe_modes=inp.opts["probe_modes"]),
+            inp.icfg,
+            probe_eps=inp.opts["probe_eps"],
+            **out,
+        ),
+        "contracting + smoothing splitting of the constant-damping flow",
+    ),
+    "exp_entropy": (
+        lambda inp, seed, out_dir: exp_entropy(seed, inp.opts["n_points"]),
+        "covering-number dimension estimates on synthetic manifolds",
+    ),
+    "nakao_suite": (
+        lambda inp, seed, out_dir: nakao_suite(seed, inp.opts["trials"]),
+        "randomized soundness of the window decay lemma",
+    ),
+    "haraux_suite": (
+        lambda inp, seed, out_dir: haraux_suite(seed, inp.opts["trials"]),
+        "randomized soundness of the norm power-difference bound",
+    ),
+    "stationary": (
+        lambda inp, **out: exp_stationary(
+            inp.model,
+            inp.source,
+            inp.forcing,
+            inp.opts["n_starts"],
+            start_scale=inp.opts["start_scale"],
+            tol=inp.opts["tol"],
+            **out,
+        ),
+        "variational stationary solver with a-priori bound check",
+    ),
 }
 
 
@@ -273,7 +202,8 @@ def run(cfg, quiet=False):
     """Dispatch a parsed RunConfig; returns the process exit status."""
     run_dir = Path(cfg.output_dir) / f"{cfg.experiment_id}-seed{cfg.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    report = _RUNNERS[cfg.experiment_id](cfg, run_dir)
+    runner, _ = _RUNNERS[cfg.experiment_id]
+    report = runner(_start(cfg), seed=cfg.seed, out_dir=str(run_dir))
     text = report.to_text()
     (run_dir / "report.txt").write_text(text, encoding="utf-8")
     manifest = f"# edbeam {__version__}\n" + emit_config(cfg)
@@ -286,9 +216,9 @@ def run(cfg, quiet=False):
 def list_experiments(stream=None):
     """Print the experiment catalog."""
     stream = stream or sys.stdout
-    ids = sorted(DRIVER_DESCRIPTIONS)
+    ids = sorted(_RUNNERS)
     for name in ids:
-        stream.write(f"{name:22s} {DRIVER_DESCRIPTIONS[name]}\n")
+        stream.write(f"{name:22s} {_RUNNERS[name][1]}\n")
     return ids
 
 
@@ -305,7 +235,11 @@ def _load_config(args, experiment_id):
         updates["seed"] = args.seed
     if args.out is not None:
         updates["output_dir"] = args.out
-    return dataclasses.replace(cfg, **updates)
+    # RunConfig checks the overrides as it checks the [run] section
+    try:
+        return dataclasses.replace(cfg, **updates)
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"[run] {exc}") from None
 
 
 def main(argv=None):

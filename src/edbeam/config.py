@@ -187,6 +187,11 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "runs"
 
+    def __post_init__(self):
+        # here rather than in parse_config, so that replace() checks it too
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfigurationError(f"seed = {self.seed}: 64-bit value required")
+
 
 # The keys of the plain sections and their types, in emit order; their
 # defaults are the fields of RunConfig().
@@ -389,8 +394,6 @@ def parse_config(text, experiment_id=None):
         options=options,
     )
     cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
-    if not 0 <= cfg.seed < 2**64:
-        raise InvalidConfigurationError(f"[run] seed = {cfg.seed}: 64-bit value required")
     for need in EXPERIMENT_REQUIRES.get(exp_id, ()):
         if not REQUIREMENTS[need](cfg, applied):
             raise InvalidConfigurationError(f"{exp_id} requires {need}")

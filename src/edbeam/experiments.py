@@ -42,6 +42,7 @@ from .laws import (
 from .nakao import CONCLUSION_TOL, _draw, _verify_draws, haraux_check
 from .series import SampledSeries, write_csv
 from .spectral import ModalState, phase_norm, phase_norms
+from .stationary import multi_start, stationary_bound_check
 
 __all__ = [
     "Criterion",
@@ -60,7 +61,9 @@ __all__ = [
     "synthetic_torus",
     "nakao_suite",
     "haraux_suite",
-    "DRIVER_DESCRIPTIONS",
+    "simulate",
+    "exp_entropy",
+    "exp_stationary",
 ]
 
 
@@ -167,6 +170,16 @@ def _write_traj(traj, out_dir, name, report):
         path = f"{out_dir}/{name}"
         traj.write_csv(path)
         report.artifacts.append(name)
+
+
+def simulate(model, damping, source, forcing, initial, icfg, *, seed=None, out_dir=None):
+    """Plain integration; the report records the samples and
+    ``trajectory.csv`` holds the trajectory."""
+    traj = integrate(model, source, damping, forcing, initial, icfg)
+    report = ExperimentReport("simulate", seed=seed)
+    report.add("completed", True, f"{traj.n_samples} samples over [0, {traj.t[-1]:g}]")
+    _write_traj(traj, out_dir, "trajectory.csv", report)
+    return report
 
 
 def exp_k1_decay(
@@ -798,6 +811,22 @@ def synthetic_torus(n_points, rng):
     return np.column_stack([np.cos(th), np.sin(th), np.cos(ph), np.sin(ph)])
 
 
+def exp_entropy(seed=0, n_points=10000):
+    """Covering-number dimension of ``n_points`` samples of a circle (1
+    within 0.2) and then of a flat 2-torus (2 within 0.3), drawn in turn
+    from one generator."""
+    rng = np.random.default_rng(seed)
+    report = ExperimentReport("exp_entropy", seed=seed)
+    for name, sample, eps, target, tol in (
+        ("circle", synthetic_circle, np.geomspace(0.5, 0.02, 8), 1.0, 0.2),
+        ("torus", synthetic_torus, np.geomspace(1.2, 0.18, 6), 2.0, 0.3),
+    ):
+        dim = box_count_entropy(sample(n_points, rng), eps).dimension
+        report.add(f"{name}_dimension", abs(dim - target) <= tol, f"estimated {dim:.4f}")
+        report.metrics[f"{name}_dimension"] = dim
+    return report
+
+
 # Problems are drawn one at a time, so the block size leaves the sample
 # unchanged; it bounds the padded arrays (rows of at most 61 samples).
 NAKAO_BLOCK = 64
@@ -871,16 +900,42 @@ def haraux_suite(seed=0, trials=100000):
     return report
 
 
-DRIVER_DESCRIPTIONS = {
-    "simulate": "plain trajectory integration with CSV export",
-    "stationary": "variational stationary solver with a-priori bound check",
-    "exp_k1_decay": "two-sided polynomial energy envelope and 1/q rate fit for the monomial damping",
-    "exp_k2_exponential": "exponential decay fit, floored fit under forcing, absorbing-ball entry",
-    "exp_k3_ball": "conservation inside and attraction to the unit energy sphere for the threshold damping",
-    "exp_two_trajectory": "feasibility of the two-trajectory difference envelope",
-    "exp_lambda_lipschitz": "Lipschitz sensitivity of trajectories to the forcing intensity",
-    "exp_decomposition": "contracting + smoothing splitting of the constant-damping flow",
-    "exp_entropy": "covering-number dimension estimates on synthetic manifolds",
-    "nakao_suite": "randomized soundness of the window decay lemma",
-    "haraux_suite": "randomized soundness of the norm power-difference bound",
-}
+def exp_stationary(
+    model, source, forcing, n_starts, *, start_scale=1.0, tol=1e-8, seed=0, out_dir=None
+):
+    """Multi-start stationary solve with the a-priori bound check.
+
+    The starts are the origin and ``n_starts - 1`` Gaussian draws with
+    j**-2 falloff scaled by ``start_scale``; every distinct stationary point
+    must converge at ``tol`` and satisfy the bound.  ``stationary.csv`` holds
+    one row of coefficients per distinct point.
+    """
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(model.n_modes)]
+    j = np.arange(1, model.n_modes + 1, dtype=float)
+    for _ in range(n_starts - 1):
+        starts.append(start_scale * rng.standard_normal(model.n_modes) * j**-2.0)
+    results = multi_start(model, source, forcing, starts, tol=tol)
+    constants = assumption_constants(source, model=model)
+    report = ExperimentReport("stationary", seed=seed)
+    report.add(
+        "all_converged",
+        all(r.converged for r in results),
+        f"{sum(r.converged for r in results)}/{len(results)} converged "
+        f"({len(starts)} starts, {len(results)} distinct)",
+    )
+    checks = [stationary_bound_check(model, constants, forcing, r) for r in results]
+    report.add(
+        "bound_check",
+        all(c.ok for c in checks),
+        "; ".join(f"lhs {c.lhs:.4g} <= rhs {c.rhs:.4g}" for c in checks[:4]),
+    )
+    report.metrics["n_distinct"] = len(results)
+    report.metrics["best_value"] = min(r.functional_value for r in results)
+    if out_dir is not None:
+        header = ["lambda", "functional_value", "residual"]
+        header += [f"c_{k}" for k in range(1, model.n_modes + 1)]
+        rows = [[forcing.lam, r.functional_value, r.residual, *r.coeffs] for r in results]
+        write_csv(f"{out_dir}/stationary.csv", header, [rows])
+        report.artifacts.append("stationary.csv")
+    return report

@@ -76,6 +76,8 @@ def _check_rows(t, phi, K, C0, rho, live):
     on the whole row, so padding must be a finite, non-negative
     continuation of the row's uniform grid.
     """
+    if np.any(np.count_nonzero(live, axis=1) < 2):
+        raise ValueError("grid must have at least two samples")
     if not np.all(np.diff(t, axis=1) > 0.0):
         raise ValueError("times must be strictly increasing")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi)) and np.all(np.isfinite(K))):

@@ -85,3 +85,25 @@ def test_one_reading_of_the_run_file():
 
     assert "EXPERIMENT_OPTIONS" not in (SRC / "cli.py").read_text(encoding="utf-8")
     assert not hasattr(config, "DampingConfig") and not hasattr(config, "SourceConfig")
+
+
+def test_cli_builds_no_report():
+    # the drivers in experiments build every report and write every CSV;
+    # cli dispatches and writes report.txt and manifest.ini
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(names & {"ExperimentReport", "write_csv"}) == []
+    calls = [
+        n.func.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    ]
+    assert "add" not in calls
+
+
+def test_one_runner_row_per_experiment():
+    from edbeam import cli, config
+
+    assert sorted(cli._RUNNERS) == sorted(config.EXPERIMENT_OPTIONS)
+    for exp_id, (_, description) in cli._RUNNERS.items():
+        assert description.strip(), exp_id

@@ -1,21 +1,24 @@
+import dataclasses
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edbeam import InvalidConfigurationError
-from edbeam.cli import _RUNNERS, _start, list_experiments, main, run
+from edbeam import InvalidConfigurationError, cli
+from edbeam.cli import _RUNNERS, _start, _states, list_experiments, main, run
 from edbeam.config import (
     DAMPING_LAWS,
-    EXPERIMENT_OPTIONS,
     SOURCE_LAWS,
     build_objects,
     emit_config,
     parse_config,
 )
-from edbeam.experiments import DRIVER_DESCRIPTIONS, exp_two_trajectory
+from edbeam.experiments import ExperimentReport, exp_two_trajectory
+
+GOLDEN_RUNS = Path(__file__).parent / "golden" / "runs"
 
 
 def test_parse_minimal_defaults():
@@ -134,10 +137,44 @@ def test_list_experiments_catalog(capsys):
     out = capsys.readouterr().out
     assert "exp_k3_ball" in out
     assert "nakao_suite" in out
-    assert set(_RUNNERS) == set(ids)
-    # catalog covers every registered driver description
-    assert set(DRIVER_DESCRIPTIONS) <= set(ids)
-    assert set(EXPERIMENT_OPTIONS) == set(_RUNNERS)
+    assert ids == sorted(_RUNNERS)
+
+
+# `edbeam list` as it read when the descriptions had a table of their own
+LIST_OUTPUT = """\
+exp_decomposition      contracting + smoothing splitting of the constant-damping flow
+exp_entropy            covering-number dimension estimates on synthetic manifolds
+exp_k1_decay           two-sided polynomial energy envelope and 1/q rate fit for the monomial damping
+exp_k2_exponential     exponential decay fit, floored fit under forcing, absorbing-ball entry
+exp_k3_ball            conservation inside and attraction to the unit energy sphere for the threshold damping
+exp_lambda_lipschitz   Lipschitz sensitivity of trajectories to the forcing intensity
+exp_two_trajectory     feasibility of the two-trajectory difference envelope
+haraux_suite           randomized soundness of the norm power-difference bound
+nakao_suite            randomized soundness of the window decay lemma
+simulate               plain trajectory integration with CSV export
+stationary             variational stationary solver with a-priori bound check
+"""
+
+
+def test_list_output_is_pinned(capsys):
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == LIST_OUTPUT
+
+
+@pytest.mark.parametrize("exp_id", sorted(_RUNNERS))
+def test_runner_calls_the_driver_bound_in_cli(exp_id, tmp_path, monkeypatch):
+    # a tracer wraps a driver by rebinding its name in cli, so the runner
+    # must look the name up when it runs
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(exp_id)
+        return ExperimentReport(exp_id)
+
+    monkeypatch.setattr(cli, {"stationary": "exp_stationary"}.get(exp_id, exp_id), fake)
+    cfg = parse_config((GOLDEN_RUNS / f"{exp_id}.ini").read_text(encoding="utf-8"))
+    assert run(dataclasses.replace(cfg, output_dir=str(tmp_path)), quiet=True) == 0
+    assert calls == [exp_id]
 
 
 def test_run_simulate_zero_initial(tmp_path):
@@ -252,13 +289,18 @@ def test_cli_two_trajectory_takes_p_from_the_source(tmp_path):
         ["exp", "exp_two_trajectory", "--config", str(cfg_file), "--out", str(out), "--quiet"]
     )
     assert code == 0
-    cfg = parse_config(text)
-    model, damping, source, _, _, (u1, u2) = _start(cfg, 2)
-    assert source.p == 3.0
+    inp = _start(parse_config(text))
+    assert inp.source.p == 3.0
     direct = tmp_path / "direct"
     direct.mkdir()
     exp_two_trajectory(
-        model, damping, u1, u2, cfg.integrator, source=source, seed=0, out_dir=str(direct)
+        inp.model,
+        inp.damping,
+        *_states(inp, 2),
+        inp.icfg,
+        source=inp.source,
+        seed=0,
+        out_dir=str(direct),
     )
     got = (out / "exp_two_trajectory-seed0" / "difference.csv").read_bytes()
     assert got == (direct / "difference.csv").read_bytes()
@@ -506,8 +548,32 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         (["nakao-suite"], "[experiment]\ntrials = 20\n", 0, "0 violations in 80 trials"),
         # the section was named twice
         (["simulate"], "[integrator]\ndt = x\n", 2, "error: [integrator] dt = 'x': expected float\n"),
+        (["simulate"], "[run]\nseed = -1\n", 2, "error: [run] seed = -1: 64-bit value required\n"),
+        # --seed skipped the [run] check: numpy raised from default_rng and
+        # left an empty run directory, or the run wrote a manifest that
+        # parse_config rejects
+        (
+            ["simulate", "--seed", "-1"],
+            "",
+            2,
+            "error: [run] seed = -1: 64-bit value required\n",
+        ),
+        (
+            ["simulate", "--seed", str(2**64)],
+            "",
+            2,
+            f"error: [run] seed = {2**64}: 64-bit value required\n",
+        ),
     ],
-    ids=["k3_no_id_bad_horizon_outside", "other_id", "suite_no_id", "integrator_type"],
+    ids=[
+        "k3_no_id_bad_horizon_outside",
+        "other_id",
+        "suite_no_id",
+        "integrator_type",
+        "seed_negative_in_file",
+        "seed_negative_override",
+        "seed_above_64_bits_override",
+    ],
 )
 def test_cli_resolves_the_command_experiment_at_parse_time(
     tmp_path, capsys, command, text, code, expected

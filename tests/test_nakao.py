@@ -409,6 +409,12 @@ def _broken(draw, name, index, value):
         (lambda d: (*d[:3], np.nan, d[4]), 0.5, "C0 must be > 0, got nan"),
         (lambda d: d, -0.5, "rho must be >= 0, got -0.5"),
         (lambda d: (1 / 0.3, *d[1:]), 0.5, "grid spacing 0.3 must divide 1"),
+        # failed in numpy's reduction over the empty spacing
+        (
+            lambda d: (d[0], d[1][:1], d[2][:1], *d[3:]),
+            0.5,
+            "grid must have at least two samples",
+        ),
     ],
     ids=[
         "phi_nan",
@@ -419,6 +425,7 @@ def _broken(draw, name, index, value):
         "C0_nan",
         "rho_negative",
         "spacing",
+        "one_sample",
     ],
 )
 def test_block_rejects_each_broken_invariant(break_row, rho, message):

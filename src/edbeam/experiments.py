@@ -39,7 +39,7 @@ from .laws import (
     ZeroSource,
     assumption_constants,
 )
-from .nakao import CONCLUSION_TOL, _draw, _verify_draws, haraux_check
+from .nakao import CONCLUSION_TOL, _draw_rows, _verify_draws, haraux_check
 from .series import SampledSeries, write_csv
 from .spectral import ModalState, phase_norm, phase_norms
 from .stationary import multi_start, stationary_bound_check
@@ -827,16 +827,20 @@ def exp_entropy(seed=0, n_points=10000):
     return report
 
 
-# Problems are drawn one at a time, so the block size leaves the sample
-# unchanged; it bounds the padded arrays (rows of at most 61 samples).
+# Each candidate problem's variates are drawn in turn and the accepted
+# problems keep stream order, so the block size leaves the sample unchanged;
+# it bounds the padded arrays (rows of at most 61 samples).
 NAKAO_BLOCK = 64
 
 
 def nakao_suite(seed=0, trials=1000, rhos=(0.0, 0.5, 1.0, 2.0)):
     """Randomized soundness sweep of the window decay lemma.
 
-    Each rho draws ``trials`` problems in turn and verifies them
-    ``NAKAO_BLOCK`` at a time.
+    Each rho draws ``trials`` problems ``NAKAO_BLOCK`` at a time: the
+    generator draws one candidate after another, and the block builds,
+    filters and verifies them as padded rows.  The problems are the
+    feasible candidates in stream order, the sample of drawing and
+    verifying one problem at a time.
     """
     rng = np.random.default_rng(seed)
     report = ExperimentReport("nakao_suite", seed=seed)
@@ -845,12 +849,12 @@ def nakao_suite(seed=0, trials=1000, rhos=(0.0, 0.5, 1.0, 2.0)):
     total = 0
     for rho in rhos:
         for start in range(0, trials, NAKAO_BLOCK):
-            draws = [_draw(rng, rho) for _ in range(min(NAKAO_BLOCK, trials - start))]
-            residual, margin = _verify_draws(draws, rho)
+            rows = _draw_rows(rng, rho, min(NAKAO_BLOCK, trials - start))
+            residual, margin = _verify_draws(rows, rho)
             # a failed hypothesis is a violation with no margin
             margin = margin[residual <= 0.0]
-            total += len(draws)
-            violations += len(draws) - len(margin)
+            total += len(residual)
+            violations += len(residual) - len(margin)
             violations += int(np.count_nonzero(~(margin <= CONCLUSION_TOL)))
             worst = max([worst, *margin.tolist()])
     report.add(

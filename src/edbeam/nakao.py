@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,21 +114,34 @@ class NakaoVerdict:
     degenerate_sup: bool = False
 
 
-def _windows(phi, m, rho):
-    """(sup phi^(1+rho), phi(t) - phi(t+1)) over each unit window of m + 1
-    samples, [i, i+m]."""
-    n = len(phi) - m
-    if n < 1:
-        raise ValueError(f"{len(phi)} samples hold no window of {m + 1}")
-    sup = phi[:n]
-    for k in range(1, m + 1):
-        sup = np.maximum(sup, phi[k : k + n])
-    return sup ** (1.0 + rho), phi[:n] - phi[m:]
+def _windows(phi, m, n, rho):
+    """(sup phi^(1+rho), phi(t) - phi(t+1), valid) over the unit windows
+    [i, i+m] of padded rows ``(B, L)``: row b has ``m[b]`` steps per unit and
+    ``n[b]`` samples, and ``valid`` marks its ``n[b] - m[b]`` windows."""
+    short = n - m < 1
+    if np.any(short):
+        b = int(np.argmax(short))
+        raise ValueError(f"{n[b]} samples hold no window of {m[b] + 1}")
+    width = phi.shape[1]
+    cols = np.arange(width)
+    sup = phi.copy()
+    for k in range(1, int(np.max(m)) + 1):
+        head = sup[:, : width - k]
+        np.maximum(head, phi[:, k:], out=head, where=(k <= m)[:, None])
+    rows = np.arange(len(m))[:, None]
+    drop = phi - phi[rows, np.minimum(cols + m[:, None], width - 1)]
+    return sup ** (1.0 + rho), drop, cols < (n - m)[:, None]
 
 
-def _residual(sup, drop, C0, K):
-    """Largest violation of the hypothesis over the windows ``(sup, drop)``."""
-    return float(np.max(sup - (C0 * drop + K[: len(drop)])))
+def _residuals(sup, drop, C0, K, valid):
+    """Largest violation of the hypothesis over each row's valid windows,
+    with one ``C0`` per row."""
+    return np.max(np.where(valid, sup - (C0[:, None] * drop + K), -np.inf), axis=1)
+
+
+def _one_row(phi, m, rho):
+    """:func:`_windows` of one sample path."""
+    return _windows(np.asarray(phi, dtype=float)[None], np.array([m]), np.array([len(phi)]), rho)
 
 
 def nakao_hypothesis_residual(p):
@@ -139,8 +153,8 @@ def nakao_hypothesis_residual(p):
     """
     if p.horizon < 1.0:
         raise ValueError("grid must span at least one unit window")
-    sup, drop = _windows(p.phi.y, p.steps_per_unit, p.rho)
-    return _residual(sup, drop, p.C0, p.K.y)
+    sup, drop, valid = _one_row(p.phi.y, p.steps_per_unit, p.rho)
+    return float(_residuals(sup, drop, np.array([p.C0]), p.K.y[None], valid)[0])
 
 
 def _pow(base, exponent):
@@ -154,14 +168,15 @@ def _pow(base, exponent):
         np.asarray(base, dtype=float), np.asarray(exponent, dtype=float)
     )
     powers = map(pow, base.ravel().tolist(), exponent.ravel().tolist())
-    return np.array(list(powers), dtype=float).reshape(base.shape)
+    return np.fromiter(powers, float, base.size).reshape(base.shape)
 
 
 def _envelope(times, kt, sup01, C0, rho):
     """The envelope of :func:`nakao_bound` at ``times``, with ``kt`` = K(times).
 
-    ``sup01`` and ``C0`` are floats for one problem or ``(B, 1)`` columns for
-    rows of times ``(B, L)`` sharing one ``rho``.
+    ``sup01`` and ``C0`` are floats for one problem, or arrays shaped like
+    ``times`` that give each time its problem's values, for problems sharing
+    one ``rho``.
     """
     if rho == 0.0:
         return sup01 * _pow(C0 / (1.0 + C0), np.floor(times)) + kt
@@ -252,15 +267,14 @@ def haraux_check(u, v, r):
     return HarauxResult(lhs, rhs, ok)
 
 
-def _c0_from_windows(sup, drop, K):
-    """Smallest C0 closing every window ``(sup, drop)``, or None."""
-    need = sup - K[: len(drop)]
-    active = need > 0.0
-    if np.any(active & (drop <= 0.0)):
-        return None
-    if not np.any(active):
-        return 1.0
-    return float(np.max(need[active] / drop[active]))
+def _c0s(sup, drop, K, valid):
+    """Smallest C0 closing every valid window ``(sup, drop)`` of each row;
+    nan where some window has a flat phi but a supremum above K."""
+    need = sup - K
+    active = valid & (need > 0.0)
+    ratio = np.divide(need, drop, out=np.full(need.shape, -np.inf), where=active & (drop > 0.0))
+    c0 = np.where(np.any(active, axis=1), np.max(ratio, axis=1), 1.0)
+    return np.where(np.any(active & (drop <= 0.0), axis=1), np.nan, c0)
 
 
 def minimal_C0(phi, K, rho, steps_per_unit):
@@ -269,47 +283,113 @@ def minimal_C0(phi, K, rho, steps_per_unit):
     Returns None when some window has a flat phi but a supremum exceeding
     K(t); no finite constant can close such a window.
     """
-    return _c0_from_windows(*_windows(phi, int(steps_per_unit), rho), K)
+    sup, drop, valid = _one_row(phi, int(steps_per_unit), rho)
+    c0 = float(_c0s(sup, drop, np.asarray(K, dtype=float)[None], valid)[0])
+    return None if math.isnan(c0) else c0
 
 
-def _draw(rng, rho, max_resample=200):
-    """The instance of :func:`random_nakao_problem` as ``(m, phi, K, C0,
-    residual)``, on the grid ``arange(len(phi)) / m``; ``residual`` <= 0 is
-    its hypothesis residual."""
-    for _ in range(max_resample):
-        m = int(rng.choice([1, 2, 4, 5, 10]))
-        units = int(rng.integers(2, 7))
-        n = units * m + 1
+def _candidates(rng, count):
+    """The raw variates of ``count`` candidate instances.
 
-        kind = rng.integers(0, 3)
+    This is the only function that draws from the generator: each
+    candidate's variates are drawn in turn, so the stream does not depend
+    on how many candidates one call draws.  A candidate is
+    ``(m, n, kind, variates, tail, scale, jumps, uniforms)``: ``n`` samples at
+    ``m`` per unit; phi is the cumulative product of decays from 1 (kind 0),
+    the reversed cumulative sum of drops from 0 over its total (kind 1) or
+    the reversed sorted uniforms with the last ``tail`` zeroed (kind 2),
+    times ``scale``; K is zero, or the cumulative sum of the exponential
+    ``jumps`` kept where ``uniforms`` < 0.3.
+    """
+    drawn = []
+    for _ in range(count):
+        m = (1, 2, 4, 5, 10)[rng.integers(0, 5)]
+        n = int(rng.integers(2, 7)) * m + 1
+        kind = int(rng.integers(0, 3))
+        tail = 0
         if kind == 0:
-            decays = rng.uniform(0.5, 1.0, size=n - 1)
-            phi = np.concatenate([[1.0], np.cumprod(decays)])
+            variates = rng.uniform(0.5, 1.0, size=n - 1)
         elif kind == 1:
-            drops = rng.exponential(1.0, size=n - 1)
-            phi = np.concatenate([[0.0], np.cumsum(drops)])[::-1].copy()
-            phi /= max(phi[0], 1e-12)
+            variates = rng.exponential(1.0, size=n - 1)
         else:
-            phi = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1].copy()
+            variates = rng.uniform(0.0, 1.0, size=n)
             tail = int(rng.integers(0, n // 2))
-            if tail:
-                phi[-tail:] = 0.0
-        phi *= rng.uniform(0.5, 2.0)
-
+        scale = rng.uniform(0.5, 2.0)
         if rng.random() < 0.5:
-            K = np.zeros(n)
+            jumps = uniforms = ()
         else:
-            K = np.cumsum(rng.exponential(0.05, size=n) * (rng.random(n) < 0.3))
+            jumps, uniforms = rng.exponential(0.05, size=n), rng.random(n)
+        drawn.append((m, n, kind, variates, tail, scale, jumps, uniforms))
+    return drawn
 
-        sup, drop = _windows(phi, m, rho)
-        c0 = _c0_from_windows(sup, drop, K)
-        if c0 is None:
-            continue
-        c0 *= 1.0 + 1e-9
-        residual = _residual(sup, drop, c0, K)
-        if residual <= 0.0:
-            return m, phi, K, c0, residual
-    raise RuntimeError("could not draw a feasible instance")
+
+class _Rows(NamedTuple):
+    """Instances as zero-padded rows ``(B, L)`` on grids ``arange(L) / m``;
+    ``live`` marks each row's samples, and ``residual`` <= 0 is a row's
+    hypothesis residual with its ``C0`` (nan where no finite C0 exists)."""
+
+    m: np.ndarray
+    live: np.ndarray
+    phi: np.ndarray
+    K: np.ndarray
+    C0: np.ndarray
+    residual: np.ndarray
+
+
+def _candidate_rows(candidates, rho):
+    """Build the candidates of :func:`_candidates` as rows with their minimal
+    C0, inflated by a one-ulp-scale margin, and its residual.
+
+    Each row is accumulated, sorted and reduced on its own, so every value
+    is bitwise the one a candidate built alone would get.
+    """
+    m, n, kind, variates, tail, scale, jumps, uniforms = zip(*candidates)
+    m, n, kind, tail, scale = map(np.array, (m, n, kind, tail, scale))
+    cols = np.arange(np.max(n))
+    live = cols < n[:, None]
+    # kinds 0 and 1 lead with a fixed sample, 1.0 or 0.0; padding stays 1.0,
+    # above every uniform, so sorting leaves it at the end
+    values = np.ones(live.shape)
+    values[:, 0] = np.where(kind == 1, 0.0, 1.0)
+    values[live & (cols >= (kind < 2)[:, None])] = np.concatenate(variates)
+    paths = np.empty(live.shape)
+    for k in set(kind.tolist()):
+        paths[kind == k] = (np.cumprod, np.cumsum, np.sort)[k](values[kind == k], axis=1)
+    reverse = np.maximum(n[:, None] - 1 - cols, 0)
+    phi = paths[np.arange(len(n))[:, None], np.where((kind > 0)[:, None], reverse, cols)]
+    phi /= np.where(kind == 1, np.maximum(phi[:, 0], 1e-12), 1.0)[:, None]
+    phi = np.where(cols < (n - tail)[:, None], phi, 0.0)
+    phi *= scale[:, None]
+    steps = np.zeros(live.shape)
+    with_k = cols < np.array([len(j) for j in jumps])[:, None]
+    steps[with_k] = np.concatenate(jumps) * (np.concatenate(uniforms) < 0.3)
+    K = np.cumsum(steps, axis=1)
+    sup, drop, valid = _windows(phi, m, n, rho)
+    c0 = _c0s(sup, drop, K, valid) * (1.0 + 1e-9)
+    return _Rows(m, live, phi, K, c0, _residuals(sup, drop, c0, K, valid))
+
+
+def _draw_rows(rng, rho, count, max_resample=200):
+    """``count`` instances of :func:`random_nakao_problem` as :class:`_Rows`.
+
+    The instances are the candidates whose hypothesis holds with their
+    minimal C0, in stream order.  Each round draws only as many candidates
+    as instances are missing, so the generator stops where drawing
+    instances one at a time would.
+    """
+    accepted = []
+    run = 0
+    while len(accepted) < count:
+        candidates = _candidates(rng, count - len(accepted))
+        rows = _candidate_rows(candidates, rho)
+        for candidate, ok in zip(candidates, (rows.residual <= 0.0).tolist()):
+            run = 0 if ok else run + 1
+            if run >= max_resample:
+                raise RuntimeError("could not draw a feasible instance")
+            if ok:
+                accepted.append(candidate)
+    # the last round alone holds every instance unless a candidate was rejected
+    return rows if len(candidates) == len(accepted) else _candidate_rows(accepted, rho)
 
 
 def random_nakao_problem(rng, rho, max_resample=200):
@@ -318,35 +398,36 @@ def random_nakao_problem(rng, rho, max_resample=200):
     phi is a non-increasing non-negative sample path, K a non-decreasing
     one (zero half the time); the returned problem carries the smallest
     feasible C0 inflated by a one-ulp-scale margin.  Instances admitting no
-    finite constant are resampled.
+    finite constant are resampled; ``max_resample`` of them in a row raise
+    RuntimeError.
     """
-    m, phi, K, c0, _ = _draw(rng, rho, max_resample)
-    t = np.arange(len(phi)) / m
+    rows = _draw_rows(rng, rho, 1, max_resample)
+    t = np.arange(rows.phi.shape[1]) / rows.m[0]
     return NakaoProblem(
-        phi=SampledSeries(t, phi), C0=c0, rho=float(rho), K=SampledSeries(t, K)
+        phi=SampledSeries(t, rows.phi[0]),
+        C0=float(rows.C0[0]),
+        rho=float(rho),
+        K=SampledSeries(t, rows.K[0]),
     )
 
 
-def _verify_draws(draws, rho):
-    """Hypothesis residual and worst conclusion margin of each ``_draw``,
-    bitwise those of :func:`nakao_verify` on its problem.
+def _verify_draws(rows, rho):
+    """Hypothesis residual and worst conclusion margin of each of
+    :class:`_Rows`, bitwise those of :func:`nakao_verify` on its problem.
 
-    The draws are zero-padded into rows ``(len(draws), longest)`` on grids
-    continued past their ends, checked against every problem invariant at
-    once, and bounded at their grid points, where K needs no interpolation.
-    Margins are -inf on the padding.
+    The rows are checked against every problem invariant at once (padding
+    must continue a row's grid with finite, non-negative values) and
+    bounded at their live grid points, where K needs no interpolation.
     """
-    steps, phis, Ks, C0, residual = zip(*draws)
-    n = np.array([len(y) for y in phis])
-    cols = np.arange(n.max())
-    live = cols < n[:, None]
-    phi = np.zeros(live.shape)
-    K = np.zeros(live.shape)
-    phi[live] = np.concatenate(phis)
-    K[live] = np.concatenate(Ks)
-    C0 = np.array(C0, dtype=float)
-    t = cols / np.array(steps)[:, None]
-    m = _check_rows(t, phi, K, C0, rho, live)
-    sup01 = np.max(np.where(cols <= m[:, None], phi, 0.0), axis=1, keepdims=True)
-    margins = np.where(live, phi - _envelope(t, K, sup01, C0[:, None], rho), -np.inf)
-    return np.array(residual, dtype=float), np.max(margins, axis=1)
+    cols = np.arange(rows.phi.shape[1])
+    t = cols / rows.m[:, None]
+    live = rows.live
+    m = _check_rows(t, rows.phi, rows.K, rows.C0, rho, live)
+    sup01 = np.max(np.where(cols <= m[:, None], rows.phi, 0.0), axis=1)
+    per_row = np.count_nonzero(live, axis=1)
+    bound = _envelope(
+        t[live], rows.K[live], np.repeat(sup01, per_row), np.repeat(rows.C0, per_row), rho
+    )
+    margins = np.full(live.shape, -np.inf)
+    margins[live] = rows.phi[live] - bound
+    return rows.residual, np.max(margins, axis=1)

@@ -107,3 +107,20 @@ def test_one_runner_row_per_experiment():
     assert sorted(cli._RUNNERS) == sorted(config.EXPERIMENT_OPTIONS)
     for exp_id, (_, description) in cli._RUNNERS.items():
         assert description.strip(), exp_id
+
+
+def test_one_nakao_candidate_stream():
+    # only _candidates draws from the generator, so the order of the
+    # variates of a random problem is spelled once
+    tree = ast.parse((SRC / "nakao.py").read_text(encoding="utf-8"))
+
+    def draws(node):
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "rng"
+        ]
+
+    (stream,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_candidates"]
+    assert len(draws(stream)) >= 9
+    assert len(draws(tree)) == len(draws(stream))

@@ -13,17 +13,114 @@ from edbeam import (
     nakao_hypothesis_residual,
     nakao_verify,
 )
-from edbeam import experiments
+from edbeam import experiments, nakao
 from edbeam.experiments import ExperimentReport, haraux_suite, nakao_suite
 from edbeam.nakao import (
     CONCLUSION_TOL,
     _check_rows,
-    _draw,
+    _draw_rows,
+    _Rows,
     _verify_draws,
-    _windows,
     minimal_C0,
     random_nakao_problem,
 )
+from edbeam.nakao import _windows as _window_rows
+
+
+# The problem generator as it was before candidates were filtered a block at
+# a time, kept verbatim as the reference for the block path.
+
+
+def _windows(phi, m, rho):
+    """(sup phi^(1+rho), phi(t) - phi(t+1)) over each unit window of m + 1
+    samples, [i, i+m]."""
+    n = len(phi) - m
+    if n < 1:
+        raise ValueError(f"{len(phi)} samples hold no window of {m + 1}")
+    sup = phi[:n]
+    for k in range(1, m + 1):
+        sup = np.maximum(sup, phi[k : k + n])
+    return sup ** (1.0 + rho), phi[:n] - phi[m:]
+
+
+def _residual(sup, drop, C0, K):
+    """Largest violation of the hypothesis over the windows ``(sup, drop)``."""
+    return float(np.max(sup - (C0 * drop + K[: len(drop)])))
+
+
+def _c0_from_windows(sup, drop, K):
+    """Smallest C0 closing every window ``(sup, drop)``, or None."""
+    need = sup - K[: len(drop)]
+    active = need > 0.0
+    if np.any(active & (drop <= 0.0)):
+        return None
+    if not np.any(active):
+        return 1.0
+    return float(np.max(need[active] / drop[active]))
+
+
+def _draw(rng, rho, max_resample=200):
+    """The instance of :func:`random_nakao_problem` as ``(m, phi, K, C0,
+    residual)``, on the grid ``arange(len(phi)) / m``; ``residual`` <= 0 is
+    its hypothesis residual."""
+    for _ in range(max_resample):
+        m = int(rng.choice([1, 2, 4, 5, 10]))
+        units = int(rng.integers(2, 7))
+        n = units * m + 1
+
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            decays = rng.uniform(0.5, 1.0, size=n - 1)
+            phi = np.concatenate([[1.0], np.cumprod(decays)])
+        elif kind == 1:
+            drops = rng.exponential(1.0, size=n - 1)
+            phi = np.concatenate([[0.0], np.cumsum(drops)])[::-1].copy()
+            phi /= max(phi[0], 1e-12)
+        else:
+            phi = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1].copy()
+            tail = int(rng.integers(0, n // 2))
+            if tail:
+                phi[-tail:] = 0.0
+        phi *= rng.uniform(0.5, 2.0)
+
+        if rng.random() < 0.5:
+            K = np.zeros(n)
+        else:
+            K = np.cumsum(rng.exponential(0.05, size=n) * (rng.random(n) < 0.3))
+
+        sup, drop = _windows(phi, m, rho)
+        c0 = _c0_from_windows(sup, drop, K)
+        if c0 is None:
+            continue
+        c0 *= 1.0 + 1e-9
+        residual = _residual(sup, drop, c0, K)
+        if residual <= 0.0:
+            return m, phi, K, c0, residual
+    raise RuntimeError("could not draw a feasible instance")
+
+
+def _pad(draws):
+    """Draws of :func:`_draw` as the zero-padded rows of one block."""
+    steps, phis, Ks, C0, residual = zip(*draws)
+    n = np.array([len(y) for y in phis])
+    live = np.arange(n.max()) < n[:, None]
+    phi = np.zeros(live.shape)
+    K = np.zeros(live.shape)
+    phi[live] = np.concatenate(phis)
+    K[live] = np.concatenate(Ks)
+    return _Rows(np.array(steps), live, phi, K, np.array(C0, float), np.array(residual, float))
+
+
+def _assert_rows_are(rows, draws):
+    """``rows`` hold ``draws`` bitwise, with zero phi on the padding; K is
+    compared on live samples, since a block continues it past a row's end."""
+    expected = _pad(draws)
+    assert rows.m.tolist() == expected.m.tolist()
+    assert np.array_equal(rows.live, expected.live)
+    assert rows.phi.tobytes() == expected.phi.tobytes()
+    assert rows.K[rows.live].tobytes() == expected.K[expected.live].tobytes()
+    assert rows.C0.tobytes() == expected.C0.tobytes()
+    assert rows.residual.tobytes() == expected.residual.tobytes()
 
 
 def _grid(values, m=1):
@@ -223,17 +320,33 @@ def test_bound_array_matches_scalar_calls(rho):
 
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 10])
 def test_windows_match_sliding_window_maxima(m):
+    # rows of m steps per unit share a padded block with rows of another m
     rng = np.random.default_rng(m)
-    for n in (m + 1, m + 2, 6 * m + 1):
+    other = 10 if m < 10 else 4
+    steps = [m, m, m, other, other]
+    sizes = [m + 1, m + 2, 6 * m + 1, other + 1, 3 * other + 1]
+    paths = []
+    for n in sizes:
         phi = rng.uniform(0.0, 2.0, size=n)  # not monotone
         phi[rng.random(n) < 0.2] = 0.0
-        for rho in (0.0, 0.5, 2.0):
-            sup, drop = _windows(phi, m, rho)
-            ref = np.max(np.lib.stride_tricks.sliding_window_view(phi, m + 1), axis=1)
-            assert sup.tobytes() == (ref ** (1.0 + rho)).tobytes()
-            assert drop.tobytes() == (phi[: len(ref)] - phi[m:]).tobytes()
+        paths.append(phi)
+    live = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    block = np.zeros(live.shape)
+    block[live] = np.concatenate(paths)
+    for rho in (0.0, 0.5, 2.0):
+        sup, drop, valid = _window_rows(block, np.array(steps), np.array(sizes), rho)
+        for b, (phi, k) in enumerate(zip(paths, steps)):
+            ref = np.max(np.lib.stride_tricks.sliding_window_view(phi, k + 1), axis=1)
+            assert valid[b].tolist() == (np.arange(block.shape[1]) < len(ref)).tolist()
+            assert sup[b, valid[b]].tobytes() == (ref ** (1.0 + rho)).tobytes()
+            assert drop[b, valid[b]].tobytes() == (phi[: len(ref)] - phi[k:]).tobytes()
+            assert sup[b, valid[b]].tobytes() == _windows(phi, k, rho)[0].tobytes()
+    # a row of m samples holds no window of m + 1, beside rows that do
+    with pytest.raises(ValueError) as short:
+        _window_rows(block, np.array(steps), np.array([*sizes[:4], other]), 0.0)
+    assert str(short.value) == f"{other} samples hold no window of {other + 1}"
     with pytest.raises(ValueError):
-        _windows(np.ones(m), m, 0.0)
+        _window_rows(np.ones((1, m)), np.array([m]), np.array([m]), 0.0)
 
 
 def _one_trial_haraux(u, v, r):
@@ -328,13 +441,14 @@ def _hand_draws(rho):
 def test_block_verdicts_match_nakao_verify(rho):
     for seed in (0, 1, 2):
         rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng_block = np.random.default_rng(seed)
         draws = [_draw(rng_rows, rho) for _ in range(100)] + _hand_draws(rho)
         problems = [random_nakao_problem(rng_one, rho) for _ in range(100)]
         problems += [_drawn_problem(d, rho) for d in draws[100:]]
         verdicts = [nakao_verify(p) for p in problems]
         assert all(v.hypothesis_ok for v in verdicts)
         assert sum(v.degenerate_sup for v in verdicts) == (3 if rho > 0.0 else 0)
-        residual, worst = _verify_draws(draws, rho)
+        residual, worst = _verify_draws(_pad(draws), rho)
         expected = np.array([v.worst_hypothesis_residual for v in verdicts])
         assert residual.tobytes() == expected.tobytes()
         expected = np.array([v.worst_conclusion_margin for v in verdicts])
@@ -344,10 +458,18 @@ def test_block_verdicts_match_nakao_verify(rho):
             np.max(p.phi.y - [_scalar_bound(p, float(ti)) for ti in p.phi.t]) for p in problems
         ]
         assert worst.tobytes() == np.array(scalar).tobytes()
+        # the block path draws the reference's instances, leaves the
+        # generator where it does, and verifies them the same way
+        rows = _draw_rows(rng_block, rho, 100)
+        assert rng_block.random() == rng_rows.random()
+        _assert_rows_are(rows, draws[:100])
+        block_residual, block_worst = _verify_draws(rows, rho)
+        assert block_residual.tobytes() == residual[:100].tobytes()
+        assert block_worst.tobytes() == worst[:100].tobytes()
 
 
 def _per_problem_suite(seed, trials, rhos=(0.0, 0.5, 1.0, 2.0)):
-    """nakao_suite one problem at a time, as it was before it ran blocks."""
+    """nakao_suite one reference draw at a time, bounded by the scalar formula."""
     rng = np.random.default_rng(seed)
     report = ExperimentReport("nakao_suite", seed=seed)
     worst = -math.inf
@@ -355,13 +477,15 @@ def _per_problem_suite(seed, trials, rhos=(0.0, 0.5, 1.0, 2.0)):
     total = 0
     for rho in rhos:
         for _ in range(trials):
-            verdict = nakao_verify(random_nakao_problem(rng, rho))
+            draw = _draw(rng, rho)
             total += 1
-            if not verdict.hypothesis_ok:
+            if not draw[4] <= 0.0:
                 violations += 1
                 continue
-            worst = max(worst, verdict.worst_conclusion_margin)
-            if not verdict.conclusion_ok:
+            p = _drawn_problem(draw, rho)
+            margin = max(yi - _scalar_bound(p, float(ti)) for ti, yi in zip(p.phi.t, p.phi.y))
+            worst = max(worst, margin)
+            if not margin <= CONCLUSION_TOL:
                 violations += 1
     report.add(
         "soundness",
@@ -375,20 +499,91 @@ def _per_problem_suite(seed, trials, rhos=(0.0, 0.5, 1.0, 2.0)):
 
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 129])
 def test_nakao_suite_blocks_match_the_per_problem_loop(trials, monkeypatch):
-    rows = []
+    blocks = []
 
-    def counting(draws, rho):
-        rows.append(len(draws))
-        return _verify_draws(draws, rho)
+    def counting(rows, rho):
+        blocks.append(len(rows.m))
+        return _verify_draws(rows, rho)
 
     monkeypatch.setattr(experiments, "_verify_draws", counting)
     report = nakao_suite(seed=5, trials=trials)
-    assert sum(rows) == 4 * trials
-    assert len(rows) == 4 * -(-trials // experiments.NAKAO_BLOCK)
+    assert sum(blocks) == 4 * trials
+    assert len(blocks) == 4 * -(-trials // experiments.NAKAO_BLOCK)
     reference = _per_problem_suite(5, trials)
     assert report.to_text() == reference.to_text()
     assert report.metrics == reference.metrics
     assert report.passed and report.metrics["worst_margin"] <= CONCLUSION_TOL
+
+
+def test_step_pick_draws_the_stream_of_choice():
+    # the candidates index a tuple where the reference called rng.choice
+    for seed in (0, 1, 2):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = [int(by_choice.choice([1, 2, 4, 5, 10])) for _ in range(1000)]
+        assert picks == [(1, 2, 4, 5, 10)[by_index.integers(0, 5)] for _ in range(1000)]
+        assert by_choice.random() == by_index.random()
+
+
+_CANDIDATES = nakao._candidates
+
+
+def _reject(monkeypatch, positions):
+    """Make the candidates at ``positions`` of the stream infeasible, phi
+    flat at its scale over K = 0, without changing the generator calls;
+    returns the size of each round of candidates."""
+    rounds = []
+
+    def rejecting(rng, count):
+        candidates = _CANDIDATES(rng, count)
+        for i, (m, n, *_, scale, _jumps, _uniforms) in enumerate(candidates):
+            if sum(rounds) + i in positions:
+                candidates[i] = (m, n, 0, np.ones(n - 1), 0, scale, (), ())
+        rounds.append(count)
+        return candidates
+
+    monkeypatch.setattr(nakao, "_candidates", rejecting)
+    return rounds
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_rejected_candidates_are_skipped_in_stream_order(rho, monkeypatch):
+    rejected = {0, 3, 4, 11}
+    rounds = _reject(monkeypatch, rejected)
+    rng_rows, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+    rows = _draw_rows(rng_rows, rho, 10)
+    # the reference rejects none of the first 14 candidates; drop the four
+    draws = [_draw(rng_ref, rho) for _ in range(14)]
+    _assert_rows_are(rows, [d for i, d in enumerate(draws) if i not in rejected])
+    assert rounds == [10, 3, 1]
+    assert rng_rows.random() == rng_ref.random()
+    # one instance at a time skips the same candidates
+    rounds.clear()
+    rng_one = np.random.default_rng(8)
+    problems = [random_nakao_problem(rng_one, rho) for _ in range(10)]
+    kept = [d for i, d in enumerate(draws) if i not in rejected]
+    assert [p.C0 for p in problems] == [d[3] for d in kept]
+    assert all(p.phi.y.tobytes() == d[1].tobytes() for p, d in zip(problems, kept))
+
+
+def test_resample_limit_counts_consecutive_rejections(monkeypatch):
+    with pytest.raises(RuntimeError) as reference:
+        _draw(np.random.default_rng(3), 0.5, max_resample=0)
+    _reject(monkeypatch, set(range(199)))
+    rows = _draw_rows(np.random.default_rng(3), 0.5, 1)
+    assert rows.residual[0] <= 0.0
+    # an accepted candidate restarts the count
+    _reject(monkeypatch, set(range(150)) | set(range(151, 301)))
+    rows = _draw_rows(np.random.default_rng(3), 0.5, 2)
+    assert len(rows.m) == 2 and np.all(rows.residual <= 0.0)
+    for count in (1, 3):
+        _reject(monkeypatch, set(range(200)))
+        with pytest.raises(RuntimeError) as block:
+            _draw_rows(np.random.default_rng(3), 0.5, count)
+        assert str(block.value) == str(reference.value)
+    _reject(monkeypatch, set(range(200)))
+    with pytest.raises(RuntimeError) as one:
+        random_nakao_problem(np.random.default_rng(3), 0.5)
+    assert str(one.value) == str(reference.value)
 
 
 def _broken(draw, name, index, value):
@@ -436,10 +631,10 @@ def test_block_rejects_each_broken_invariant(break_row, rho, message):
         _drawn_problem(draws[7], rho)
     assert str(one.value) == message
     with pytest.raises(ValueError) as block:
-        _verify_draws(draws, rho)
+        _verify_draws(_pad(draws), rho)
     assert str(block.value) == message
     # the rows before the broken one pass
-    assert _verify_draws(draws[:7], 0.5)[0].shape == (7,)
+    assert _verify_draws(_pad(draws[:7]), 0.5)[0].shape == (7,)
 
 
 def test_row_checks_reject_a_shifted_or_uneven_grid():

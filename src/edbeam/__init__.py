@@ -10,10 +10,8 @@ imply.
 __version__ = "0.1.0"
 
 from .energy import (
-    EnergyBreakdown,
     EnvelopeParams,
     decay_envelopes,
-    energy,
     envelope_constants,
     fit_exp_rate,
     fit_power_rate,
@@ -55,9 +53,7 @@ from .series import SampledSeries
 from .spectral import (
     ModalState,
     SpectralModel,
-    analyze,
     build_model,
-    frac_norm,
     phase_norm,
     synthesize,
 )

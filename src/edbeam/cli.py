@@ -29,7 +29,6 @@ from . import __version__
 from .config import build_objects, emit_config, lambda_grid, parse_config
 from .errors import InvalidConfigurationError
 from .experiments import (
-    DecompositionConfig,
     exp_decomposition,
     exp_entropy,
     exp_k1_decay,
@@ -164,8 +163,9 @@ _RUNNERS = {
             inp.source,
             inp.forcing,
             *_states(inp, 2),
-            DecompositionConfig(s=inp.opts["s"], probe_modes=inp.opts["probe_modes"]),
             inp.icfg,
+            s=inp.opts["s"],
+            probe_modes=inp.opts["probe_modes"],
             probe_eps=inp.opts["probe_eps"],
             **out,
         ),

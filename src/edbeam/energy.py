@@ -1,4 +1,4 @@
-"""Energy functionals, closed-form decay envelope constants, rate fitting.
+"""Closed-form decay envelope constants and rate fitting.
 
 For a valid source (structural constant c_f below the first eigenvalue) the
 modified energy Etilde = E + K_lambda is non-negative, non-increasing, and
@@ -15,72 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .integrate import (
-    _dot,
-    _mu2alpha,
-    _source_integral,
-    coercivity_offset,
-    total_energy,
-)
-from .laws import K1Monomial, assumption_constants
+from .integrate import _mu2alpha, coercivity_offset
+from .laws import K1Monomial
 
 __all__ = [
-    "EnergyBreakdown",
     "EnvelopeParams",
-    "energy",
     "envelope_constants",
     "decay_envelopes",
     "fit_power_rate",
     "fit_exp_rate",
     "FitResult",
 ]
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Itemized energy of one state.
-
-    ``total`` is the sum of the five parts as ``total_energy`` computes it;
-    ``total_mod`` adds the offset K_lambda; ``e_alpha`` is the damping
-    argument ||A^alpha u||^2 + ||u_t||^2.
-    """
-
-    kinetic: float
-    bending: float
-    membrane: float
-    source: float
-    work: float
-    total: float
-    K_lambda: float
-    total_mod: float
-    e_alpha: float
-
-
-def energy(model, source, forcing, state, alpha=1.0, constants=None):
-    """Itemized energy breakdown of a modal state."""
-    a, b = state.a, state.b
-    kinetic = 0.5 * float(b @ b)
-    bending = 0.5 * float(np.sum(model.sigma * a**2))
-    membrane = 0.5 * model.kappa * float(np.sum(model.mu * a**2))
-    src = _source_integral(model, source, a)
-    work = -float(forcing.effective @ a)
-    total = total_energy(model, source, forcing, a, b)
-
-    if constants is None:
-        constants = assumption_constants(source, model=model)
-    _, k_lam = coercivity_offset(model, constants, forcing)
-    e_alpha = _dot(a * a, _mu2alpha(model, alpha)) + _dot(b, b)
-    return EnergyBreakdown(
-        kinetic=kinetic,
-        bending=bending,
-        membrane=membrane,
-        source=src,
-        work=work,
-        total=total,
-        K_lambda=k_lam,
-        total_mod=total + k_lam,
-        e_alpha=e_alpha,
-    )
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .stationary import multi_start, stationary_bound_check
 __all__ = [
     "Criterion",
     "ExperimentReport",
-    "DecompositionConfig",
     "EntropyEstimate",
     "make_initial_state",
     "exp_k1_decay",
@@ -391,8 +390,10 @@ def exp_k3_ball(
     )
     report.metrics["inside_drift"] = worst_drift
 
+    lh = forcing.effective
+
     def on_sphere(a, b):
-        return abs(2.0 * total_energy(model, source, forcing, a, b) - 1.0) <= target_tol
+        return abs(2.0 * total_energy(model, source, lh, a, b) - 1.0) <= target_tol
 
     outside = integrate_batch(
         model,
@@ -606,22 +607,6 @@ def exp_lambda_lipschitz(
     return report
 
 
-@dataclass(frozen=True)
-class DecompositionConfig:
-    """Splitting-experiment parameters; the horizon is the integrator's."""
-
-    s: float = 1.0
-    probe_modes: tuple = (4, 8, 16, 32)
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 2.0:
-            raise InvalidConfigurationError(f"s must be in (0, 2), got {self.s}")
-        if not self.probe_modes or min(self.probe_modes) < 1:
-            raise InvalidConfigurationError(
-                f"probe_modes must be one or more modes >= 1, got {self.probe_modes}"
-            )
-
-
 def _integrate_decomposed(model, source, damping, forcing, initials, cfg):
     """Advance the full solution u and its smoothing part z from each start
     in ``initials``, as one coupled Strang batch sampled from t = 0.
@@ -650,9 +635,10 @@ def exp_decomposition(
     forcing,
     initial_1,
     initial_2,
-    dcfg,
     icfg,
     *,
+    s=1.0,
+    probe_modes=(4, 8, 16, 32),
     probe_eps=1e-3,
     seed=None,
     out_dir=None,
@@ -662,13 +648,20 @@ def exp_decomposition(
     Checks (i) the split reassembles the full solution, (ii) the linear part
     contracts pairs of initial states exponentially, and (iii) the smoothing
     part is controlled by the weak-space norm of single-mode perturbations
-    uniformly over the probe modes.  Runs the Strang scheme only.
+    uniformly over the probe modes, where the probe of mode j has weak norm
+    probe_eps * sigma_j**(s/4), 0 < s < 2.  Runs the Strang scheme only.
     """
+    if not 0.0 < s < 2.0:
+        raise InvalidConfigurationError(f"s must be in (0, 2), got {s}")
+    if not probe_modes or min(probe_modes) < 1:
+        raise InvalidConfigurationError(
+            f"probe_modes must be one or more modes >= 1, got {probe_modes}"
+        )
     if not isinstance(damping, K2Constant):
         raise InvalidConfigurationError(
             "decomposition requires a constant damping coefficient"
         )
-    if max(dcfg.probe_modes) > model.n_modes:
+    if max(probe_modes) > model.n_modes:
         raise InvalidConfigurationError("probe mode exceeds model truncation")
     if icfg.scheme != "strang":
         raise InvalidConfigurationError("exp_decomposition requires scheme = strang")
@@ -676,7 +669,7 @@ def exp_decomposition(
     report = ExperimentReport("exp_decomposition", seed=seed)
     # u and z for initial_1 (row 0) and each single-mode probe perturbation
     probes = []
-    for j in dcfg.probe_modes:
+    for j in probe_modes:
         a_pert = initial_1.a.copy()
         a_pert[j - 1] += probe_eps
         probes.append(ModalState(a_pert, initial_1.b.copy(), 0.0))
@@ -722,9 +715,8 @@ def exp_decomposition(
         report.metrics["contraction_rate"] = math.inf
 
     # Smoothing: weak-norm control of the z-difference, uniform over modes.
-    s = dcfg.s
     ratios = []
-    for p, j in enumerate(dcfg.probe_modes, start=1):
+    for p, j in enumerate(probe_modes, start=1):
         znorm = phase_norms(model, az[:, 0] - az[:, p], bz[:, 0] - bz[:, p])
         w_norm = probe_eps * float(model.sigma[j - 1]) ** (s / 4.0)
         ratios.append(float(np.max(znorm)) / w_norm)
@@ -765,6 +757,8 @@ def box_count_entropy(points, eps_list, weights=None):
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a non-empty (n, d) array")
     eps = [float(e) for e in eps_list]
+    if not eps:
+        raise ValueError("eps list must hold at least one radius")
     if any(e <= 0.0 for e in eps):
         raise ValueError("eps values must be positive")
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
@@ -789,7 +783,7 @@ def box_count_entropy(points, eps_list, weights=None):
         counts.append(n)
     h = [math.log(c) for c in counts]
     x = np.log(1.0 / np.array(eps))
-    if np.ptp(x) == 0.0 or len(eps) < 2:
+    if np.ptp(x) == 0.0:
         dim = 0.0
     else:
         A = np.vstack([x, np.ones_like(x)]).T

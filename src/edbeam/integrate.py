@@ -140,18 +140,16 @@ def _source_integral(model, source, a):
     return float(model.quad_weight * source.f_primitive(u).sum())
 
 
-def total_energy(model, source, forcing, a, b):
+def total_energy(model, source, lh, a, b):
     """E = kinetic + bending + membrane + source integral - forcing work.
 
-    ``forcing`` is a Forcing or its applied force lam*h, which a caller
-    evaluating many samples builds once.
+    ``lh`` is the applied force lam*h, ``Forcing.effective``.
     """
     quad = 0.5 * (
         float(b @ b)
         + float((model.sigma * a**2).sum())
         + model.kappa * float((model.mu * a**2).sum())
     )
-    lh = forcing if isinstance(forcing, np.ndarray) else forcing.effective
     work = float(lh @ a)
     return quad + _source_integral(model, source, a) - work
 
@@ -400,7 +398,11 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
 
 
 def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
-    """Classical RK4 on the first-order system; one run, shape (N,), only."""
+    """Classical RK4 on the first-order system; one run, shape (N,), only.
+
+    Checks for blow-up every 128 steps and after the loop, as _run_strang
+    does, and reports an overflow the same way.
+    """
     dt = st.cfg.dt
     dcum = 0.0
     n = -1  # as in _run_strang, an overflow is reported at step n + 1
@@ -410,17 +412,21 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
             if n % stride == 0:
                 rec.push(t0 + n * dt, a, b, dcum)
             a, b = st.step_rk4(a, b)
-            _raise_unless_finite(
-                np.isfinite(a).all() & np.isfinite(b).all(), t0 + (n + 1) * dt, n + 1
-            )
             ell = st.dissipation_rate(a, b)
             dcum += 0.5 * dt * (ell_prev + ell)
             ell_prev = ell
-            if until is not None and n % _CHECK_EVERY == _CHECK_EVERY - 1 and until(a, b):
-                n_steps = n + 1
-                break
+            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
+                _raise_unless_finite(
+                    np.isfinite(a).all() & np.isfinite(b).all(), t0 + (n + 1) * dt, n + 1
+                )
+                if until is not None and until(a, b):
+                    n_steps = n + 1
+                    break
     except OverflowError as exc:
         raise BlowUpError(t0 + (n + 1) * dt, step=n + 1) from exc
+    _raise_unless_finite(
+        np.isfinite(a).all() & np.isfinite(b).all(), t0 + n_steps * dt, n_steps
+    )
     rec.push(t0 + n_steps * dt, a, b, dcum)
 
 

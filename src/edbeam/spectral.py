@@ -1,4 +1,4 @@
-"""Sine eigenbasis of the hinged beam and spectral transforms.
+"""Sine eigenbasis of the hinged beam, synthesis and phase norms.
 
 On the interval (0, L) with hinged ends, the second-order operator and the
 fourth-order operator share the eigenfunctions
@@ -28,8 +28,6 @@ __all__ = [
     "ModalState",
     "build_model",
     "synthesize",
-    "analyze",
-    "frac_norm",
     "phase_norm",
     "phase_norms",
 ]
@@ -151,40 +149,6 @@ def _project(model, f, a):
     # apply f on the grid, analyze; unchecked, for callers that checked a
     bt = model.basis_table
     return model.quad_weight * (bt @ f(a @ bt))
-
-
-def analyze(model, field):
-    """Project a grid field back onto modal coefficients.
-
-    Inverse of :func:`synthesize` to rounding for fields that live on the
-    first ``n_modes`` modes.
-    """
-    f = np.asarray(field, dtype=float)
-    if f.shape != (model.quad_points,):
-        raise ValueError(
-            f"expected field of length {model.quad_points}, got shape {f.shape}"
-        )
-    return model.quad_weight * (model.basis_table @ f)
-
-
-def frac_norm(model, coeffs, operator="A1", power=0.5):
-    """Norm of a fractional operator power applied to the expansion.
-
-    Returns (sum_j lam_j**(2*power) * c_j**2)**0.5 with lam_j the eigenvalues
-    of the chosen operator: "A" (second order, mu) or "A1" (fourth order,
-    sigma).  Powers act diagonally; power 0 gives the plain Euclidean norm.
-    """
-    c = _check_coeffs(model, coeffs)
-    if operator == "A":
-        lam = model.mu
-    elif operator == "A1":
-        lam = model.sigma
-    else:
-        raise ValueError(f"operator must be 'A' or 'A1', got {operator!r}")
-    s = float(power)
-    if s == 0.0:
-        return float(np.linalg.norm(c))
-    return float(math.sqrt(np.sum(lam ** (2.0 * s) * c**2)))
 
 
 def phase_norm(model, state):

@@ -30,7 +30,6 @@ from edbeam import (
     stationary_bound_check,
 )
 from edbeam.experiments import (
-    DecompositionConfig,
     box_count_entropy,
     exp_decomposition,
     exp_k2_exponential,
@@ -316,7 +315,6 @@ def test_criterion_9_decomposition():
     rng = np.random.default_rng(5)
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, probe_modes=(4, 8, 16, 32))
     icfg = IntegratorConfig(dt=1e-3, horizon=20.0, alpha=1.0, sample_stride=10)
     rep = exp_decomposition(
         m,
@@ -325,8 +323,9 @@ def test_criterion_9_decomposition():
         Forcing.zero(32),
         u1,
         u2,
-        dcfg,
         icfg,
+        s=1.0,
+        probe_modes=(4, 8, 16, 32),
         seed=5,
     )
     assert rep.passed, rep.to_text()

@@ -185,7 +185,7 @@ def test_stopped_batch_is_a_prefix_of_its_full_run():
     cfg = IntegratorConfig(dt=0.01, horizon=40.0, sample_stride=4)
 
     def near_sphere(a, b):
-        return abs(2.0 * total_energy(m, src, zero, a, b) - 1.0) <= 1e-2
+        return abs(2.0 * total_energy(m, src, zero.effective, a, b) - 1.0) <= 1e-2
 
     full = integrate_batch(m, src, law, [zero] * 3, states, cfg)
     stopped = integrate_batch(m, src, law, [zero] * 3, states, cfg, until=near_sphere)
@@ -227,7 +227,7 @@ def test_rk4_batch_stops_row_by_row():
     cfg = IntegratorConfig(dt=1e-3, horizon=5.0, scheme="rk4", sample_stride=8)
 
     def below_half(a, b):
-        return 2.0 * total_energy(m, src, zero, a, b) <= 0.5
+        return 2.0 * total_energy(m, src, zero.effective, a, b) <= 0.5
 
     full = integrate_batch(m, src, law, [zero] * 2, states, cfg)
     stopped = integrate_batch(m, src, law, [zero] * 2, states, cfg, until=below_half)

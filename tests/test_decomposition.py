@@ -21,7 +21,6 @@ from edbeam import (
     integrate_batch,
 )
 from edbeam.experiments import (
-    DecompositionConfig,
     _integrate_decomposed,
     exp_decomposition,
     make_initial_state,
@@ -142,8 +141,7 @@ def test_decomposition_blow_up_raises():
         ref = _lockstep_reference(m, src, 1.0, zero, start, cfg, 50.0)
     assert not np.all(np.isfinite(ref[1]))
 
-    dcfg = DecompositionConfig(s=1.0, probe_modes=(1, 2, 3, 4))
     with pytest.raises(BlowUpError) as info:
-        exp_decomposition(m, law, src, zero, start, start, dcfg, cfg)
+        exp_decomposition(m, law, src, zero, start, start, cfg, probe_modes=(1, 2, 3, 4))
     assert info.value.step == 100
     assert info.value.time == pytest.approx(50.0)

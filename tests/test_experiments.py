@@ -17,7 +17,6 @@ from edbeam import (
     integrate,
 )
 from edbeam.experiments import (
-    DecompositionConfig,
     box_count_entropy,
     exp_decomposition,
     exp_k1_decay,
@@ -140,7 +139,6 @@ def test_exp_decomposition_zero_source_gives_u_equals_v():
     rng = np.random.default_rng(6)
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, probe_modes=(2, 4, 8))
     icfg = IntegratorConfig(dt=1e-3, horizon=5.0, alpha=1.0, sample_stride=10)
     from edbeam.experiments import _integrate_decomposed
 
@@ -158,31 +156,37 @@ def test_exp_decomposition_requires_constant_damping():
     rng = np.random.default_rng(7)
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, probe_modes=(2,))
     icfg = IntegratorConfig(dt=1e-2, horizon=1.0)
     with pytest.raises(InvalidConfigurationError):
         exp_decomposition(
-            m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(4), u1, u2, dcfg, icfg
+            m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(4), u1, u2, icfg,
+            probe_modes=(2,),
         )
 
 
 def test_decomposition_rejects_probe_modes_below_one():
     # probe mode 0 used to perturb a[-1], the last mode, and so reported the
     # ratios of probe mode N under the name 0
+    m = build_model(4, math.pi, 0.0, 32)
+    u1 = make_initial_state(m, np.random.default_rng(7), 1.0)
+    icfg = IntegratorConfig(dt=1e-2, horizon=1.0)
     for modes in [(0, 2), (2, -1), ()]:
         with pytest.raises(InvalidConfigurationError, match="probe_modes"):
-            DecompositionConfig(s=1.0, probe_modes=modes)
+            exp_decomposition(
+                m, K2Constant(1.0), ZeroSource(), Forcing.zero(4), u1, u1, icfg,
+                probe_modes=modes,
+            )
 
 
 def test_exp_decomposition_equal_initials():
     m = build_model(8, math.pi, 0.0, 64)
     rng = np.random.default_rng(8)
     u1 = make_initial_state(m, rng, 1.0)
-    dcfg = DecompositionConfig(s=1.0, probe_modes=(2, 4))
     icfg = IntegratorConfig(dt=1e-3, horizon=3.0, alpha=1.0, sample_stride=10)
     src = DoublePower(2.0, 1.0, 0.0)
     rep = exp_decomposition(
-        m, K2Constant(1.0), src, Forcing.zero(8), u1, ModalState(u1.a.copy(), u1.b.copy()), dcfg, icfg
+        m, K2Constant(1.0), src, Forcing.zero(8), u1, ModalState(u1.a.copy(), u1.b.copy()), icfg,
+        probe_modes=(2, 4),
     )
     # identical pair: contraction gap is zero, which the fit reports as a
     # degenerate posit; the split and smoothing criteria still run
@@ -199,6 +203,8 @@ def test_box_count_single_point_and_validation():
         box_count_entropy(np.zeros((3, 2)), [0.5, 1.0])  # not decreasing
     with pytest.raises(ValueError):
         box_count_entropy(np.zeros((3, 2)), [1.0, -0.5])
+    with pytest.raises(ValueError, match="at least one radius"):
+        box_count_entropy(np.zeros((3, 2)), [])
 
 
 def test_box_count_circle_dimension():

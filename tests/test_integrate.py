@@ -26,6 +26,7 @@ from edbeam import (
     phase_norm,
     step,
 )
+from edbeam.integrate import _Stepper
 
 # Inside the unit energy ball the threshold law evaluates to exactly zero,
 # which is the only way the law families express an undamped linear flow.
@@ -225,6 +226,30 @@ def test_blow_up_detection():
     with pytest.raises(BlowUpError) as info:
         integrate(m, ZeroSource(), law, _zero_forcing(2), init, cfg)
     assert info.value.time > 0.0
+
+
+def test_rk4_blow_up_is_reported_at_the_next_check():
+    # a constant coefficient far outside RK4's stability region for the
+    # damping term grows the state by orders of magnitude a step, with no
+    # overflow in the law; the state turns non-finite between two checks
+    # and the run reports the first check after that, at t0 + step * dt
+    m = build_model(2, math.pi, 0.0, 16)
+    t0 = 1.5
+    init = ModalState(np.array([1.0, 0.5]), np.array([1.0, -0.5]), t0)
+    law = K2Constant(300.0)
+    cfg = IntegratorConfig(dt=0.1, horizon=100.0, scheme="rk4")
+    st = _Stepper(m, ZeroSource(), law, np.zeros(2), cfg)
+    a, b, first = init.a, init.b, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(a).all() and np.isfinite(b).all():
+            a, b = st.step_rk4(a, b)
+            first += 1
+    assert 1 < first < 128
+    with pytest.raises(BlowUpError) as info:
+        integrate(m, ZeroSource(), law, _zero_forcing(2), init, cfg)
+    assert info.value.step == 128
+    assert info.value.time == t0 + info.value.step * cfg.dt
+    assert info.value.row is None
 
 
 def test_convergence_order_linear_sentinel():

@@ -61,6 +61,24 @@ def test_e_alpha_consistency_at_one():
     assert _mu2alpha(m, 1.0) is m.sigma
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+def test_e_alpha_weights_single_mode(alpha):
+    # e1 has E_alpha weight mu_1**(2 alpha) = sigma_1**alpha = 1 on the unit domain
+    m = build_model(3, math.pi, 0.0, 24)
+    assert _mu2alpha(m, alpha)[0] == pytest.approx(m.sigma[0] ** alpha, rel=1e-14)
+    assert _mu2alpha(m, alpha)[0] == pytest.approx(1.0, rel=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=1.0))
+def test_e_alpha_weights_are_sigma_powers(alpha):
+    # the second-order route mu**(2 alpha) commutes with the fourth-order sigma**alpha
+    m = build_model(6, 2.2, 0.0, 12)
+    w = _mu2alpha(m, alpha)
+    assert w.shape == m.sigma.shape
+    assert np.max(np.abs(w / m.sigma**alpha - 1.0)) <= 1e-12
+
+
 def test_envelope_constants_reference_point():
     m = build_model(4, math.pi, 0.0, 32)
     consts = AssumptionConstants(0.0, 0.0, 0.0)

@@ -10,6 +10,7 @@ from edbeam import (
     phase_norm,
     synthesize,
 )
+from edbeam.spectral import _project, phase_norms
 
 
 def test_eigenvalues_unit_domain():
@@ -65,6 +66,34 @@ def test_synthesize_zero_and_basis():
     assert np.max(np.abs(field - ref)) < 1e-14
 
 
+def test_project_zero_and_basis_row():
+    # _project analyzes the grid field f(u); a field that ignores u is analyzed as is
+    m = build_model(5, math.pi, 0.0, 40)
+    a = np.zeros(5)
+    assert np.all(_project(m, np.zeros_like, a) == 0.0)
+    c = _project(m, lambda u: m.basis_table[1], a)
+    assert np.max(np.abs(c - np.eye(5)[1])) < 1e-12
+
+
+def test_project_cubed_sine_closed_form():
+    # sin^3 x = (3 sin x - sin 3x) / 4, so the modal content is exactly
+    # two coefficients after undoing the sqrt(2/pi) normalization.
+    m = build_model(4, math.pi, 0.0, 64)
+    c = _project(m, lambda u: np.sin(m.quad_nodes) ** 3, np.zeros(4))
+    scale = math.sqrt(math.pi / 2.0)
+    expect = np.array([0.75 * scale, 0.0, -0.25 * scale, 0.0])
+    assert np.max(np.abs(c - expect)) < 1e-12
+
+
+def test_project_identity_round_trip_random_coefficients():
+    # with f the identity, _project is analysis after synthesis
+    m = build_model(8, 1.7, 0.0, 16)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        c = rng.standard_normal(8)
+        assert np.max(np.abs(_project(m, lambda u: u, c) - c)) < 1e-12
+
+
 def test_length_mismatch_errors():
     m = build_model(4, 1.0, 0.0, 16)
     with pytest.raises(ValueError):
@@ -102,6 +131,18 @@ def test_phase_norm_examples():
     st_ = ModalState(rng.standard_normal(4), rng.standard_normal(4))
     recomputed = math.sqrt(m.sigma @ st_.a**2 + st_.b @ st_.b)
     assert phase_norm(m, st_) == pytest.approx(recomputed, rel=1e-13)
+
+
+def test_phase_norms_rows_match_phase_norm():
+    m = build_model(5, 2.0, 0.3, 40)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 5))
+    b = rng.standard_normal((3, 5))
+    rows = phase_norms(m, a, b)
+    assert rows.shape == (3,)
+    for k in range(3):
+        assert rows[k] == pytest.approx(phase_norm(m, ModalState(a[k], b[k])), rel=1e-14)
+    assert np.all(phase_norms(m, np.zeros((2, 5)), np.zeros((2, 5))) == 0.0)
 
 
 def test_modal_state_rejects_nonfinite():

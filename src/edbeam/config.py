@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigurationError
+from .experiments import check_option, check_requirements
 from .integrate import IntegratorConfig
 from .laws import (
     DampingLaw,
@@ -110,15 +111,6 @@ EXPERIMENT_OPTIONS = {
     "haraux_suite": {"trials": 100000},
     "stationary": {"n_starts": 20, "start_scale": 1.0, "tol": 1e-8},
 }
-# Every int option is a count, at least 1; these float options are bounded.
-# Each bound is named as it completes "<key> ... required".
-COUNT_BOUND = (">= 1", lambda v: v >= 1)
-OPTION_BOUNDS = {
-    "energy2": (">= 0.0", lambda v: v >= 0.0),
-    "s": ("in (0, 2)", lambda v: 0.0 < v < 2.0),
-    "lambda0": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "grid_step": ("> 0", lambda v: v > 0.0),
-}
 # Options that are run horizons, stepped with the [integrator] dt.
 HORIZON_OPTIONS = ("horizon_outside", "t_probe")
 
@@ -132,33 +124,6 @@ def lambda_grid(options):
         for k in range(int(math.floor(1.0 / step)) + 1)
         if abs(k * step - lam0) > 1e-12
     ]
-
-
-# What an experiment needs of the rest of the run file.  Each requirement is
-# named as it completes "<id> requires ...", and tests the RunConfig and its
-# Forcing.
-REQUIREMENTS = {
-    "the monomial law": lambda cfg, forcing: isinstance(cfg.damping, K1Monomial),
-    "a threshold law": lambda cfg, forcing: isinstance(
-        cfg.damping, (K3Rational, K3ShiftedExp)
-    ),
-    "a constant damping coefficient": lambda cfg, forcing: isinstance(
-        cfg.damping, K2Constant
-    ),
-    "zero forcing": lambda cfg, forcing: forcing.effective_norm == 0.0,
-    "the zero source": lambda cfg, forcing: isinstance(cfg.source, ZeroSource),
-    "scheme = strang": lambda cfg, forcing: cfg.integrator.scheme == "strang",
-    "two grid intensities besides lambda0": lambda cfg, forcing: (
-        len(lambda_grid(cfg.options)) >= 2
-    ),
-}
-EXPERIMENT_REQUIRES = {
-    "exp_k1_decay": ("the monomial law",),
-    "exp_k3_ball": ("a threshold law", "zero forcing", "the zero source"),
-    "exp_two_trajectory": ("the monomial law", "zero forcing"),
-    "exp_decomposition": ("a constant damping coefficient", "scheme = strang"),
-    "exp_lambda_lipschitz": ("two grid intensities besides lambda0",),
-}
 
 
 @dataclass(frozen=True)
@@ -361,20 +326,13 @@ def parse_config(text, experiment_id=None):
                 f"(allowed: {sorted(defaults)})"
             )
         value = _typed("experiment", key, raw, type(defaults[key]))
-        bound = COUNT_BOUND if type(value) is int else OPTION_BOUNDS.get(key)
-        if bound is not None and not bound[1](value):
-            raise InvalidConfigurationError(
-                f"[experiment] {key} = {value}: {key} {bound[0]} required"
-            )
+        try:
+            check_option(key, value)
+        except InvalidConfigurationError as exc:
+            raise InvalidConfigurationError(f"[experiment] {exc}") from None
         options[key] = value
     for key, val in defaults.items():
         options.setdefault(key, val)
-    modes = options.get("probe_modes")
-    if modes is not None and not 1 <= min(modes) <= max(modes) <= model.n_modes:
-        raise InvalidConfigurationError(
-            f"[experiment] probe_modes = {_fmt(modes)}: "
-            f"modes in [1, n_modes = {model.n_modes}] required"
-        )
     for key in HORIZON_OPTIONS:
         if key in options:
             try:
@@ -394,9 +352,10 @@ def parse_config(text, experiment_id=None):
         options=options,
     )
     cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
-    for need in EXPERIMENT_REQUIRES.get(exp_id, ()):
-        if not REQUIREMENTS[need](cfg, applied):
-            raise InvalidConfigurationError(f"{exp_id} requires {need}")
+    # the driver's arguments, as cli builds them from the run file
+    given = dict(options, damping=damping, source=source, forcing=applied, icfg=integrator)
+    lambdas = lambda_grid(options) if "grid_step" in options else None
+    check_requirements(exp_id, **given, n_modes=model.n_modes, lambdas=lambdas)
 
     # Model-level invariants are re-checked by actually building the model.
     build_model(model.n_modes, model.length, model.kappa, model.quad_points)

@@ -66,14 +66,66 @@ __all__ = [
 ]
 
 
+# What an experiment needs, checked alike by parse_config and the driver.
+# Each requirement is named as it completes "<id> requires ...", and its
+# predicate reads the driver's arguments by keyword.
+REQUIREMENTS = {
+    "the monomial law": lambda damping, **_: isinstance(damping, K1Monomial),
+    "a threshold law": lambda damping, **_: isinstance(damping, (K3Rational, K3ShiftedExp)),
+    "a constant damping coefficient": lambda damping, **_: isinstance(damping, K2Constant),
+    "zero forcing": lambda forcing, **_: forcing.effective_norm == 0.0,
+    "the zero source": lambda source, **_: isinstance(source, ZeroSource),
+    "scheme = strang": lambda icfg, **_: icfg.scheme == "strang",
+    "s in (0, 2)": lambda s, **_: 0.0 < s < 2.0,
+    "probe_modes in [1, n_modes]": lambda probe_modes, n_modes, **_: (
+        len(probe_modes) > 0 and 1 <= min(probe_modes) <= max(probe_modes) <= n_modes
+    ),
+    "lambda0 in [0, 1]": lambda lambda0, **_: 0.0 <= lambda0 <= 1.0,
+    "two grid intensities besides lambda0": lambda lambdas, lambda0, **_: (
+        len(lambdas) >= 2 and lambda0 not in lambdas
+    ),
+}
+EXPERIMENT_REQUIRES = {
+    "exp_k1_decay": ("the monomial law",),
+    "exp_k3_ball": ("a threshold law", "zero forcing", "the zero source"),
+    "exp_two_trajectory": ("the monomial law", "zero forcing"),
+    "exp_decomposition": (
+        "a constant damping coefficient", "scheme = strang", "s in (0, 2)",
+        "probe_modes in [1, n_modes]",
+    ),
+    "exp_lambda_lipschitz": ("lambda0 in [0, 1]", "two grid intensities besides lambda0"),
+}
+
+
+def check_requirements(exp_id, **given):
+    """Raise naming the first requirement of ``exp_id`` that ``given`` breaks."""
+    for need in EXPERIMENT_REQUIRES.get(exp_id, ()):
+        if not REQUIREMENTS[need](**given):
+            raise InvalidConfigurationError(f"{exp_id} requires {need}")
+
+
+# Every int option is a count, at least 1; these float options are bounded.
+# Each bound is named as it completes "<key> ... required".
+OPTION_BOUNDS = {
+    "energy2": (">= 0.0", lambda v: v >= 0.0),
+    "grid_step": ("> 0", lambda v: v > 0.0),
+}
+
+
+def check_option(key, value):
+    """Raise unless ``value`` meets the bound of the option ``key``."""
+    bound = (">= 1", lambda v: v >= 1) if type(value) is int else OPTION_BOUNDS.get(key)
+    if bound is not None and not bound[1](value):
+        raise InvalidConfigurationError(f"{key} = {value}: {key} {bound[0]} required")
+
+
 def make_initial_state(model, rng, energy2=1.0, decay=2.0):
     """Random state: Gaussian modal coefficients with j**(-decay) falloff.
 
     The state is rescaled so the quadratic part of twice the energy,
     sum (sigma_j + kappa mu_j) a_j^2 + sum b_j^2, equals ``energy2``.
     """
-    if energy2 < 0.0:
-        raise ValueError(f"energy2 must be >= 0, got {energy2}")
+    check_option("energy2", energy2)
     j = np.arange(1, model.n_modes + 1, dtype=float)
     a = rng.standard_normal(model.n_modes) * j ** (-decay)
     b = rng.standard_normal(model.n_modes) * j ** (-decay)
@@ -100,6 +152,7 @@ class ExperimentReport:
     criteria: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
+    end_states: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -202,8 +255,7 @@ def exp_k1_decay(
     given, that the log-log slopes of energy and phase norm match -1/q and
     -1/(2q) within ``rate_tol``.
     """
-    if not isinstance(damping, K1Monomial):
-        raise InvalidConfigurationError("exp_k1_decay requires the monomial law")
+    check_requirements("exp_k1_decay", damping=damping)
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
@@ -365,11 +417,9 @@ def exp_k3_ball(
     the first 128-step check where every run has |2E - 1| <= target_tol;
     ``outside_0.csv`` is the first run from t = 0 to that stop.
     """
-    if not isinstance(damping, (K3Rational, K3ShiftedExp)):
-        raise InvalidConfigurationError("exp_k3_ball requires a threshold law")
     source = ZeroSource()
-
     forcing = Forcing.zero(model.n_modes)
+    check_requirements("exp_k3_ball", damping=damping, source=source, forcing=forcing)
     report = ExperimentReport("exp_k3_ball", seed=seed)
 
     worst_drift = 0.0
@@ -460,10 +510,9 @@ def exp_two_trajectory(
     source).  Constants are fitted from the data; the experiment passes when
     the fit leaves no positive residual.
     """
-    if not isinstance(damping, K1Monomial):
-        raise InvalidConfigurationError("exp_two_trajectory requires the monomial law")
     source = source if source is not None else ZeroSource()
     forcing = Forcing.zero(model.n_modes)
+    check_requirements("exp_two_trajectory", damping=damping, forcing=forcing)
     p_exponent = source.p if hasattr(source, "p") else 2.0
     q = damping.q
 
@@ -556,11 +605,7 @@ def exp_lambda_lipschitz(
     gaps give ratios within a factor of two of each other.
     """
     lams = [float(x) for x in lambdas]
-    for x in lams + [float(lambda0)]:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"lambda = {x} outside [0, 1]")
-    if any(x == lambda0 for x in lams):
-        raise ValueError("lambda0 must be excluded from the grid")
+    check_requirements("exp_lambda_lipschitz", lambdas=lams, lambda0=lambda0)
 
     h = np.asarray(h_coeffs, dtype=float)
     run_cfg = replace(
@@ -651,20 +696,10 @@ def exp_decomposition(
     uniformly over the probe modes, where the probe of mode j has weak norm
     probe_eps * sigma_j**(s/4), 0 < s < 2.  Runs the Strang scheme only.
     """
-    if not 0.0 < s < 2.0:
-        raise InvalidConfigurationError(f"s must be in (0, 2), got {s}")
-    if not probe_modes or min(probe_modes) < 1:
-        raise InvalidConfigurationError(
-            f"probe_modes must be one or more modes >= 1, got {probe_modes}"
-        )
-    if not isinstance(damping, K2Constant):
-        raise InvalidConfigurationError(
-            "decomposition requires a constant damping coefficient"
-        )
-    if max(probe_modes) > model.n_modes:
-        raise InvalidConfigurationError("probe mode exceeds model truncation")
-    if icfg.scheme != "strang":
-        raise InvalidConfigurationError("exp_decomposition requires scheme = strang")
+    check_requirements(
+        "exp_decomposition", damping=damping, icfg=icfg, s=s, probe_modes=probe_modes,
+        n_modes=model.n_modes,
+    )
 
     report = ExperimentReport("exp_decomposition", seed=seed)
     # u and z for initial_1 (row 0) and each single-mode probe perturbation
@@ -836,6 +871,7 @@ def nakao_suite(seed=0, trials=1000, rhos=(0.0, 0.5, 1.0, 2.0)):
     feasible candidates in stream order, the sample of drawing and
     verifying one problem at a time.
     """
+    check_option("trials", trials)
     rng = np.random.default_rng(seed)
     report = ExperimentReport("nakao_suite", seed=seed)
     worst = -math.inf
@@ -873,6 +909,7 @@ def haraux_suite(seed=0, trials=100000):
     of length ``HARAUX_MAX_DIM``.  The block size is part of the sample
     stream, so changing it changes the sample (and the pinned report).
     """
+    check_option("trials", trials)
     rng = np.random.default_rng(seed)
     report = ExperimentReport("haraux_suite", seed=seed)
     violations = 0
@@ -908,6 +945,7 @@ def exp_stationary(
     must converge at ``tol`` and satisfy the bound.  ``stationary.csv`` holds
     one row of coefficients per distinct point.
     """
+    check_option("n_starts", n_starts)
     rng = np.random.default_rng(seed)
     starts = [np.zeros(model.n_modes)]
     j = np.arange(1, model.n_modes + 1, dtype=float)

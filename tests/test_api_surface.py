@@ -87,6 +87,50 @@ def test_one_reading_of_the_run_file():
     assert not hasattr(config, "DampingConfig") and not hasattr(config, "SourceConfig")
 
 
+def test_one_declaration_of_experiment_requirements():
+    # a rule lives in the experiments tables alone: no function but
+    # check_requirements raises a "requires" message or tests a law's type or
+    # the scheme, and config keeps no predicate and no requirement text
+    import inspect
+
+    from edbeam import experiments
+
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    own = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "check_requirements":
+            continue
+        for node in ast.walk(fn):
+            texts = []
+            if isinstance(node, ast.Raise):
+                texts = [
+                    c.value
+                    for c in ast.walk(node)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                ]
+            if (
+                any("requires" in text for text in texts)
+                or (isinstance(node, ast.Name) and node.id == "isinstance")
+                or (isinstance(node, ast.Attribute) and node.attr == "scheme")
+            ):
+                own.append(f"{fn.name} (line {node.lineno})")
+    assert own == []
+
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    strings = {
+        n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    assert sorted(strings & set(experiments.REQUIREMENTS)) == []
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Lambda)] == []
+    # a bound on an argument the requirements read belongs in REQUIREMENTS
+    read = {
+        name
+        for holds in experiments.REQUIREMENTS.values()
+        for name in inspect.signature(holds).parameters
+    }
+    assert sorted(set(experiments.OPTION_BOUNDS) & read) == []
+
+
 def test_cli_builds_no_report():
     # the drivers in experiments build every report and write every CSV;
     # cli dispatches and writes report.txt and manifest.ini

@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edbeam import InvalidConfigurationError, cli
+from edbeam import (
+    Forcing,
+    IntegratorConfig,
+    InvalidConfigurationError,
+    K1Monomial,
+    K2Constant,
+    ZeroSource,
+    build_model,
+    cli,
+)
 from edbeam.cli import _RUNNERS, _start, _states, list_experiments, main, run
 from edbeam.config import (
     DAMPING_LAWS,
@@ -16,7 +25,19 @@ from edbeam.config import (
     emit_config,
     parse_config,
 )
-from edbeam.experiments import ExperimentReport, exp_two_trajectory
+from edbeam.experiments import (
+    EXPERIMENT_REQUIRES,
+    ExperimentReport,
+    exp_decomposition,
+    exp_k1_decay,
+    exp_k3_ball,
+    exp_lambda_lipschitz,
+    exp_stationary,
+    exp_two_trajectory,
+    haraux_suite,
+    make_initial_state,
+    nakao_suite,
+)
 
 GOLDEN_RUNS = Path(__file__).parent / "golden" / "runs"
 
@@ -386,13 +407,13 @@ def test_parse_law_errors_name_the_section():
             "exp_decomposition",
             "[damping]\nvariant = k2_constant\n",
             "probe_modes = 2,9\n",
-            "error: [experiment] probe_modes = 2,9: modes in [1, n_modes = 8] required",
+            "error: exp_decomposition requires probe_modes in [1, n_modes]",
         ),
         (
             "exp_decomposition",
             "[damping]\nvariant = k2_constant\n",
             "probe_modes = 0,2\n",
-            "error: [experiment] probe_modes = 0,2: modes in [1, n_modes = 8] required",
+            "error: exp_decomposition requires probe_modes in [1, n_modes]",
         ),
         (
             "exp_k1_decay",
@@ -431,13 +452,13 @@ def test_parse_law_errors_name_the_section():
             "exp_decomposition",
             "[damping]\nvariant = k2_constant\n",
             "probe_modes = 2,4\ns = 3.0\n",
-            "error: [experiment] s = 3.0: s in (0, 2) required",
+            "error: exp_decomposition requires s in (0, 2)",
         ),
         (
             "exp_lambda_lipschitz",
             "",
             "lambda0 = 1.5\n",
-            "error: [experiment] lambda0 = 1.5: lambda0 in [0, 1] required",
+            "error: exp_lambda_lipschitz requires lambda0 in [0, 1]",
         ),
         (
             "exp_lambda_lipschitz",
@@ -522,6 +543,136 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         "required\n"
     )
     assert not (tmp_path / f"{exp_id}-seed0").exists()
+
+
+@pytest.mark.parametrize(
+    "exp_id, option, call",
+    [
+        # the suites passed on 0 violations in 0 trials, and stationary ran one start
+        ("nakao_suite", "trials = 0", lambda m: nakao_suite(0, 0)),
+        ("haraux_suite", "trials = 0", lambda m: haraux_suite(0, 0)),
+        ("stationary", "n_starts = 0", lambda m: exp_stationary(m, ZeroSource(), Forcing.zero(4), 0)),
+        (
+            "exp_k1_decay",
+            "energy2 = -1.0",
+            lambda m: make_initial_state(m, np.random.default_rng(0), -1.0),
+        ),
+    ],
+    ids=["nakao_suite", "haraux_suite", "stationary", "initial_state"],
+)
+def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):
+    with pytest.raises(InvalidConfigurationError) as direct:
+        call(build_model(4, math.pi, 0.0, 32))
+    with pytest.raises(InvalidConfigurationError) as run_file:
+        parse_config(f"[experiment]\nid = {exp_id}\n{option}\n")
+    key = option.split(" = ")[0]
+    assert str(direct.value).startswith(f"{option}: {key} >= ")
+    assert str(run_file.value) == f"[experiment] {direct.value}"
+
+
+# (id, requirement) -> the run file's sections and [experiment] options that
+# break it, and a direct call of the driver that breaks it.  The call is None
+# where the driver builds that input itself (exp_k3_ball's source and
+# forcing, exp_two_trajectory's forcing), so only a run file can set it.
+REQUIREMENT_CASES = {
+    ("exp_k1_decay", "the monomial law"): (
+        "[damping]\nvariant = k2_constant\n",
+        "",
+        lambda m, u, icfg: exp_k1_decay(m, K2Constant(1.0), u, icfg),
+    ),
+    ("exp_k3_ball", "a threshold law"): (
+        "",
+        "",
+        lambda m, u, icfg: exp_k3_ball(m, K1Monomial(1.0, 1.0), [], [], icfg),
+    ),
+    ("exp_k3_ball", "zero forcing"): (
+        "[damping]\nvariant = k3_rational\n[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
+        "",
+        None,
+    ),
+    ("exp_k3_ball", "the zero source"): (
+        "[damping]\nvariant = k3_rational\n"
+        "[source]\nvariant = double_power\ndelta = 2.0\nr = 1.0\n",
+        "",
+        None,
+    ),
+    ("exp_two_trajectory", "the monomial law"): (
+        "[damping]\nvariant = k2_constant\n",
+        "",
+        lambda m, u, icfg: exp_two_trajectory(m, K2Constant(1.0), u, u, icfg),
+    ),
+    ("exp_two_trajectory", "zero forcing"): (
+        "[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
+        "",
+        None,
+    ),
+    ("exp_decomposition", "a constant damping coefficient"): (
+        "",
+        "probe_modes = 2,4\n",
+        lambda m, u, icfg: exp_decomposition(
+            m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(8), u, u, icfg,
+            probe_modes=(2, 4),
+        ),
+    ),
+    ("exp_decomposition", "scheme = strang"): (
+        # a leading key lands in the [integrator] section
+        "scheme = rk4\n[damping]\nvariant = k2_constant\n",
+        "probe_modes = 2,4\n",
+        lambda m, u, icfg: exp_decomposition(
+            m, K2Constant(1.0), ZeroSource(), Forcing.zero(8), u, u,
+            dataclasses.replace(icfg, scheme="rk4"), probe_modes=(2, 4),
+        ),
+    ),
+    ("exp_decomposition", "s in (0, 2)"): (
+        "[damping]\nvariant = k2_constant\n",
+        "probe_modes = 2,4\ns = 3.0\n",
+        lambda m, u, icfg: exp_decomposition(
+            m, K2Constant(1.0), ZeroSource(), Forcing.zero(8), u, u, icfg,
+            s=3.0, probe_modes=(2, 4),
+        ),
+    ),
+    ("exp_decomposition", "probe_modes in [1, n_modes]"): (
+        "[damping]\nvariant = k2_constant\n",
+        "probe_modes = 2,9\n",
+        lambda m, u, icfg: exp_decomposition(
+            m, K2Constant(1.0), ZeroSource(), Forcing.zero(8), u, u, icfg,
+            probe_modes=(2, 9),
+        ),
+    ),
+    ("exp_lambda_lipschitz", "lambda0 in [0, 1]"): (
+        "",
+        "lambda0 = 1.5\n",
+        lambda m, u, icfg: exp_lambda_lipschitz(
+            m, K1Monomial(1.0, 1.0), ZeroSource(), np.zeros(8), [0.0, 0.1], 1.5, 1.0, u, icfg
+        ),
+    ),
+    ("exp_lambda_lipschitz", "two grid intensities besides lambda0"): (
+        "",
+        "grid_step = 2.0\n",
+        lambda m, u, icfg: exp_lambda_lipschitz(
+            m, K1Monomial(1.0, 1.0), ZeroSource(), np.zeros(8), [0.0], 0.5, 1.0, u, icfg
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "exp_id, need", [(exp_id, need) for exp_id, needs in EXPERIMENT_REQUIRES.items() for need in needs]
+)
+def test_run_file_and_direct_call_break_a_requirement_alike(exp_id, need):
+    sections, options, call = REQUIREMENT_CASES[exp_id, need]
+    with pytest.raises(InvalidConfigurationError) as run_file:
+        parse_config(
+            "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
+            f"{sections}[experiment]\nid = {exp_id}\n{options}"
+        )
+    assert str(run_file.value) == f"{exp_id} requires {need}"
+    if call is not None:
+        model = build_model(8, math.pi, 0.0, 64)
+        start = make_initial_state(model, np.random.default_rng(0))
+        with pytest.raises(InvalidConfigurationError) as direct:
+            call(model, start, IntegratorConfig(dt=0.01, horizon=1.0))
+        assert str(direct.value) == str(run_file.value)
 
 
 @pytest.mark.parametrize(

@@ -124,14 +124,20 @@ def test_exp_lambda_rejects_bad_grid():
     m = build_model(4, math.pi, 0.0, 32)
     init = make_initial_state(m, np.random.default_rng(0), 1.0)
     cfg = IntegratorConfig(dt=1e-2, horizon=1.0)
-    with pytest.raises(ValueError):
-        exp_lambda_lipschitz(
-            m, K2Constant(1.0), ZeroSource(), np.zeros(4), [0.5, 0.7], 0.5, 1.0, init, cfg
-        )
-    with pytest.raises(ValueError):
-        exp_lambda_lipschitz(
-            m, K2Constant(1.0), ZeroSource(), np.zeros(4), [1.2], 0.5, 1.0, init, cfg
-        )
+    # one intensity or none used to fail with an IndexError or numpy's
+    # empty-reduction error; the Forcing rejects an intensity outside [0, 1]
+    besides = "requires two grid intensities besides lambda0"
+    for grid, message in [
+        ([0.5, 0.7], besides),
+        ([1.2], besides),
+        ([0.2], besides),
+        ([], besides),
+        ([0.2, 1.2], r"lambda must be in \[0, 1\], got 1.2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            exp_lambda_lipschitz(
+                m, K2Constant(1.0), ZeroSource(), np.zeros(4), grid, 0.5, 1.0, init, cfg
+            )
 
 
 def test_exp_decomposition_zero_source_gives_u_equals_v():

@@ -551,7 +551,11 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         # the suites passed on 0 violations in 0 trials, and stationary ran one start
         ("nakao_suite", "trials = 0", lambda m: nakao_suite(0, 0)),
         ("haraux_suite", "trials = 0", lambda m: haraux_suite(0, 0)),
-        ("stationary", "n_starts = 0", lambda m: exp_stationary(m, ZeroSource(), Forcing.zero(4), 0)),
+        (
+            "stationary",
+            "n_starts = 0",
+            lambda m: exp_stationary(m, ZeroSource(), Forcing.zero(4), 0),
+        ),
         (
             "exp_k1_decay",
             "energy2 = -1.0",
@@ -657,7 +661,8 @@ REQUIREMENT_CASES = {
 
 
 @pytest.mark.parametrize(
-    "exp_id, need", [(exp_id, need) for exp_id, needs in EXPERIMENT_REQUIRES.items() for need in needs]
+    "exp_id, need",
+    [(exp_id, need) for exp_id, needs in EXPERIMENT_REQUIRES.items() for need in needs],
 )
 def test_run_file_and_direct_call_break_a_requirement_alike(exp_id, need):
     sections, options, call = REQUIREMENT_CASES[exp_id, need]

@@ -41,14 +41,7 @@ from .laws import (
     assumption_constants,
     project_source,
 )
-from .nakao import (
-    NakaoProblem,
-    NakaoVerdict,
-    haraux_check,
-    nakao_bound,
-    nakao_hypothesis_residual,
-    nakao_verify,
-)
+from .nakao import haraux_check
 from .series import SampledSeries
 from .spectral import (
     ModalState,

@@ -297,10 +297,6 @@ def parse_config(text, experiment_id=None):
 
     f = _consume(parser, "forcing", {"lambda", "h"})
     lam = _typed("forcing", "lambda", f.get("lambda", "0.0"), float)
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidConfigurationError(
-            f"[forcing] lambda = {lam}: lambda in [0, 1] required"
-        )
     h_spec = f.get("h", "zero").strip()
     applied = _forcing(lam, h_spec, model.n_modes)
     forcing = ForcingConfig(lam=lam, h=h_spec)
@@ -384,7 +380,10 @@ def _forcing(lam, spec, n_modes):
         raise InvalidConfigurationError(
             f"[forcing] h list has {h.size} entries, model has {n_modes} modes"
         )
-    return Forcing(lam, h)
+    try:
+        return Forcing(lam, h)
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"[forcing] {exc}") from None
 
 
 def build_objects(cfg):

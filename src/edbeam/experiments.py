@@ -420,6 +420,7 @@ def exp_k3_ball(
     source = ZeroSource()
     forcing = Forcing.zero(model.n_modes)
     check_requirements("exp_k3_ball", damping=damping, source=source, forcing=forcing)
+    check_option("n_inside", len(initials_inside))
     report = ExperimentReport("exp_k3_ball", seed=seed)
 
     worst_drift = 0.0
@@ -923,9 +924,9 @@ def haraux_suite(seed=0, trials=100000):
         u *= 10.0 ** rng.uniform(-3, 2, size=(n, 1))
         v *= 10.0 ** rng.uniform(-3, 2, size=(n, 1))
         r = rng.uniform(1.0, 6.0, size=n)
-        res = haraux_check(u, v, r)
-        worst = max(worst, float(np.max(res.lhs - res.rhs)))
-        violations += int(np.count_nonzero(~res.ok))
+        lhs, rhs, ok = haraux_check(u, v, r)
+        worst = max(worst, float(np.max(lhs - rhs)))
+        violations += int(np.count_nonzero(~ok))
     report.add(
         "soundness",
         violations == 0,

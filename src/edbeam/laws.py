@@ -37,26 +37,16 @@ __all__ = [
 
 
 class DampingLaw:
-    """Base class; subclasses store ``gamma`` > 0 and implement ``scalar_k``.
-
-    ``scalar_k`` is the law's one formula, on Python floats; ``k`` checks its
-    argument and maps that formula over it, so a power law whose value
-    leaves float range raises OverflowError.
-    """
+    """Base class; subclasses store ``gamma`` > 0 and implement ``scalar_k``,
+    the law's one formula, on Python floats."""
 
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
 
-    def k(self, s):
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
-            raise ValueError("damping argument must be >= 0")
-        out = np.fromiter(map(self.scalar_k(), s.ravel().tolist()), float, s.size)
-        return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
-
     def scalar_k(self):
-        """Unchecked scalar evaluator s -> k(s) for integrator hot loops."""
+        """Unchecked scalar evaluator s -> k(s), s >= 0, for integrator hot loops;
+        a power law whose value leaves float range raises OverflowError."""
         raise NotImplementedError
 
 
@@ -222,7 +212,7 @@ class Forcing:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise InvalidConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
+            raise InvalidConfigurationError(f"lambda = {self.lam}: lambda in [0, 1] required")
         h = np.asarray(self.h_coeffs, dtype=float)
         if h.ndim != 1:
             raise ValueError("h_coeffs must be a 1-d array")

@@ -8,6 +8,7 @@ into an explicit polynomial (rho > 0) or geometric (rho = 0) envelope for
 phi.  Everything here is grid-based: suprema become maxima over sample
 points, and the grid spacing must divide 1 so that window endpoints are
 themselves grid points and the hypothesis/conclusion are decidable.
+Instances are checked as zero-padded rows ``(B, L)``, a block at a time.
 
 The power-difference bound states
 
@@ -18,59 +19,18 @@ for r >= 1 in any normed space; it is checked here with Euclidean norms.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .series import SampledSeries
-
-__all__ = [
-    "NakaoProblem",
-    "NakaoVerdict",
-    "HarauxResult",
-    "nakao_hypothesis_residual",
-    "nakao_bound",
-    "nakao_verify",
-    "haraux_check",
-    "random_nakao_problem",
-    "minimal_C0",
-]
+__all__ = ["haraux_check"]
 
 CONCLUSION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NakaoProblem:
-    """Sampled decay-lemma instance on a uniform unit-commensurate grid."""
-
-    phi: SampledSeries
-    C0: float
-    rho: float
-    K: SampledSeries
-
-    def __post_init__(self):
-        t = self.phi.t
-        if self.K.t.shape != t.shape or np.max(np.abs(self.K.t - t)) > 1e-12:
-            raise ValueError("phi and K must share one grid")
-        row = np.ones((1, len(t)), dtype=bool)
-        (m,) = _check_rows(t[None], self.phi.y[None], self.K.y[None], self.C0, self.rho, row)
-        object.__setattr__(self, "_steps_per_unit", int(m))
-
-    @property
-    def steps_per_unit(self) -> int:
-        return self._steps_per_unit
-
-    @property
-    def horizon(self) -> float:
-        return float(self.phi.t[-1] - self.phi.t[0])
-
-
 def _check_rows(t, phi, K, C0, rho, live):
     """Check the sample and problem invariants of rows ``(B, L)`` sharing one
-    ``rho``, with the messages of SampledSeries and NakaoProblem; returns each
-    row's steps per unit.
+    ``rho``; returns each row's steps per unit.
 
     ``C0`` is one constant per row.  Only ``live`` samples are problem data:
     K is checked non-decreasing between them, and every other check holds
@@ -105,15 +65,6 @@ def _check_rows(t, phi, K, C0, rho, live):
     return m.astype(int)
 
 
-@dataclass(frozen=True)
-class NakaoVerdict:
-    hypothesis_ok: bool
-    worst_hypothesis_residual: float
-    conclusion_ok: bool
-    worst_conclusion_margin: float
-    degenerate_sup: bool = False
-
-
 def _windows(phi, m, n, rho):
     """(sup phi^(1+rho), phi(t) - phi(t+1), valid) over the unit windows
     [i, i+m] of padded rows ``(B, L)``: row b has ``m[b]`` steps per unit and
@@ -135,26 +86,10 @@ def _windows(phi, m, n, rho):
 
 def _residuals(sup, drop, C0, K, valid):
     """Largest violation of the hypothesis over each row's valid windows,
-    with one ``C0`` per row."""
+    with one ``C0`` per row: the max over window starts t of
+    sup_window phi^(1+rho) - [C0 (phi(t) - phi(t+1)) + K(t)], <= 0 where the
+    hypothesis holds everywhere."""
     return np.max(np.where(valid, sup - (C0[:, None] * drop + K), -np.inf), axis=1)
-
-
-def _one_row(phi, m, rho):
-    """:func:`_windows` of one sample path."""
-    return _windows(np.asarray(phi, dtype=float)[None], np.array([m]), np.array([len(phi)]), rho)
-
-
-def nakao_hypothesis_residual(p):
-    """Largest violation of the per-window hypothesis over the grid.
-
-    Returns max over window starts t in [0, T-1] of
-    sup_window phi^(1+rho) - [C0 (phi(t) - phi(t+1)) + K(t)]; a value <= 0
-    means the hypothesis holds everywhere.
-    """
-    if p.horizon < 1.0:
-        raise ValueError("grid must span at least one unit window")
-    sup, drop, valid = _one_row(p.phi.y, p.steps_per_unit, p.rho)
-    return float(_residuals(sup, drop, np.array([p.C0]), p.K.y[None], valid)[0])
 
 
 def _pow(base, exponent):
@@ -172,11 +107,15 @@ def _pow(base, exponent):
 
 
 def _envelope(times, kt, sup01, C0, rho):
-    """The envelope of :func:`nakao_bound` at ``times``, with ``kt`` = K(times).
+    """The explicit envelope at ``times``, with ``kt`` = K(times), for
+    problems sharing one ``rho``; ``sup01`` (the sup of phi over [0, 1]) and
+    ``C0`` give each time its problem's values.
 
-    ``sup01`` and ``C0`` are floats for one problem, or arrays shaped like
-    ``times`` that give each time its problem's values, for problems sharing
-    one ``rho``.
+    For rho > 0 the bound is
+    (rho/C0 (t-1)^+ + (sup_[0,1] phi)^-rho)^(-1/rho) + K(t)^(1/(rho+1));
+    for rho = 0 it is sup_[0,1] phi * (C0/(1+C0))^floor(t) + K(t).  When the
+    early sup vanishes with rho > 0 the polynomial term is taken as its
+    limit 0 and the bound degenerates to the K term alone.
     """
     if rho == 0.0:
         return sup01 * _pow(C0 / (1.0 + C0), np.floor(times)) + kt
@@ -188,83 +127,33 @@ def _envelope(times, kt, sup01, C0, rho):
     return np.where(live, _pow(base, -1.0 / rho) + k_term, k_term)
 
 
-def nakao_bound(p, t):
-    """Explicit envelope at time t in [0, T], or at each time of an array.
-
-    For rho > 0 the bound is
-    (rho/C0 (t-1)^+ + (sup_[0,1] phi)^-rho)^(-1/rho) + K(t)^(1/(rho+1));
-    for rho = 0 it is sup_[0,1] phi * (C0/(1+C0))^floor(t) + K(t).  When the
-    early sup vanishes with rho > 0 the polynomial term is taken as its
-    limit 0 and the bound degenerates to the K term alone.  A scalar t
-    gives a float; an array gives the bound at each time, bitwise equal to
-    the scalar calls.
-    """
-    times = np.asarray(t, dtype=float)
-    inside = (times >= 0.0) & (times <= p.phi.t[-1] + 1e-12)
-    if not np.all(inside):
-        raise ValueError(f"t = {times[~inside].flat[0]} outside grid range")
-    sup01 = float(np.max(p.phi.y[: p.steps_per_unit + 1]))
-    kt = np.interp(times, p.K.t, p.K.y)
-    bound = _envelope(times, kt, sup01, p.C0, p.rho)
-    return float(bound) if times.ndim == 0 else bound
-
-
-def nakao_verify(p):
-    """Check the hypothesis, then the conclusion at every grid point."""
-    res = nakao_hypothesis_residual(p)
-    hyp_ok = res <= 0.0
-    m = p.steps_per_unit
-    degenerate = p.rho > 0.0 and float(np.max(p.phi.y[: m + 1])) == 0.0
-    if not hyp_ok:
-        return NakaoVerdict(False, res, False, math.inf, degenerate)
-    margins = p.phi.y - nakao_bound(p, p.phi.t)
-    worst = float(np.max(margins))
-    return NakaoVerdict(True, res, worst <= CONCLUSION_TOL, worst, degenerate)
-
-
-@dataclass(frozen=True)
-class HarauxResult:
-    """Per-row sides of the power-difference bound; floats for one vector
-    pair, arrays for rows."""
-
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    ok: bool | np.ndarray
-
-
 def _row_norms(x):
     return np.sqrt(np.vecdot(x, x))
 
 
 def haraux_check(u, v, r):
-    """Power-difference bound on Euclidean norms; requires r >= 1.
+    """Power-difference bound on Euclidean norms of rows ``(T, d)``, with one
+    ``r`` >= 1 per row; returns each row's ``(lhs, rhs, ok)``.
 
-    ``u`` and ``v`` are one vector each, or rows ``(T, d)`` with one ``r``
-    per row.  Zero-padding a row leaves its norms, and so the result,
-    unchanged, so rows of different lengths can share one array.
+    Zero-padding a row leaves its norms, and so the result, unchanged, so
+    rows of different lengths can share one array.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     r = np.asarray(r, dtype=float)
     if u.shape != v.shape:
         raise ValueError("u and v must have equal shapes")
-    if u.ndim > 2 or r.shape != u.shape[:-1]:
+    if u.ndim != 2 or r.shape != u.shape[:1]:
         raise ValueError(
-            f"need one vector pair with one r or rows (T, d) with one r per row;"
-            f" got u {u.shape} and r {r.shape}"
+            f"need rows (T, d) with one r per row; got u {u.shape} and r {r.shape}"
         )
     if not np.all(r >= 1.0):
         raise ValueError(f"r >= 1 required, got {np.min(r)}")
-    one = u.ndim < 2
-    u, v, r = np.atleast_2d(u), np.atleast_2d(v), np.atleast_1d(r)
     nu = _row_norms(u)
     nv = _row_norms(v)
     lhs = np.abs(_pow(nu, r) - _pow(nv, r))
     rhs = r * _pow(np.maximum(nu, nv), r - 1.0) * _row_norms(u - v)
-    ok = lhs <= rhs + CONCLUSION_TOL
-    if one:
-        return HarauxResult(float(lhs[0]), float(rhs[0]), bool(ok[0]))
-    return HarauxResult(lhs, rhs, ok)
+    return lhs, rhs, lhs <= rhs + CONCLUSION_TOL
 
 
 def _c0s(sup, drop, K, valid):
@@ -275,17 +164,6 @@ def _c0s(sup, drop, K, valid):
     ratio = np.divide(need, drop, out=np.full(need.shape, -np.inf), where=active & (drop > 0.0))
     c0 = np.where(np.any(active, axis=1), np.max(ratio, axis=1), 1.0)
     return np.where(np.any(active & (drop <= 0.0), axis=1), np.nan, c0)
-
-
-def minimal_C0(phi, K, rho, steps_per_unit):
-    """Smallest C0 validating the hypothesis for given samples.
-
-    Returns None when some window has a flat phi but a supremum exceeding
-    K(t); no finite constant can close such a window.
-    """
-    sup, drop, valid = _one_row(phi, int(steps_per_unit), rho)
-    c0 = float(_c0s(sup, drop, np.asarray(K, dtype=float)[None], valid)[0])
-    return None if math.isnan(c0) else c0
 
 
 def _candidates(rng, count):
@@ -370,12 +248,15 @@ def _candidate_rows(candidates, rho):
 
 
 def _draw_rows(rng, rho, count, max_resample=200):
-    """``count`` instances of :func:`random_nakao_problem` as :class:`_Rows`.
+    """``count`` random instances as :class:`_Rows`, each with its smallest
+    feasible C0 inflated by a one-ulp-scale margin.
 
-    The instances are the candidates whose hypothesis holds with their
-    minimal C0, in stream order.  Each round draws only as many candidates
-    as instances are missing, so the generator stops where drawing
-    instances one at a time would.
+    phi is a non-increasing non-negative sample path, K a non-decreasing
+    one (zero half the time).  The instances are the candidates whose
+    hypothesis holds with their minimal C0, in stream order; ``max_resample``
+    rejected candidates in a row raise RuntimeError.  Each round draws only
+    as many candidates as instances are missing, so the generator stops
+    where drawing instances one at a time would.
     """
     accepted = []
     run = 0
@@ -392,32 +273,13 @@ def _draw_rows(rng, rho, count, max_resample=200):
     return rows if len(candidates) == len(accepted) else _candidate_rows(accepted, rho)
 
 
-def random_nakao_problem(rng, rho, max_resample=200):
-    """Draw a random instance whose hypothesis holds with its minimal C0.
-
-    phi is a non-increasing non-negative sample path, K a non-decreasing
-    one (zero half the time); the returned problem carries the smallest
-    feasible C0 inflated by a one-ulp-scale margin.  Instances admitting no
-    finite constant are resampled; ``max_resample`` of them in a row raise
-    RuntimeError.
-    """
-    rows = _draw_rows(rng, rho, 1, max_resample)
-    t = np.arange(rows.phi.shape[1]) / rows.m[0]
-    return NakaoProblem(
-        phi=SampledSeries(t, rows.phi[0]),
-        C0=float(rows.C0[0]),
-        rho=float(rho),
-        K=SampledSeries(t, rows.K[0]),
-    )
-
-
 def _verify_draws(rows, rho):
     """Hypothesis residual and worst conclusion margin of each of
-    :class:`_Rows`, bitwise those of :func:`nakao_verify` on its problem.
+    :class:`_Rows`.
 
     The rows are checked against every problem invariant at once (padding
     must continue a row's grid with finite, non-negative values) and
-    bounded at their live grid points, where K needs no interpolation.
+    bounded at their live grid points.
     """
     cols = np.arange(rows.phi.shape[1])
     t = cols / rows.m[:, None]

@@ -11,7 +11,7 @@ __all__ = ["SampledSeries", "write_csv"]
 
 # Rows are formatted a block at a time, so the Python floats of a long
 # series never exist all at once.
-_BLOCK_ROWS = 4
+_BLOCK_ROWS = 16
 
 
 def write_csv(path, header, columns):
@@ -22,12 +22,13 @@ def write_csv(path, header, columns):
     written with 17 significant digits, so they read back bitwise.
     """
     columns = [np.asarray(c) for c in columns]
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    row = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-            for row in block.tolist():
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

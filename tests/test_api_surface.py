@@ -56,7 +56,7 @@ def test_one_strang_kernel():
 
 
 def test_one_formula_per_damping_law():
-    # each law is spelled once, as scalar_k; k maps it over its argument
+    # each law is spelled once, as scalar_k
     from edbeam import laws
 
     subclasses = [

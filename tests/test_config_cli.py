@@ -13,6 +13,7 @@ from edbeam import (
     InvalidConfigurationError,
     K1Monomial,
     K2Constant,
+    K3Rational,
     ZeroSource,
     build_model,
     cli,
@@ -561,8 +562,14 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             "energy2 = -1.0",
             lambda m: make_initial_state(m, np.random.default_rng(0), -1.0),
         ),
+        # the ball run passed on a drift of 0 over 0 runs
+        (
+            "exp_k3_ball",
+            "n_inside = 0",
+            lambda m: exp_k3_ball(m, K3Rational(1.0), [], [], IntegratorConfig(1e-2, 1.0)),
+        ),
     ],
-    ids=["nakao_suite", "haraux_suite", "stationary", "initial_state"],
+    ids=["nakao_suite", "haraux_suite", "stationary", "initial_state", "k3_ball"],
 )
 def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):
     with pytest.raises(InvalidConfigurationError) as direct:

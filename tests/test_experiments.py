@@ -132,7 +132,7 @@ def test_exp_lambda_rejects_bad_grid():
         ([1.2], besides),
         ([0.2], besides),
         ([], besides),
-        ([0.2, 1.2], r"lambda must be in \[0, 1\], got 1.2"),
+        ([0.2, 1.2], r"lambda = 1.2: lambda in \[0, 1\] required"),
     ]:
         with pytest.raises(ValueError, match=message):
             exp_lambda_lipschitz(
@@ -241,8 +241,9 @@ def test_k3_end_state_cloud_sits_on_unit_sphere():
     m = build_model(8, math.pi, 0.0, 64)
     rng = np.random.default_rng(12)
     outside = [make_initial_state(m, rng, rng.uniform(2.0, 6.0)) for _ in range(5)]
+    inside = [make_initial_state(m, np.random.default_rng(0), 0.5)]  # one is required
     cfg = IntegratorConfig(dt=1e-2, horizon=50.0, alpha=1.0, sample_stride=10)
-    rep = exp_k3_ball(m, K3Rational(1.0), [], outside, cfg, horizon_outside=500.0)
+    rep = exp_k3_ball(m, K3Rational(1.0), inside, outside, cfg, horizon_outside=500.0)
     pts = np.array([np.concatenate([s.a, s.b]) for s in rep.end_states])
     weights = np.concatenate([m.sigma, np.ones(8)])
     norms2 = pts**2 @ weights  # = 2E for kappa = 0
@@ -255,9 +256,10 @@ def test_k3_outside_runs_that_miss_the_sphere_fail(tmp_path):
     m = build_model(8, math.pi, 0.0, 64)
     rng = np.random.default_rng(12)
     outside = [make_initial_state(m, rng, rng.uniform(2.0, 6.0)) for _ in range(3)]
+    inside = [make_initial_state(m, np.random.default_rng(0), 0.5)]  # one is required
     cfg = IntegratorConfig(dt=1e-2, horizon=1.0, alpha=1.0, sample_stride=10)
     rep = exp_k3_ball(
-        m, K3Rational(1.0), [], outside, cfg, horizon_outside=2.0, out_dir=str(tmp_path)
+        m, K3Rational(1.0), inside, outside, cfg, horizon_outside=2.0, out_dir=str(tmp_path)
     )
     verdicts = {c.name: c.passed for c in rep.criteria}
     assert verdicts["outside_reaches_sphere"] is False

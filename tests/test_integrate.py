@@ -27,6 +27,7 @@ from edbeam import (
     step,
 )
 from edbeam.integrate import _Stepper
+from edbeam.series import write_csv
 
 # Inside the unit energy ball the threshold law evaluates to exactly zero,
 # which is the only way the law families express an undamped linear flow.
@@ -323,6 +324,38 @@ def test_trajectory_csv_format(tmp_path):
     assert data.shape == (traj.n_samples, 9)
     assert np.allclose(data[:, 0], traj.t, atol=0.0)
     assert np.allclose(data[:, 5], traj.a[:, 0], atol=0.0)
+
+
+def _write_csv_per_value(path, header, columns):
+    """The CSV writer as it was before rows were formatted a block per call,
+    kept verbatim as the reference."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), 4):
+            block = np.column_stack([c[start : start + 4] for c in columns])
+            for row in block.tolist():
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 15, 16, 17, 40])
+def test_write_csv_matches_the_per_value_writer(tmp_path, rows):
+    # a 1-d column, a 2-d column of three and another 1-d column
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(5 * rows) * 10.0 ** rng.uniform(-300.0, 300.0, 5 * rows)
+    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
+    values[: len(special)] = special[: values.size]
+    values = rng.permutation(values).reshape(rows, 5)
+    columns = [values[:, 0], values[:, 1:4], values[:, 4]]
+    header = ["t", "a_1", "a_2", "a_3", "E"]
+    write_csv(tmp_path / "block.csv", header, columns)
+    _write_csv_per_value(tmp_path / "value.csv", header, columns)
+    text = (tmp_path / "block.csv").read_bytes()
+    assert text == (tmp_path / "value.csv").read_bytes()
+    assert text.count(b"\n") == rows + 1
+    if rows >= 15:
+        cells = set(text.replace(b"\n", b",").split(b","))
+        assert {b"-0", b"inf", b"-inf", b"nan", b"4.9406564584124654e-324", b"-1e+308"} <= cells
 
 
 def test_sampling_stride_and_final_state():

@@ -22,59 +22,30 @@ from edbeam import (
 )
 
 
+def _k(law, s):
+    """The law's ``scalar_k`` at each sample of ``s``."""
+    return np.array([law.scalar_k()(x) for x in np.ravel(s).tolist()])
+
+
 def test_k_eval_examples():
-    assert K1Monomial(2.0, 1.0).k(3.0) == pytest.approx(6.0, abs=1e-15)
-    k3 = K3Rational(1.0)
-    assert k3.k(0.5) == 0.0
-    assert k3.k(2.0) == pytest.approx(0.5, abs=1e-15)
-    assert K2Rational(3.0).k(0.0) == pytest.approx(3.0, abs=1e-15)
-
-
-ALL_LAWS = [
-    K1Monomial(1.0, 0.5),
-    K1Monomial(0.8, 1.5),
-    K1Monomial(2.0, 2.0),
-    K2Constant(1.3),
-    K2ExpDecay(1.3),
-    K2Rational(1.3),
-    K3Rational(1.3),
-    K3ShiftedExp(1.3),
-]
-
-
-@pytest.mark.parametrize("law", ALL_LAWS, ids=repr)
-def test_k_is_scalar_k_elementwise_bitwise(law):
-    # one formula per law: k maps scalar_k, so an array form can no longer
-    # round differently from the evaluator the integrators use
-    rng = np.random.default_rng(3)
-    grid = np.concatenate(
-        [np.linspace(0.0, 5.0, 2001), rng.uniform(0.0, 50.0, 2001), [1.0, 1e-300]]
-    )
-    kf = law.scalar_k()
-    expected = np.array([kf(x) for x in grid.tolist()])
-    assert np.array_equal(law.k(grid), expected)
-    assert np.array_equal(law.k(grid.reshape(2, -1)), expected.reshape(2, -1))
-    one = law.k(2.5)
-    assert type(one) is float and one == kf(2.5)
+    assert K1Monomial(2.0, 1.0).scalar_k()(3.0) == pytest.approx(6.0, abs=1e-15)
+    k3 = K3Rational(1.0).scalar_k()
+    assert k3(0.5) == 0.0
+    assert k3(2.0) == pytest.approx(0.5, abs=1e-15)
+    assert K2Rational(3.0).scalar_k()(0.0) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_power_law_k_overflow_raises():
     with pytest.raises(OverflowError):
-        K1Monomial(1.0, 3.0).k(np.array([1.0, 1e200]))
+        _k(K1Monomial(1.0, 3.0), [1.0, 1e200])
 
 
 def test_k1_degenerate_at_origin_and_monotone():
     law = K1Monomial(1.5, 0.5)
-    assert law.k(0.0) == 0.0
+    assert law.scalar_k()(0.0) == 0.0
     s = np.linspace(0.0, 5.0, 200)
-    vals = law.k(s)
+    vals = _k(law, s)
     assert np.all(np.diff(vals) >= 0.0)
-
-
-@pytest.mark.parametrize("law", [K1Monomial(1.0, 1.0), K2Constant(1.0), K3Rational(1.0)])
-def test_negative_argument_rejected(law):
-    with pytest.raises(ValueError):
-        law.k(-0.1)
 
 
 def test_k1_parameter_validation():
@@ -87,7 +58,7 @@ def test_k1_parameter_validation():
 def test_k2_positive_and_c1_on_samples():
     s = np.linspace(0.0, 20.0, 4001)
     for law in (K2Constant(0.7), K2ExpDecay(2.0), K2Rational(1.3)):
-        vals = law.k(s)
+        vals = _k(law, s)
         assert np.all(vals > 0.0)
         # sampled difference quotients stay bounded (C1 regularity proxy)
         quotients = np.abs(np.diff(vals) / np.diff(s))
@@ -97,22 +68,22 @@ def test_k2_positive_and_c1_on_samples():
 @pytest.mark.parametrize("law", [K3Rational(2.0), K3ShiftedExp(2.0)])
 def test_k3_threshold_shape(law):
     s = np.linspace(0.0, 1.0, 101)
-    assert np.all(law.k(s) == 0.0)
+    assert np.all(_k(law, s) == 0.0)
     s_up = np.linspace(1.0 + 1e-9, 30.0, 2001)
-    vals = law.k(s_up)
+    vals = _k(law, s_up)
     assert np.all(np.diff(vals) > 0.0)
     assert np.all(vals <= law.gamma)
     # global Lipschitz proxy: bounded sampled difference quotients
     grid = np.linspace(0.0, 30.0, 6001)
-    quot = np.abs(np.diff(law.k(grid)) / np.diff(grid))
+    quot = np.abs(np.diff(_k(law, grid)) / np.diff(grid))
     assert np.max(quot) <= law.gamma * 1.5 + 1e-12
 
 
 def test_k3_kink_continuity():
     gamma = 1.0
-    law = K3Rational(gamma)
-    below = law.k(1.0 - 1e-9)
-    above = law.k(1.0 + 1e-9)
+    k = K3Rational(gamma).scalar_k()
+    below = k(1.0 - 1e-9)
+    above = k(1.0 + 1e-9)
     assert abs(above - below) <= gamma * 1e-8
 
 
@@ -216,8 +187,9 @@ def test_assumption_constants_flag_ok_for_small_sigma():
 
 
 def test_forcing_validation_and_presets():
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidConfigurationError) as bad:
         Forcing(1.5, np.zeros(3))
+    assert str(bad.value) == "lambda = 1.5: lambda in [0, 1] required"
     with pytest.raises(InvalidConfigurationError):
         Forcing(-0.1, np.zeros(3))
     f = Forcing.single_mode(4, 1, 2.0, 0.5)

@@ -5,24 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edbeam import (
-    NakaoProblem,
-    SampledSeries,
-    haraux_check,
-    nakao_bound,
-    nakao_hypothesis_residual,
-    nakao_verify,
-)
-from edbeam import experiments, nakao
+from edbeam import experiments, haraux_check, nakao
 from edbeam.experiments import ExperimentReport, haraux_suite, nakao_suite
 from edbeam.nakao import (
     CONCLUSION_TOL,
+    _c0s,
     _check_rows,
     _draw_rows,
+    _envelope,
+    _residuals,
     _Rows,
     _verify_draws,
-    minimal_C0,
-    random_nakao_problem,
 )
 from edbeam.nakao import _windows as _window_rows
 
@@ -60,9 +53,8 @@ def _c0_from_windows(sup, drop, K):
 
 
 def _draw(rng, rho, max_resample=200):
-    """The instance of :func:`random_nakao_problem` as ``(m, phi, K, C0,
-    residual)``, on the grid ``arange(len(phi)) / m``; ``residual`` <= 0 is
-    its hypothesis residual."""
+    """One random instance as ``(m, phi, K, C0, residual)``, on the grid
+    ``arange(len(phi)) / m``; ``residual`` <= 0 is its hypothesis residual."""
     for _ in range(max_resample):
         m = int(rng.choice([1, 2, 4, 5, 10]))
         units = int(rng.integers(2, 7))
@@ -123,38 +115,55 @@ def _assert_rows_are(rows, draws):
     assert rows.residual.tobytes() == expected.residual.tobytes()
 
 
-def _grid(values, m=1):
-    values = np.asarray(values, dtype=float)
-    t = np.arange(values.size) / m
-    return SampledSeries(t, values)
-
-
-def _problem(phi, C0, rho, K=None, m=1):
+def _row(phi, C0, K=None, m=1):
+    """One instance as a padded block of one row, its residual left nan."""
     phi = np.asarray(phi, dtype=float)
     K = np.zeros_like(phi) if K is None else np.asarray(K, dtype=float)
-    return NakaoProblem(phi=_grid(phi, m), C0=C0, rho=rho, K=_grid(K, m))
+    return _pad([(m, phi, K, C0, np.nan)])
+
+
+def _row_windows(rows, rho):
+    """The windows of :func:`_window_rows` over each row's live samples."""
+    return _window_rows(rows.phi, rows.m, np.count_nonzero(rows.live, axis=1), rho)
+
+
+def _verify(phi, C0, rho, K=None, m=1):
+    """Hypothesis residual and worst conclusion margin of one instance,
+    through the row functions."""
+    rows = _row(phi, C0, K, m)
+    sup, drop, valid = _row_windows(rows, rho)
+    rows = rows._replace(residual=_residuals(sup, drop, rows.C0, rows.K, valid))
+    residual, worst = _verify_draws(rows, rho)
+    return float(residual[0]), float(worst[0])
+
+
+def _bounds(phi, C0, rho, K=None, m=1):
+    """The envelope at each grid point of one instance."""
+    phi = np.asarray(phi, dtype=float)
+    K = np.zeros_like(phi) if K is None else np.asarray(K, dtype=float)
+    t = np.arange(len(phi)) / m
+    sup01 = np.full(t.shape, np.max(phi[: m + 1]))
+    return _envelope(t, K, sup01, np.full(t.shape, float(C0)), rho)
 
 
 def test_zero_phi_boundary_case():
-    p = _problem(np.zeros(6), C0=1.0, rho=0.0)
-    assert nakao_hypothesis_residual(p) == 0.0
-    v = nakao_verify(p)
-    assert v.hypothesis_ok and v.conclusion_ok
+    residual, worst = _verify(np.zeros(6), C0=1.0, rho=0.0)
+    assert residual == 0.0
+    assert worst <= CONCLUSION_TOL
 
 
 def test_geometric_sequence_minimal_constant():
     # phi(t) = 2^-floor(t): C0 = 1 fails by phi(t)/2, C0 = 2 is exact
     phi = 2.0 ** -np.arange(6.0)
-    p1 = _problem(phi, C0=1.0, rho=0.0)
-    assert nakao_hypothesis_residual(p1) == pytest.approx(0.5, abs=1e-15)
-    v1 = nakao_verify(p1)
-    assert not v1.hypothesis_ok
-    assert not v1.conclusion_ok
+    residual, _ = _verify(phi, C0=1.0, rho=0.0)
+    assert residual == pytest.approx(0.5, abs=1e-15)
 
-    p2 = _problem(phi, C0=2.0, rho=0.0)
-    assert nakao_hypothesis_residual(p2) == pytest.approx(0.0, abs=1e-15)
-    v2 = nakao_verify(p2)
-    assert v2.hypothesis_ok and v2.conclusion_ok
+    residual, worst = _verify(phi, C0=2.0, rho=0.0)
+    assert residual == pytest.approx(0.0, abs=1e-15)
+    assert worst <= CONCLUSION_TOL
+    rows = _row(phi, C0=1.0)
+    sup, drop, valid = _row_windows(rows, 0.0)
+    assert _c0s(sup, drop, rows.K, valid).tolist() == [2.0]
 
 
 def test_constant_phi_with_matching_offset():
@@ -162,113 +171,95 @@ def test_constant_phi_with_matching_offset():
     rho = 0.5
     phi = np.full(5, c)
     K = np.full(5, c ** (1.0 + rho))
-    p = _problem(phi, C0=3.0, rho=rho, K=K)
-    assert nakao_hypothesis_residual(p) == pytest.approx(0.0, abs=1e-15)
-    assert nakao_verify(p).conclusion_ok
+    residual, worst = _verify(phi, C0=3.0, rho=rho, K=K)
+    assert residual == pytest.approx(0.0, abs=1e-15)
+    assert worst <= CONCLUSION_TOL
 
 
 def test_bound_reference_values():
-    phi = np.ones(10)
-    p0 = _problem(phi, C0=1.0, rho=0.0)
-    assert nakao_bound(p0, 3.0) == pytest.approx(0.125, abs=1e-15)
+    assert _bounds(np.ones(10), C0=1.0, rho=0.0)[3] == pytest.approx(0.125, abs=1e-15)
 
-    p1 = _problem(phi, C0=5.0, rho=1.0)
-    assert nakao_bound(p1, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert nakao_bound(p1, 0.7) == pytest.approx(1.0, abs=1e-15)  # (t-1)+ = 0
+    bound = _bounds(np.ones(91), C0=5.0, rho=1.0, m=10)
+    assert bound[0] == pytest.approx(1.0, abs=1e-15)
+    assert bound[7] == pytest.approx(1.0, abs=1e-15)  # t = 0.7, (t-1)+ = 0
 
-    p8 = _problem(phi, C0=8.0, rho=1.0)
     # (rho/C0 * (9-1) + 1)^-1 = 1/2
-    assert nakao_bound(p8, 9.0) == pytest.approx(0.5, abs=1e-15)
+    assert _bounds(np.ones(10), C0=8.0, rho=1.0)[9] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_bound_is_geometric_for_rho_zero():
-    phi = np.linspace(1.0, 0.2, 9)
-    p = _problem(phi, C0=3.0, rho=0.0)
-    ratio = p.C0 / (1.0 + p.C0)
-    for t in (0.0, 1.0, 2.0, 5.0):
-        assert nakao_bound(p, t + 1.0) / nakao_bound(p, t) == pytest.approx(
-            ratio, rel=1e-14
-        )
+    bound = _bounds(np.linspace(1.0, 0.2, 9), C0=3.0, rho=0.0)
+    ratio = 3.0 / (1.0 + 3.0)
+    for t in (0, 1, 2, 5):
+        assert bound[t + 1] / bound[t] == pytest.approx(ratio, rel=1e-14)
 
 
 def test_bound_monotone_for_constant_K():
-    phi = np.linspace(2.0, 0.1, 13)
-    K = np.full(13, 0.3)
+    phi = np.linspace(2.0, 0.1, 49)
+    K = np.full(49, 0.3)
     for rho in (0.0, 0.5, 2.0):
-        p = _problem(phi, C0=4.0, rho=rho, K=K)
-        vals = [nakao_bound(p, float(t)) for t in np.linspace(0.0, 12.0, 49)]
+        vals = _bounds(phi, C0=4.0, rho=rho, K=K, m=4).tolist()
         assert all(b - a <= 1e-14 for a, b in zip(vals, vals[1:]))
 
 
 def test_degenerate_sup_convention():
     phi = np.zeros(8)
     K = np.linspace(0.0, 0.5, 8)
-    p = _problem(phi, C0=1.0, rho=1.0, K=K)
-    assert nakao_bound(p, 7.0) == pytest.approx(0.5**0.5, rel=1e-14)
-    v = nakao_verify(p)
-    assert v.degenerate_sup
-    assert v.conclusion_ok
+    assert _bounds(phi, C0=1.0, rho=1.0, K=K)[7] == pytest.approx(0.5**0.5, rel=1e-14)
+    residual, worst = _verify(phi, C0=1.0, rho=1.0, K=K)
+    assert residual <= 0.0
+    assert worst <= CONCLUSION_TOL
 
 
 def test_grid_validation():
+    live = np.ones((1, 6), dtype=bool)
+    ones, zeros = np.ones((1, 6)), np.zeros((1, 6))
     # spacing that does not divide 1
-    t = np.arange(6) * 0.3
-    with pytest.raises(ValueError):
-        NakaoProblem(
-            phi=SampledSeries(t, np.ones(6)),
-            C0=1.0,
-            rho=0.0,
-            K=SampledSeries(t, np.zeros(6)),
-        )
+    with pytest.raises(ValueError, match="grid spacing 0.3 must divide 1"):
+        _check_rows(np.arange(6)[None] * 0.3, ones, zeros, [1.0], 0.0, live)
     # decreasing K is rejected
-    with pytest.raises(ValueError):
-        _problem(np.ones(4), C0=1.0, rho=0.0, K=np.array([1.0, 0.5, 0.4, 0.3]))
+    K = np.array([[1.0, 0.5, 0.4, 0.3, 0.3, 0.3]])
+    with pytest.raises(ValueError, match="K must be non-decreasing"):
+        _check_rows(np.arange(6.0)[None], ones, K, [1.0], 0.0, live)
     # grid must start at zero
-    t0 = 1.0 + np.arange(4)
-    with pytest.raises(ValueError):
-        NakaoProblem(
-            phi=SampledSeries(t0, np.ones(4)),
-            C0=1.0,
-            rho=0.0,
-            K=SampledSeries(t0, np.zeros(4)),
-        )
-    # short grid: residual needs at least one unit window
-    p = _problem(np.ones(3), C0=1.0, rho=0.0, m=4)
-    with pytest.raises(ValueError):
-        nakao_hypothesis_residual(p)
+    with pytest.raises(ValueError, match="grid must start at t = 0"):
+        _check_rows(1.0 + np.arange(6.0)[None], ones, zeros, [1.0], 0.0, live)
+    # short grid: the residual needs at least one unit window
+    with pytest.raises(ValueError, match="3 samples hold no window of 5"):
+        _row_windows(_row(np.ones(3), C0=1.0, m=4), 0.0)
 
 
 def test_minimal_c0_infeasible_window():
     # flat phi with sup above K admits no finite constant
-    phi = np.array([1.0, 1.0, 1.0])
-    assert minimal_C0(phi, np.zeros(3), 0.0, 1) is None
+    rows = _row(np.array([1.0, 1.0, 1.0]), C0=1.0)
+    sup, drop, valid = _row_windows(rows, 0.0)
+    assert np.isnan(_c0s(sup, drop, rows.K, valid)[0])
 
 
 def test_generator_soundness_small_batch():
     rng = np.random.default_rng(123)
     for rho in (0.0, 0.5, 1.0, 2.0):
         for _ in range(50):
-            p = random_nakao_problem(rng, rho)
-            v = nakao_verify(p)
-            assert v.hypothesis_ok
-            assert v.conclusion_ok, (rho, v.worst_conclusion_margin)
+            residual, worst = _verify_draws(_draw_rows(rng, rho, 1), rho)
+            assert residual[0] <= 0.0
+            assert worst[0] <= CONCLUSION_TOL, (rho, worst[0])
 
 
 def test_haraux_examples():
-    same = haraux_check(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 3.0)
-    assert same.lhs == 0.0 and same.ok
-    scalar = haraux_check(np.array([2.0]), np.array([1.0]), 2.0)
-    assert scalar.lhs == pytest.approx(3.0)
-    assert scalar.rhs == pytest.approx(4.0)
-    assert scalar.ok
+    lhs, _, ok = haraux_check([[1.0, 2.0]], [[1.0, 2.0]], [3.0])
+    assert lhs[0] == 0.0 and ok[0]
+    lhs, rhs, ok = haraux_check([[2.0]], [[1.0]], [2.0])
+    assert lhs[0] == pytest.approx(3.0)
+    assert rhs[0] == pytest.approx(4.0)
+    assert ok[0]
     with pytest.raises(ValueError):
-        haraux_check(np.array([1.0]), np.array([1.0]), 0.5)
+        haraux_check([[1.0]], [[1.0]], [0.5])
 
 
 def test_haraux_tight_for_parallel_r1():
-    u = np.array([1.0, 2.0, -1.0])
-    res = haraux_check(u, 2.5 * u, 1.0)
-    assert abs(res.lhs - res.rhs) <= 1e-12
+    u = np.array([[1.0, 2.0, -1.0]])
+    lhs, rhs, _ = haraux_check(u, 2.5 * u, [1.0])
+    assert abs(lhs[0] - rhs[0]) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -279,43 +270,25 @@ def test_haraux_tight_for_parallel_r1():
 )
 def test_haraux_property(seed, r, dim):
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
-    v = rng.standard_normal(dim) * 10.0 ** rng.uniform(-2, 2)
-    assert haraux_check(u, v, r).ok
+    u = rng.standard_normal((1, dim)) * 10.0 ** rng.uniform(-2, 2)
+    v = rng.standard_normal((1, dim)) * 10.0 ** rng.uniform(-2, 2)
+    assert haraux_check(u, v, [r])[2][0]
 
 
-def _scalar_bound(p, t):
-    """One-time-at-a-time envelope in Python floats, the reference for the
-    array form of nakao_bound."""
-    m = p.steps_per_unit
-    sup01 = float(np.max(p.phi.y[: m + 1]))
-    kt = float(np.interp(t, p.K.t, p.K.y))
-    if p.rho == 0.0:
-        return sup01 * (p.C0 / (1.0 + p.C0)) ** math.floor(t) + kt
-    k_term = kt ** (1.0 / (p.rho + 1.0))
+def _scalar_bound(draw, rho, i):
+    """The envelope at grid point ``i`` of a draw in Python floats, the
+    reference for the row envelope."""
+    m, phi, K, C0, _ = draw
+    t = i / m
+    sup01 = float(np.max(phi[: m + 1]))
+    kt = float(K[i])
+    if rho == 0.0:
+        return sup01 * (C0 / (1.0 + C0)) ** math.floor(t) + kt
+    k_term = kt ** (1.0 / (rho + 1.0))
     if sup01 == 0.0:
         return k_term
     tplus = max(t - 1.0, 0.0)
-    return (p.rho / p.C0 * tplus + sup01 ** (-p.rho)) ** (-1.0 / p.rho) + k_term
-
-
-@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0, 2.0])
-def test_bound_array_matches_scalar_calls(rho):
-    rng = np.random.default_rng(77)
-    for _ in range(100):
-        p = random_nakao_problem(rng, rho)
-        t = p.phi.t
-        bounds = nakao_bound(p, t)
-        assert bounds.shape == t.shape
-        scalar = np.array([nakao_bound(p, ti) for ti in t])
-        reference = np.array([_scalar_bound(p, float(ti)) for ti in t])
-        assert bounds.tobytes() == scalar.tobytes()
-        assert bounds.tobytes() == reference.tobytes()
-        assert isinstance(nakao_bound(p, t[-1]), float)
-        with pytest.raises(ValueError):
-            nakao_bound(p, np.append(t, t[-1] + 0.5))
-        with pytest.raises(ValueError):
-            nakao_bound(p, -0.25)
+    return (rho / C0 * tplus + sup01 ** (-rho)) ** (-1.0 / rho) + k_term
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 10])
@@ -373,13 +346,9 @@ def test_haraux_rows_match_one_trial_formula():
     rows = haraux_check(u, v, r)
     ref = [_one_trial_haraux(u[i, : dims[i]], v[i, : dims[i]], float(r[i])) for i in range(n)]
     lhs, rhs, ok = (np.array(col) for col in zip(*ref))
-    assert rows.lhs.tobytes() == lhs.tobytes()
-    assert rows.rhs.tobytes() == rhs.tobytes()
-    assert np.array_equal(rows.ok, ok)
-    for i in range(0, n, 1000):
-        one = haraux_check(u[i, : dims[i]], v[i, : dims[i]], r[i])
-        assert type(one.lhs) is float and type(one.rhs) is float and type(one.ok) is bool
-        assert (one.lhs, one.rhs, one.ok) == ref[i]
+    assert rows[0].tobytes() == lhs.tobytes()
+    assert rows[1].tobytes() == rhs.tobytes()
+    assert np.array_equal(rows[2], ok)
 
 
 def test_haraux_rows_reject_bad_input():
@@ -394,6 +363,8 @@ def test_haraux_rows_reject_bad_input():
         haraux_check(u, u, 2.0)  # rows need one r each
     with pytest.raises(ValueError):
         haraux_check(np.ones(3), np.ones(3), np.full(3, 2.0))
+    with pytest.raises(ValueError):
+        haraux_check(np.ones(3), np.ones(3), 2.0)  # one vector pair is not a row
 
 
 @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025])
@@ -414,12 +385,6 @@ def test_haraux_suite_block_boundaries(trials, monkeypatch):
     assert haraux_suite(seed=9, trials=trials).to_text() == first.to_text()
 
 
-def _drawn_problem(draw, rho):
-    m, phi, K, C0, _ = draw
-    t = np.arange(len(phi)) / m
-    return NakaoProblem(phi=SampledSeries(t, phi), C0=C0, rho=rho, K=SampledSeries(t, K))
-
-
 def _hand_draws(rho):
     """Short rows the generator never makes: phi zero on the first window
     with K(0) > 0, and a first-window maximum at the window's last sample
@@ -430,33 +395,27 @@ def _hand_draws(rho):
         (2, np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]), np.ones(7)),
         (2, np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]), np.ones(7)),
     ]
-    draws = []
-    for m, phi, K in rows:
-        p = _drawn_problem((m, phi, K, 1.0, None), rho)
-        draws.append((m, phi, K, 1.0, nakao_hypothesis_residual(p)))
-    return draws
+    return [(m, phi, K, 1.0, _residual(*_windows(phi, m, rho), 1.0, K)) for m, phi, K in rows]
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0, 2.0])
-def test_block_verdicts_match_nakao_verify(rho):
+def test_block_verdicts_match_the_scalar_formula(rho):
     for seed in (0, 1, 2):
-        rng_rows, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
-        rng_block = np.random.default_rng(seed)
+        rng_rows, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = [_draw(rng_rows, rho) for _ in range(100)] + _hand_draws(rho)
-        problems = [random_nakao_problem(rng_one, rho) for _ in range(100)]
-        problems += [_drawn_problem(d, rho) for d in draws[100:]]
-        verdicts = [nakao_verify(p) for p in problems]
-        assert all(v.hypothesis_ok for v in verdicts)
-        assert sum(v.degenerate_sup for v in verdicts) == (3 if rho > 0.0 else 0)
-        residual, worst = _verify_draws(_pad(draws), rho)
-        expected = np.array([v.worst_hypothesis_residual for v in verdicts])
-        assert residual.tobytes() == expected.tobytes()
-        expected = np.array([v.worst_conclusion_margin for v in verdicts])
-        assert worst.tobytes() == expected.tobytes()
-        # and the scalar formula, which shares no code with the rows
-        scalar = [
-            np.max(p.phi.y - [_scalar_bound(p, float(ti)) for ti in p.phi.t]) for p in problems
-        ]
+        assert all(d[4] <= 0.0 for d in draws)
+        # three hand rows have a vanishing early sup
+        degenerate = [np.max(phi[: m + 1]) == 0.0 for m, phi, *_ in draws]
+        assert sum(degenerate) == 3
+        block = _pad(draws)
+        # the row functions give the reference's hypothesis residuals
+        sup, drop, valid = _row_windows(block, rho)
+        rows_residual = _residuals(sup, drop, block.C0, block.K, valid)
+        assert rows_residual.tobytes() == block.residual.tobytes()
+        residual, worst = _verify_draws(block, rho)
+        assert residual.tobytes() == block.residual.tobytes()
+        # the scalar formula shares no code with the rows
+        scalar = [max(d[1][i] - _scalar_bound(d, rho, i) for i in range(len(d[1]))) for d in draws]
         assert worst.tobytes() == np.array(scalar).tobytes()
         # the block path draws the reference's instances, leaves the
         # generator where it does, and verifies them the same way
@@ -482,8 +441,8 @@ def _per_problem_suite(seed, trials, rhos=(0.0, 0.5, 1.0, 2.0)):
             if not draw[4] <= 0.0:
                 violations += 1
                 continue
-            p = _drawn_problem(draw, rho)
-            margin = max(yi - _scalar_bound(p, float(ti)) for ti, yi in zip(p.phi.t, p.phi.y))
+            phi = draw[1]
+            margin = max(phi[i] - _scalar_bound(draw, rho, i) for i in range(len(phi)))
             worst = max(worst, margin)
             if not margin <= CONCLUSION_TOL:
                 violations += 1
@@ -559,10 +518,10 @@ def test_rejected_candidates_are_skipped_in_stream_order(rho, monkeypatch):
     # one instance at a time skips the same candidates
     rounds.clear()
     rng_one = np.random.default_rng(8)
-    problems = [random_nakao_problem(rng_one, rho) for _ in range(10)]
+    ones = [_draw_rows(rng_one, rho, 1) for _ in range(10)]
     kept = [d for i, d in enumerate(draws) if i not in rejected]
-    assert [p.C0 for p in problems] == [d[3] for d in kept]
-    assert all(p.phi.y.tobytes() == d[1].tobytes() for p, d in zip(problems, kept))
+    for one, d in zip(ones, kept):
+        _assert_rows_are(one, [d])
 
 
 def test_resample_limit_counts_consecutive_rejections(monkeypatch):
@@ -580,10 +539,6 @@ def test_resample_limit_counts_consecutive_rejections(monkeypatch):
         with pytest.raises(RuntimeError) as block:
             _draw_rows(np.random.default_rng(3), 0.5, count)
         assert str(block.value) == str(reference.value)
-    _reject(monkeypatch, set(range(200)))
-    with pytest.raises(RuntimeError) as one:
-        random_nakao_problem(np.random.default_rng(3), 0.5)
-    assert str(one.value) == str(reference.value)
 
 
 def _broken(draw, name, index, value):
@@ -627,9 +582,6 @@ def test_block_rejects_each_broken_invariant(break_row, rho, message):
     rng = np.random.default_rng(4)
     draws = [_draw(rng, 0.5) for _ in range(12)]
     draws[7] = break_row(draws[7])
-    with pytest.raises(ValueError) as one:
-        _drawn_problem(draws[7], rho)
-    assert str(one.value) == message
     with pytest.raises(ValueError) as block:
         _verify_draws(_pad(draws), rho)
     assert str(block.value) == message
@@ -650,11 +602,6 @@ def test_row_checks_reject_a_shifted_or_uneven_grid():
     ):
         bad = t.copy()
         bad[1] = row
-        with pytest.raises(ValueError) as one:
-            NakaoProblem(
-                phi=SampledSeries(row, phi[1]), C0=1.0, rho=0.0, K=SampledSeries(row, K[1])
-            )
-        assert str(one.value) == message
         with pytest.raises(ValueError) as block:
             _check_rows(bad, phi, K, np.ones(3), 0.0, live)
         assert str(block.value) == message

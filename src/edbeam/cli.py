@@ -55,25 +55,20 @@ def _start(cfg):
 
 def _states(inp, n):
     """``n`` initial states drawn in turn from the run's generator with the
-    ``energy2`` and ``decay`` options."""
-    energy2, decay = inp.opts["energy2"], inp.opts["decay"]
-    return [make_initial_state(inp.model, inp.rng, energy2, decay) for _ in range(n)]
+    ``energy2`` option."""
+    return [make_initial_state(inp.model, inp.rng, inp.opts["energy2"]) for _ in range(n)]
 
 
 def _ball_starts(inp):
     """exp_k3_ball's inside and outside starts, drawn in turn from the run's
     generator: 2E uniform in (0.05, 0.95) inside the unit ball, and uniform
-    in (outside_lo, outside_hi) outside it."""
+    in (2, 8) outside it."""
     model, opts, rng = inp.model, inp.opts, inp.rng
     inside = [
-        make_initial_state(model, rng, rng.uniform(0.05, 0.95), opts["decay"])
-        for _ in range(opts["n_inside"])
+        make_initial_state(model, rng, rng.uniform(0.05, 0.95)) for _ in range(opts["n_inside"])
     ]
     outside = [
-        make_initial_state(
-            model, rng, rng.uniform(opts["outside_lo"], opts["outside_hi"]), opts["decay"]
-        )
-        for _ in range(opts["n_outside"])
+        make_initial_state(model, rng, rng.uniform(2.0, 8.0)) for _ in range(opts["n_outside"])
     ]
     return inside, outside
 
@@ -103,9 +98,7 @@ _RUNNERS = {
             inp.icfg,
             source=inp.source,
             forcing=inp.forcing,
-            slack=inp.opts["slack"],
             fit_window=_fit_window(inp),
-            rate_tol=inp.opts["rate_tol"],
             **out,
         ),
         "two-sided polynomial energy envelope and 1/q rate fit for the monomial damping",
@@ -166,7 +159,6 @@ _RUNNERS = {
             inp.icfg,
             s=inp.opts["s"],
             probe_modes=inp.opts["probe_modes"],
-            probe_eps=inp.opts["probe_eps"],
             **out,
         ),
         "contracting + smoothing splitting of the constant-damping flow",
@@ -185,13 +177,7 @@ _RUNNERS = {
     ),
     "stationary": (
         lambda inp, **out: exp_stationary(
-            inp.model,
-            inp.source,
-            inp.forcing,
-            inp.opts["n_starts"],
-            start_scale=inp.opts["start_scale"],
-            tol=inp.opts["tol"],
-            **out,
+            inp.model, inp.source, inp.forcing, inp.opts["n_starts"], tol=inp.opts["tol"], **out
         ),
         "variational stationary solver with a-priori bound check",
     ),

@@ -67,49 +67,17 @@ SOURCE_LAWS = {
 
 # Experiment ids and the extra keys each accepts (with defaults).
 EXPERIMENT_OPTIONS = {
-    "simulate": {"energy2": 1.0, "decay": 2.0},
-    "exp_k1_decay": {
-        "energy2": 1.0,
-        "decay": 2.0,
-        "fit_lo": 0.0,
-        "fit_hi": 0.0,
-        "slack": 0.02,
-        "rate_tol": 0.15,
-    },
-    "exp_k2_exponential": {
-        "energy2": 1.0,
-        "decay": 2.0,
-        "fit_lo": 0.0,
-        "fit_hi": 0.0,
-        "r2_min": 0.999,
-    },
-    "exp_k3_ball": {
-        "n_inside": 10,
-        "n_outside": 10,
-        "outside_lo": 2.0,
-        "outside_hi": 8.0,
-        "horizon_outside": 1000.0,
-        "decay": 2.0,
-    },
-    "exp_two_trajectory": {"energy2": 1.0, "decay": 2.0},
-    "exp_lambda_lipschitz": {
-        "lambda0": 0.5,
-        "t_probe": 10.0,
-        "grid_step": 0.1,
-        "energy2": 1.0,
-        "decay": 2.0,
-    },
-    "exp_decomposition": {
-        "s": 1.0,
-        "probe_modes": (4, 8, 16, 32),
-        "probe_eps": 1e-3,
-        "energy2": 1.0,
-        "decay": 2.0,
-    },
+    "simulate": {"energy2": 1.0},
+    "exp_k1_decay": {"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0},
+    "exp_k2_exponential": {"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0, "r2_min": 0.999},
+    "exp_k3_ball": {"n_inside": 10, "n_outside": 10, "horizon_outside": 1000.0},
+    "exp_two_trajectory": {"energy2": 1.0},
+    "exp_lambda_lipschitz": {"lambda0": 0.5, "t_probe": 10.0, "grid_step": 0.1, "energy2": 1.0},
+    "exp_decomposition": {"s": 1.0, "probe_modes": (4, 8, 16, 32), "energy2": 1.0},
     "exp_entropy": {"n_points": 10000},
     "nakao_suite": {"trials": 1000},
     "haraux_suite": {"trials": 100000},
-    "stationary": {"n_starts": 20, "start_scale": 1.0, "tol": 1e-8},
+    "stationary": {"n_starts": 20, "tol": 1e-8},
 }
 # Options that are run horizons, stepped with the [integrator] dt.
 HORIZON_OPTIONS = ("horizon_outside", "t_probe")

@@ -215,9 +215,9 @@ class Forcing:
             raise InvalidConfigurationError(f"lambda = {self.lam}: lambda in [0, 1] required")
         h = np.asarray(self.h_coeffs, dtype=float)
         if h.ndim != 1:
-            raise ValueError("h_coeffs must be a 1-d array")
+            raise InvalidConfigurationError("h_coeffs must be a 1-d array")
         if not np.all(np.isfinite(h)):
-            raise ValueError("h_coeffs must be finite")
+            raise InvalidConfigurationError("h_coeffs must be finite")
         object.__setattr__(self, "h_coeffs", h)
 
     @property

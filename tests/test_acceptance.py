@@ -171,7 +171,7 @@ def test_criterion_3_optimal_rates(k1_long_runs, q):
 
 
 def test_criterion_4_nakao_and_haraux_suites():
-    nak = nakao_suite(seed=2024, trials=1000, rhos=(0.0, 0.5, 1.0, 2.0))
+    nak = nakao_suite(seed=2024, trials=1000)
     assert nak.passed, nak.to_text()
     assert nak.metrics["worst_margin"] <= 1e-12
     har = haraux_suite(seed=2024, trials=100000)

@@ -339,7 +339,7 @@ def test_batch_time_reversal_of_undamped_flow(seed, rows, n_modes, steps, dt):
     law=hs.sampled_from([K3Rational(1.0), K3ShiftedExp(1.2)]),
 )
 def test_batch_rows_inside_the_ball_conserve_energy(seed, rows, alpha, law):
-    # 1e-10 is the drift_tol of exp_k3_ball
+    # 1e-10 is exp_k3_ball's bound on the relative energy drift inside the ball
     m = build_model(16, math.pi, 0.0, 128)
     states = _ball_states(m, np.random.default_rng(seed), rows)
     cfg = IntegratorConfig(dt=0.01, horizon=5.0, alpha=alpha, sample_stride=10)

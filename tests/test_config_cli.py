@@ -359,6 +359,23 @@ def test_parse_law_errors_name_the_section():
         parse_config("[source]\nvariant = double_power\ndelta = 1.0\n")
 
 
+# (id, key, value): run-file options that every run left at one value, now
+# constants of their drivers
+REMOVED_KEYS = [
+    *[
+        (exp_id, "decay", "2.0")
+        for exp_id in (
+            "simulate", "exp_k1_decay", "exp_k2_exponential", "exp_k3_ball",
+            "exp_two_trajectory", "exp_lambda_lipschitz", "exp_decomposition",
+        )
+    ],
+    ("exp_k1_decay", "slack", "0.05"),
+    ("exp_k1_decay", "rate_tol", "0.1"),
+    ("exp_k3_ball", "outside_lo", "1.5"),
+    ("exp_k3_ball", "outside_hi", "4.0"),
+    ("exp_decomposition", "probe_eps", "1e-4"),
+    ("stationary", "start_scale", "2.0"),
+]
 
 
 @pytest.mark.parametrize(
@@ -485,6 +502,29 @@ def test_parse_law_errors_name_the_section():
             "t_probe = 0.105\n",
             "error: [experiment] t_probe = 0.105: dt = 0.01 does not divide the horizon 0.105",
         ),
+        # a non-finite profile exited 1 with a traceback, or (mode:1:nan)
+        # with the message of a malformed profile
+        (
+            "exp_k2_exponential",
+            "[forcing]\nlambda = 0.5\nh = nan,0,0,0,0,0,0,0\n",
+            "",
+            "error: [forcing] h_coeffs must be finite",
+        ),
+        (
+            "exp_k2_exponential",
+            "[forcing]\nlambda = 0.5\nh = mode:1:nan\n",
+            "",
+            "error: [forcing] h_coeffs must be finite",
+        ),
+        *[
+            (
+                exp_id,
+                "",
+                f"{key} = {value}\n",
+                f"error: [experiment] unknown key '{key}' for {exp_id}",
+            )
+            for exp_id, key, value in REMOVED_KEYS
+        ],
     ],
     ids=[
         "probe_modes_not_integers",
@@ -506,6 +546,9 @@ def test_parse_law_errors_name_the_section():
         "grid_step_above_one",
         "grid_one_point_besides_lambda0",
         "t_probe_off_grid",
+        "forcing_list_not_finite",
+        "forcing_mode_not_finite",
+        *[f"removed_{exp_id}_{key}" for exp_id, key, _ in REMOVED_KEYS],
     ],
 )
 def test_cli_rejects_input_it_would_drop(tmp_path, capsys, exp_id, sections, options, message):

@@ -867,9 +867,9 @@ NAKAO_RHOS = (0.0, 0.5, 1.0, 2.0)
 def nakao_suite(seed=0, trials=1000):
     """Randomized soundness sweep of the window decay lemma.
 
-    Each rho of ``NAKAO_RHOS`` draws ``trials`` problems ``NAKAO_BLOCK`` at a time: the
-    generator draws one candidate after another, and the block builds,
-    filters and verifies them as padded rows.  The problems are the
+    Each rho of ``NAKAO_RHOS`` draws ``trials`` problems ``NAKAO_BLOCK`` at
+    a time: the generator draws one candidate after another, and the block
+    builds, filters and verifies them as padded rows.  The problems are the
     feasible candidates in stream order, the sample of drawing and
     verifying one problem at a time.
     """

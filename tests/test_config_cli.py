@@ -359,8 +359,8 @@ def test_parse_law_errors_name_the_section():
         parse_config("[source]\nvariant = double_power\ndelta = 1.0\n")
 
 
-# (id, key, value): run-file options that every run left at one value, now
-# constants of their drivers
+# (id, key, value): settings that are constants of the driver, so a run file
+# that sets one is rejected like any unknown key
 REMOVED_KEYS = [
     *[
         (exp_id, "decay", "2.0")

@@ -16,8 +16,9 @@ A run file is flat sections of ``key = value`` pairs::
 
 Unknown sections or keys are rejected; every module-level precondition is
 re-validated at parse time with the failed invariant named.  Omitted keys
-take the documented defaults (length pi, quadrature 8 n_modes, zero source,
-zero forcing).
+take the documented defaults (length pi, zero source, zero forcing, and the
+quadrature ``build_model`` sizes for the source: 2 n_modes for the cubic
+source, 8 n_modes for a source that is no polynomial).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .experiments import check_option, check_requirements
+from .experiments import check_fit_window, check_option, check_requirements
 from .integrate import IntegratorConfig
 from .laws import (
     DampingLaw,
@@ -305,6 +306,11 @@ def parse_config(text, experiment_id=None):
                 raise InvalidConfigurationError(
                     f"[experiment] {key} = {options[key]}: {exc}"
                 ) from None
+    if "fit_lo" in options:
+        try:
+            check_fit_window(options["fit_lo"], options["fit_hi"], integrator.horizon)
+        except InvalidConfigurationError as exc:
+            raise InvalidConfigurationError(f"[experiment] {exc}") from None
 
     cfg = RunConfig(
         model=model,
@@ -322,7 +328,7 @@ def parse_config(text, experiment_id=None):
     check_requirements(exp_id, **given, n_modes=model.n_modes, lambdas=lambdas)
 
     # Model-level invariants are re-checked by actually building the model.
-    build_model(model.n_modes, model.length, model.kappa, model.quad_points)
+    build_model(model.n_modes, model.length, model.kappa, model.quad_points, source)
     return cfg
 
 
@@ -357,7 +363,7 @@ def _forcing(lam, spec, n_modes):
 def build_objects(cfg):
     """Instantiate (model, damping, source, forcing) from a RunConfig."""
     mc = cfg.model
-    model = build_model(mc.n_modes, mc.length, mc.kappa, mc.quad_points)
+    model = build_model(mc.n_modes, mc.length, mc.kappa, mc.quad_points, cfg.source)
     forcing = _forcing(cfg.forcing.lam, cfg.forcing.h, model.n_modes)
     return model, cfg.damping, cfg.source, forcing
 

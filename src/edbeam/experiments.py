@@ -109,6 +109,10 @@ def check_requirements(exp_id, **given):
 OPTION_BOUNDS = {
     "energy2": (">= 0.0", lambda v: v >= 0.0),
     "grid_step": ("> 0", lambda v: v > 0.0),
+    "tol": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
+    "r2_min": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "fit_lo": (">= 0 and finite", lambda v: 0.0 <= v < math.inf),
+    "fit_hi": (">= 0 and finite", lambda v: 0.0 <= v < math.inf),
 }
 
 
@@ -117,6 +121,17 @@ def check_option(key, value):
     bound = (">= 1", lambda v: v >= 1) if type(value) is int else OPTION_BOUNDS.get(key)
     if bound is not None and not bound[1](value):
         raise InvalidConfigurationError(f"{key} = {value}: {key} {bound[0]} required")
+
+
+def check_fit_window(fit_lo, fit_hi, horizon):
+    """Raise unless the fit window [fit_lo, fit_hi] meets its options' bounds
+    and, when it is not empty, starts before ``horizon``."""
+    check_option("fit_lo", fit_lo)
+    check_option("fit_hi", fit_hi)
+    if fit_lo < fit_hi and not fit_lo < horizon:
+        raise InvalidConfigurationError(
+            f"fit_lo = {fit_lo}: fit_lo < horizon {horizon} required"
+        )
 
 
 def make_initial_state(model, rng, energy2=1.0):
@@ -254,6 +269,8 @@ def exp_k1_decay(
     -1/(2q) within 15%.
     """
     check_requirements("exp_k1_decay", damping=damping)
+    if fit_window is not None:
+        check_fit_window(*fit_window, icfg.horizon)
     slack, rate_tol = 0.02, 0.15
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
@@ -331,6 +348,9 @@ def exp_k2_exponential(
     Etilde(t) <= C Etilde(0) exp(-c t) + 8 K_lambda holds at every sample,
     and must eventually enter the absorbing ball 64 K_lambda / omega.
     """
+    check_option("r2_min", r2_min)
+    if fit_window is not None:
+        check_fit_window(*fit_window, icfg.horizon)
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
@@ -946,6 +966,7 @@ def exp_stationary(model, source, forcing, n_starts, *, tol=1e-8, seed=0, out_di
     per distinct point.
     """
     check_option("n_starts", n_starts)
+    check_option("tol", tol)
     rng = np.random.default_rng(seed)
     starts = [np.zeros(model.n_modes)]
     j = np.arange(1, model.n_modes + 1, dtype=float)

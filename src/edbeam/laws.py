@@ -127,7 +127,13 @@ class K3ShiftedExp(DampingLaw):
 
 
 class SourceLaw:
-    """Base class for source nonlinearities."""
+    """Base class for source nonlinearities.
+
+    ``degree`` is the degree of f when f is a polynomial, else None; the
+    default quadrature of ``spectral.build_model`` is sized by it.
+    """
+
+    degree = None
 
     def f(self, s):
         raise NotImplementedError
@@ -179,6 +185,14 @@ class DoublePower(SourceLaw):
     def p(self) -> float:
         """Growth exponent of the derivative bound."""
         return self.delta
+
+    @property
+    def degree(self):
+        """delta + 1 when f is a polynomial (delta an even integer, and
+        sigma_c = 0 or r an even integer), else None."""
+        if self.delta % 2 == 0 and (self.sigma_c == 0.0 or self.r % 2 == 0):
+            return int(self.delta) + 1
+        return None
 
     def f(self, s):
         s = np.asarray(s, dtype=float)

@@ -10,8 +10,11 @@ power therefore acts diagonally on coefficients, and the fourth-order
 operator is exactly the square of the second-order one (the commutative
 case).  Quadrature uses M uniform interior nodes x_m = m*L/(M+1) with weight
 L/(M+1); on that grid the basis is discretely orthonormal for all modes up
-to M, and products of up to about M/N basis modes are integrated without
-aliasing (the default M = 8N covers the polynomial sources used here).
+to M, and a product of an even number of basis modes whose frequencies sum
+to less than 2(M+1) is integrated exactly.  For a polynomial source f of
+degree d, f(u) w_j and F(u) are such products of frequency at most (d+1)N,
+so the default M is the exact size (d+1)N/2 (2N for the cubic), capped at
+8N; any other source, or none, gets M = 8N.
 """
 
 from __future__ import annotations
@@ -80,12 +83,22 @@ class ModalState:
         return self.a.shape[0]
 
 
-def build_model(n_modes, length, kappa=0.0, quad_points=None):
+def _default_quad_points(n_modes, source):
+    # the exact size for a polynomial f (its degree d is odd, so d + 1 is
+    # even), at most 8N; 8N for any other source
+    degree = getattr(source, "degree", None)
+    full = 8 * n_modes
+    return full if degree is None else min((degree + 1) * n_modes // 2, full)
+
+
+def build_model(n_modes, length, kappa=0.0, quad_points=None, source=None):
     """Build the truncated spectral model.
 
-    ``quad_points`` defaults to 8*n_modes, enough to integrate the cubic and
-    quartic products appearing in the polynomial sources exactly on the
-    truncated space.  Requires quad_points >= 2*n_modes.
+    ``quad_points`` defaults to the size the source law ``source`` needs: for
+    a polynomial f of degree d (``source.degree``), (d+1)*n_modes/2, the
+    fewest nodes that integrate f(u) w_j and F(u) exactly on the truncated
+    space, capped at 8*n_modes; 8*n_modes for any other source or for none.
+    An explicit ``quad_points`` wins.  Requires quad_points >= 2*n_modes.
     """
     n_modes = int(n_modes)
     if n_modes < 1:
@@ -97,7 +110,7 @@ def build_model(n_modes, length, kappa=0.0, quad_points=None):
     if kappa < 0.0:
         raise InvalidConfigurationError(f"kappa must be >= 0, got {kappa}")
     if quad_points is None:
-        quad_points = 8 * n_modes
+        quad_points = _default_quad_points(n_modes, source)
     quad_points = int(quad_points)
     if quad_points < 2 * n_modes:
         raise InvalidConfigurationError(

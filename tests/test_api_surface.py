@@ -168,3 +168,38 @@ def test_one_nakao_candidate_stream():
     (stream,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_candidates"]
     assert len(draws(stream)) >= 9
     assert len(draws(tree)) == len(draws(stream))
+
+
+def test_one_default_quadrature():
+    # one function sizes the default quadrature: the 8N fallback (the only
+    # integer product with 8) and the exact size of a polynomial source (the
+    # only reader of a source's degree) are each spelled once, there
+    def is_eight(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 8
+
+    def spelled(tree):
+        nodes = list(ast.walk(tree))
+        eights = [
+            n
+            for n in nodes
+            if isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and (is_eight(n.left) or is_eight(n.right))
+        ]
+        degrees = [
+            n
+            for n in nodes
+            if (isinstance(n, ast.Attribute) and n.attr == "degree")
+            or (isinstance(n, ast.Constant) and n.value == "degree")
+        ]
+        return len(eights), len(degrees)
+
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    counts = {stem: spelled(tree) for stem, tree in trees.items()}
+    assert {stem: c for stem, c in counts.items() if c != (0, 0)} == {"spectral": (1, 1)}
+    (sizer,) = [
+        n
+        for n in trees["spectral"].body
+        if isinstance(n, ast.FunctionDef) and n.name == "_default_quad_points"
+    ]
+    assert spelled(sizer) == (1, 1)

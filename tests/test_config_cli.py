@@ -31,6 +31,7 @@ from edbeam.experiments import (
     ExperimentReport,
     exp_decomposition,
     exp_k1_decay,
+    exp_k2_exponential,
     exp_k3_ball,
     exp_lambda_lipschitz,
     exp_stationary,
@@ -516,6 +517,34 @@ REMOVED_KEYS = [
             "",
             "error: [forcing] h_coeffs must be finite",
         ),
+        # ran and exited 1 after making the run directory: tol = -1.0 reported
+        # "0/1 converged" and r2_min = nan failed its fit; a fit window that
+        # is not finite or lies past the horizon ran the whole integration
+        # and then died with "no samples in window"
+        (
+            "stationary",
+            "",
+            "tol = -1.0\n",
+            "error: [experiment] tol = -1.0: tol > 0 and finite required",
+        ),
+        (
+            "exp_k2_exponential",
+            "",
+            "r2_min = nan\n",
+            "error: [experiment] r2_min = nan: r2_min in (0, 1] required",
+        ),
+        (
+            "exp_k1_decay",
+            "",
+            "fit_lo = nan\nfit_hi = 0.5\n",
+            "error: [experiment] fit_lo = nan: fit_lo >= 0 and finite required",
+        ),
+        (
+            "exp_k1_decay",
+            "",
+            "fit_lo = 5.0\nfit_hi = 9.0\n",
+            "error: [experiment] fit_lo = 5.0: fit_lo < horizon 1.0 required",
+        ),
         *[
             (
                 exp_id,
@@ -548,6 +577,10 @@ REMOVED_KEYS = [
         "t_probe_off_grid",
         "forcing_list_not_finite",
         "forcing_mode_not_finite",
+        "tol_negative",
+        "r2_min_not_finite",
+        "fit_lo_not_finite",
+        "fit_window_past_horizon",
         *[f"removed_{exp_id}_{key}" for exp_id, key, _ in REMOVED_KEYS],
     ],
 )
@@ -611,16 +644,67 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             "n_inside = 0",
             lambda m: exp_k3_ball(m, K3Rational(1.0), [], [], IntegratorConfig(1e-2, 1.0)),
         ),
+        # these ran, and failed or died after the integration
+        (
+            "stationary",
+            "tol = -1.0",
+            lambda m: exp_stationary(m, ZeroSource(), Forcing.zero(4), 1, tol=-1.0),
+        ),
+        (
+            "exp_k2_exponential",
+            "r2_min = 1.5",
+            lambda m: exp_k2_exponential(
+                m,
+                K2Constant(1.0),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-2, 10.0),
+                r2_min=1.5,
+            ),
+        ),
+        (
+            "exp_k1_decay",
+            "fit_lo = nan\nfit_hi = 0.5",
+            lambda m: exp_k1_decay(
+                m,
+                K1Monomial(1.0, 1.0),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-2, 10.0),
+                fit_window=(math.nan, 0.5),
+            ),
+        ),
+        # the run file's default horizon is 10
+        (
+            "exp_k2_exponential",
+            "fit_lo = 20.0\nfit_hi = 30.0",
+            lambda m: exp_k2_exponential(
+                m,
+                K2Constant(1.0),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-2, 10.0),
+                fit_window=(20.0, 30.0),
+            ),
+        ),
     ],
-    ids=["nakao_suite", "haraux_suite", "stationary", "initial_state", "k3_ball"],
+    ids=[
+        "nakao_suite",
+        "haraux_suite",
+        "stationary",
+        "initial_state",
+        "k3_ball",
+        "stationary_tol",
+        "k2_r2_min",
+        "k1_fit_lo",
+        "k2_fit_window_past_horizon",
+    ],
 )
 def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):
     with pytest.raises(InvalidConfigurationError) as direct:
         call(build_model(4, math.pi, 0.0, 32))
     with pytest.raises(InvalidConfigurationError) as run_file:
         parse_config(f"[experiment]\nid = {exp_id}\n{option}\n")
-    key = option.split(" = ")[0]
-    assert str(direct.value).startswith(f"{option}: {key} >= ")
+    key, value = option.split("\n")[0].split(" = ")
+    assert str(direct.value).startswith(f"{key} = {value}: {key} ")
+    assert str(direct.value).endswith(" required")
     assert str(run_file.value) == f"[experiment] {direct.value}"
 
 

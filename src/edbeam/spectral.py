@@ -168,9 +168,14 @@ def phase_norm(model, state):
     """Finite-energy phase-space norm (sum sigma_j a_j^2 + sum b_j^2)**0.5."""
     a = _check_coeffs(model, state.a)
     b = _check_coeffs(model, state.b)
-    return float(math.sqrt(np.sum(model.sigma * a**2) + np.sum(b**2)))
+    return float(phase_norms(model, a, b))
 
 
 def phase_norms(model, a, b):
-    """Phase-space norm of each row of stacked coefficient arrays a, b."""
-    return np.sqrt(a**2 @ model.sigma + np.sum(b**2, axis=1))
+    """Phase-space norm of each row of stacked coefficient arrays a, b.
+
+    Each row is reduced on its own, so a row's norm is bitwise its
+    ``phase_norm`` wherever the row sits; one matrix-vector product over
+    the rows would round a row by its position in the stack.
+    """
+    return np.sqrt(np.sum(model.sigma * a**2, axis=-1) + np.sum(b**2, axis=-1))

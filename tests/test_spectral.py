@@ -145,6 +145,21 @@ def test_phase_norms_rows_match_phase_norm():
     assert np.all(phase_norms(m, np.zeros((2, 5)), np.zeros((2, 5))) == 0.0)
 
 
+@pytest.mark.parametrize("n_modes", [3, 8, 17])
+def test_phase_norms_rows_do_not_depend_on_their_position(n_modes):
+    # a gemv over all samples rounded a row by where it sat in the stack, so a
+    # stopped run's phase column was not a prefix of its full run's
+    m = build_model(n_modes, math.pi, 0.5, 8 * n_modes)
+    rng = np.random.default_rng(n_modes)
+    a = rng.standard_normal((4001, n_modes))
+    b = rng.standard_normal((4001, n_modes))
+    full = phase_norms(m, a, b)
+    for k in range(0, 4001, 37):
+        assert full[k] == phase_norm(m, ModalState(a[k], b[k]))
+    for n in range(1, 4001, 19):
+        assert np.array_equal(phase_norms(m, a[:n], b[:n]), full[:n])
+
+
 def test_modal_state_rejects_nonfinite():
     with pytest.raises(ValueError):
         ModalState(np.array([1.0, np.nan]), np.zeros(2))

@@ -191,11 +191,12 @@ class _Stepper:
         self.mu2a = _mu2alpha(model, cfg.alpha)
         self.lam2 = model.sigma + model.kappa * model.mu
         self.lh = np.array(lh, dtype=float)
-        om = np.sqrt(self.lam2)
+        self.om = om = np.sqrt(self.lam2)
         self.omega_max = float(om[-1])
         self.cos = np.cos(om * cfg.dt)
-        self.sin_over = np.sin(om * cfg.dt) / om
-        self.omsin = om * np.sin(om * cfg.dt)
+        self.sin = np.sin(om * cfg.dt)
+        self.sin_over = self.sin / om
+        self.omsin = om * self.sin
         if cfg.scheme == "rk4" and cfg.dt * self.omega_max > RK4_STABILITY_LIMIT:
             raise InvalidConfigurationError(
                 f"rk4 unstable: dt*omega_max = {cfg.dt * self.omega_max:.3g} "
@@ -315,17 +316,26 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     A free run, zero source and zero force in every row, has ``base = 0``, so
     each half kick only scales b: with ``p = 1 - (dt/4) k``, the midpoint is
     ``p b`` and ``|p b|^2 = p^2 |b|^2``, and the kick is
-    ``b <- (1 - (dt/2) k(sa + p^2 |b|^2) p) b``.  The kick then needs no
-    midpoint vector; ``bb`` is still ``dot(b, b)`` after each kick, so the
-    carried scalars stay functions of the state (a, b).  A power law can
-    overflow on large finite states before the 128-step check sees a
-    non-finite one, even on the initial state; that overflow is reported as
-    the same BlowUpError, at step 0 when no step has completed.
+    ``b <- (1 - (dt/2) k(sa + p^2 |b|^2) p) b``.  Such a run carries the
+    complex phase variable ``z = omega a + i b``, omega = sqrt(sigma +
+    kappa mu), on which the exact rotation is the one product
+    ``z *= exp(-i omega dt)``.  The second half kick of one step and the
+    first half kick of the next meet with nothing in between, so they are
+    one scaling of ``Im z`` by the product of their factors: the second
+    factor ``s2`` stays pending on z, and ``|b|^2`` after it is carried as
+    ``s2^2 dot(Im z, Im z)``.  A sample, a check or the ``until`` test reads
+    ``a = Re z / omega`` and ``b = s2 Im z`` as temporaries, so the carried
+    state does not depend on the sampling stride; the pending factor is
+    applied once after the loop.  Every dot product of the free path takes
+    the strided real or imaginary view, as a batch row does.
+
+    A power law can overflow on large finite states before the 128-step
+    check sees a non-finite one, even on the initial state; that overflow is
+    reported as the same BlowUpError, at step 0 when no step has completed.
     """
     dt = st.cfg.dt
     hdt = 0.5 * dt
     qdt = 0.25 * dt
-    cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
     mu2a, lh = st.mu2a, st.lh
     kf = st.kf
     dot = _dot
@@ -333,59 +343,92 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
         dot, kf = _dot_rows, _k_rows(kf)
     zero_source = st.zero_source
     free = zero_source and not lh.any()
-    project = st.project
-    if st.drive is not None:
-        drive, project_rows = st.drive, project
-
-        def project(a):
-            return project_rows(a[drive])
-
     dcum = 0.0
     n = -1  # the last completed step is n + 1
 
     try:
-        sa = dot(a * a, mu2a)
-        bb = dot(b, b)
-        kv = kf(sa + bb)
-        ell_prev = kv * bb
-        base = lh if zero_source else lh - project(a)
-        for n in range(n_steps):
-            if n % stride == 0:
-                rec.push(t0 + n * dt, a, b, dcum)
-            # first half kick (a frozen; sa, bb, kv, base valid for the incoming state)
-            if free:
+        if free:
+            om = st.om
+            rot = st.cos - 1j * st.sin
+            w = mu2a / st.lam2  # sa = dot((Re z)^2, w)
+            z = np.empty(a.shape, complex)
+            zr, zi = z.real, z.imag
+            zr[...], zi[...] = om * a, b
+            s2 = 1.0  # the factor of the last second half kick, pending on zi
+            sa = dot(zr * zr, w)
+            bb = dot(zi, zi)
+            kv = kf(sa + bb)
+            ell_prev = kv * bb
+            for n in range(n_steps):
+                if n % stride == 0:
+                    rec.push(t0 + n * dt, zr / om, zi * s2, dcum)
+                # the pending second half kick and this step's first, fused
                 p = 1.0 - qdt * kv
-                b = (1.0 - hdt * kf(sa + p * p * bb) * p) * b
-            else:
-                bm = b + qdt * (base - kv * b)
-                b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
-            # exact rotation over dt
-            a, b = cos * a + sin_over * b, nomsin * a + cos * b
-            # second half kick; base also serves the next step's first kick
-            if not zero_source:
-                base = lh - project(a)
+                zi *= s2 * (1.0 - hdt * kf(sa + p * p * bb) * p)
+                s2 = 1.0
+                z *= rot
+                sa = dot(zr * zr, w)
+                bb = dot(zi, zi)
+                p = 1.0 - qdt * kf(sa + bb)
+                s2 = 1.0 - hdt * kf(sa + p * p * bb) * p
+                bb = s2 * s2 * bb
+                kv = kf(sa + bb)
+                ell = kv * bb
+                dcum += hdt * (ell_prev + ell)
+                ell_prev = ell
+                if n % _CHECK_EVERY == _CHECK_EVERY - 1:
+                    _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+                    if until is not None and all(
+                        map(until, *np.atleast_2d(zr / om, zi * s2))
+                    ):
+                        n_steps = n + 1
+                        break
+            zi *= s2
+            a, b = zr / om, zi
+        else:
+            cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
+            project = st.project
+            if st.drive is not None:
+                drive, project_rows = st.drive, project
+
+                def project(a):
+                    return project_rows(a[drive])
+
             sa = dot(a * a, mu2a)
             bb = dot(b, b)
-            if free:
-                p = 1.0 - qdt * kf(sa + bb)
-                b = (1.0 - hdt * kf(sa + p * p * bb) * p) * b
-            else:
-                g0 = base - kf(sa + bb) * b
+            kv = kf(sa + bb)
+            ell_prev = kv * bb
+            base = lh if zero_source else lh - project(a)
+            for n in range(n_steps):
+                if n % stride == 0:
+                    rec.push(t0 + n * dt, a, b, dcum)
+                # first half kick (a frozen; sa, kv, base valid for the incoming state)
+                bm = b + qdt * (base - kv * b)
+                b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+                # exact rotation over dt
+                a, b = cos * a + sin_over * b, nomsin * a + cos * b
+                # second half kick; base also serves the next step's first kick
+                if not zero_source:
+                    base = lh - project(a)
+                sa = dot(a * a, mu2a)
+                g0 = base - kf(sa + dot(b, b)) * b
                 bm = b + qdt * g0
                 b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
-            # trapezoid dissipation increment to the new state
-            bb = dot(b, b)
-            kv = kf(sa + bb)
-            ell = kv * bb
-            dcum += hdt * (ell_prev + ell)
-            ell_prev = ell
-            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
-                _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
-                # atleast_2d makes a single run a batch of one row
-                if until is not None and all(map(until, *np.atleast_2d(a, b))):
-                    n_steps = n + 1
-                    break
+                # trapezoid dissipation increment to the new state
+                bb = dot(b, b)
+                kv = kf(sa + bb)
+                ell = kv * bb
+                dcum += hdt * (ell_prev + ell)
+                ell_prev = ell
+                if n % _CHECK_EVERY == _CHECK_EVERY - 1:
+                    _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+                    # atleast_2d makes a single run a batch of one row
+                    if until is not None and all(map(until, *np.atleast_2d(a, b))):
+                        n_steps = n + 1
+                        break
     except OverflowError as exc:
+        if free:
+            a, b = zr / om, zi * s2
         row = None
         if a.ndim == 2:
             # name the row furthest out; argmax counts a NaN as furthest

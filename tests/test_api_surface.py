@@ -54,6 +54,37 @@ def test_one_strang_kernel():
             assert "sin_over" not in text and "omsin" not in text, path.name
     assert "_Stepper" not in (SRC / "experiments.py").read_text(encoding="utf-8")
 
+    # inside integrate, only the two schemes' loops step in time, and only
+    # the Strang loop reads the rotation tables or builds the phase rotation
+    tree = ast.parse((SRC / "integrate.py").read_text(encoding="utf-8"))
+
+    def owners(pred):
+        found = set()
+        for top in tree.body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(fn, ast.FunctionDef) and any(map(pred, ast.walk(fn))):
+                    found.add(fn.name)
+        return found
+
+    def steps(node):
+        loop = getattr(node, "iter" if isinstance(node, ast.For) else "test", None)
+        return isinstance(node, (ast.For, ast.While)) and any(
+            isinstance(n, ast.Name) and n.id == "n_steps" for n in ast.walk(loop)
+        )
+
+    def rotates(node):
+        if isinstance(node, ast.Name):
+            return node.id == "rot"
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in {"cos", "sin", "sin_over", "omsin"}
+            and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in {"np", "self"})
+        )
+
+    assert owners(steps) == {"_run_strang", "_run_rk4"}
+    assert owners(rotates) == {"_run_strang"}
+
 
 def test_one_formula_per_damping_law():
     # each law is spelled once, as scalar_k

@@ -118,13 +118,23 @@ def test_coupled_rows_match_the_lockstep_loop_bitwise(source, forced, n_probes):
         ref = _lockstep_reference(m, _SOURCES[source], 0.8, forcing, s, cfg, 2.0)
         assert np.array_equal(times, ref[0])
         for got, want in zip((au, bu, az, bz), ref[1:3] + ref[5:7]):
-            assert np.array_equal(got[:, p], want)
+            _assert_same_rows(got[:, p], want, free=source == "zero" and not forced)
 
     # the old v is the ZeroSource batch row of the same start
     v, _ = integrate_batch(m, ZeroSource(), law, [forcing] * 2, [start, other], cfg)
     ref = _lockstep_reference(m, _SOURCES[source], 0.8, forcing, start, cfg, 2.0)
-    assert np.array_equal(v.a, ref[3])
-    assert np.array_equal(v.b, ref[4])
+    _assert_same_rows(v.a, ref[3], free=not forced)
+    _assert_same_rows(v.b, ref[4], free=not forced)
+
+
+def _assert_same_rows(got, want, free):
+    # a free batch (no source, no force) carries z = omega a + i b with one
+    # fused kick per step, so it agrees with the real kick to the free
+    # kick's 1e-12 of the largest entry; any other batch is bitwise the loop
+    if free:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_decomposition_blow_up_raises():

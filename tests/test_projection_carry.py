@@ -168,8 +168,15 @@ def test_carried_projection_matches_the_two_projection_loop_bitwise(
         _two_projection_reference(st, a.copy(), b.copy(), n_steps, stride, 0.25, want)
 
     assert got.count == want.count == want.times.shape[0]
-    for field in ("times", "amat", "bmat", "dvec"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(got.times, want.times)
+    for field in ("amat", "bmat", "dvec"):
+        g, w = getattr(got, field), getattr(want, field)
+        if source == "zero" and not forced:
+            # a free run carries z = omega a + i b with one fused kick per
+            # step; it agrees with the real loop to the free kick's bound
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), field
+        else:
+            assert np.array_equal(g, w), field
 
 
 @pytest.fixture

@@ -308,7 +308,7 @@ def parse_config(text, experiment_id=None):
                 ) from None
     if "fit_lo" in options:
         try:
-            check_fit_window(options["fit_lo"], options["fit_hi"], integrator.horizon)
+            check_fit_window(options["fit_lo"], options["fit_hi"], integrator)
         except InvalidConfigurationError as exc:
             raise InvalidConfigurationError(f"[experiment] {exc}") from None
 

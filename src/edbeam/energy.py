@@ -25,7 +25,10 @@ __all__ = [
     "fit_power_rate",
     "fit_exp_rate",
     "FitResult",
+    "FIT_MIN_POINTS",
 ]
+
+FIT_MIN_POINTS = 10  # the fewest samples a rate fit takes
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ def _linear_fit(x, y):
 
 def _fit_window(series, window):
     sub = series.window(window[0], window[1])
-    if len(sub) < 10:
-        raise ValueError(f"need >= 10 points in window, got {len(sub)}")
+    if len(sub) < FIT_MIN_POINTS:
+        raise ValueError(f"need >= {FIT_MIN_POINTS} points in window, got {len(sub)}")
     if np.any(sub.y <= 0.0):
         raise ValueError("fit requires positive values in the window")
     return sub

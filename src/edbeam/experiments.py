@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import (
+    FIT_MIN_POINTS,
     decay_envelopes,
     envelope_constants,
     fit_exp_rate,
@@ -123,14 +124,25 @@ def check_option(key, value):
         raise InvalidConfigurationError(f"{key} = {value}: {key} {bound[0]} required")
 
 
-def check_fit_window(fit_lo, fit_hi, horizon):
+def check_fit_window(fit_lo, fit_hi, icfg, t0=0.0):
     """Raise unless the fit window [fit_lo, fit_hi] meets its options' bounds
-    and, when it is not empty, starts before ``horizon``."""
+    and, when it is not empty, starts before the horizon and holds at least
+    ``FIT_MIN_POINTS`` of the samples a run of ``icfg`` from ``t0`` records."""
     check_option("fit_lo", fit_lo)
     check_option("fit_hi", fit_hi)
-    if fit_lo < fit_hi and not fit_lo < horizon:
+    if not fit_lo < fit_hi:
+        return
+    if not fit_lo < t0 + icfg.horizon:
         raise InvalidConfigurationError(
-            f"fit_lo = {fit_lo}: fit_lo < horizon {horizon} required"
+            f"fit_lo = {fit_lo}: fit_lo < horizon {t0 + icfg.horizon} required"
+        )
+    t = icfg.sample_times(t0)
+    count = int(np.count_nonzero((t >= fit_lo) & (t <= fit_hi)))
+    if count < FIT_MIN_POINTS:
+        raise InvalidConfigurationError(
+            f"fit_lo = {fit_lo}: fit_lo with >= {FIT_MIN_POINTS} samples in "
+            f"[fit_lo, {fit_hi}] ({count} at dt {icfg.dt}, sample_stride "
+            f"{icfg.sample_stride}) required"
         )
 
 
@@ -270,7 +282,7 @@ def exp_k1_decay(
     """
     check_requirements("exp_k1_decay", damping=damping)
     if fit_window is not None:
-        check_fit_window(*fit_window, icfg.horizon)
+        check_fit_window(*fit_window, icfg, initial.t)
     slack, rate_tol = 0.02, 0.15
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
@@ -350,7 +362,7 @@ def exp_k2_exponential(
     """
     check_option("r2_min", r2_min)
     if fit_window is not None:
-        check_fit_window(*fit_window, icfg.horizon)
+        check_fit_window(*fit_window, icfg, initial.t)
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)

@@ -78,6 +78,16 @@ class IntegratorConfig:
                 f"dt = {self.dt} does not divide the horizon {self.horizon}"
             )
 
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
+
+    def sample_times(self, t0=0.0):
+        """The times a full run from ``t0`` records: every ``sample_stride``
+        steps plus the last, each computed as the loops compute it."""
+        n = self.n_steps
+        return t0 + np.append(np.arange(0, n, int(self.sample_stride)), n) * self.dt
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -503,7 +513,7 @@ def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
 def _advance(st, a, b, t0, until=None):
     """Run the configured scheme from (a, b) at t0; return the _Recorder."""
     cfg = st.cfg
-    n_steps = int(round(cfg.horizon / cfg.dt))
+    n_steps = cfg.n_steps
     stride = int(cfg.sample_stride)
     # one sample at each n < n_steps with n % stride == 0, plus the final one
     rec = _Recorder((n_steps - 1) // stride + 2, a.shape)

@@ -545,6 +545,15 @@ REMOVED_KEYS = [
             "fit_lo = 5.0\nfit_hi = 9.0\n",
             "error: [experiment] fit_lo = 5.0: fit_lo < horizon 1.0 required",
         ),
+        # a window that starts just before the horizon holds 6 samples; the
+        # fit then died after the run with "need >= 10 points in window"
+        (
+            "exp_k1_decay",
+            "",
+            "fit_lo = 0.95\nfit_hi = 5.0\n",
+            "error: [experiment] fit_lo = 0.95: fit_lo with >= 10 samples in [fit_lo, 5.0] "
+            "(6 at dt 0.01, sample_stride 1) required",
+        ),
         *[
             (
                 exp_id,
@@ -581,6 +590,7 @@ REMOVED_KEYS = [
         "r2_min_not_finite",
         "fit_lo_not_finite",
         "fit_window_past_horizon",
+        "fit_window_too_few_samples",
         *[f"removed_{exp_id}_{key}" for exp_id, key, _ in REMOVED_KEYS],
     ],
 )
@@ -684,6 +694,29 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
                 fit_window=(20.0, 30.0),
             ),
         ),
+        # the run file's default dt is 1e-3: six samples from 9.995 to 10
+        (
+            "exp_k1_decay",
+            "fit_lo = 9.995\nfit_hi = 20.0",
+            lambda m: exp_k1_decay(
+                m,
+                K1Monomial(1.0, 1.0),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-3, 10.0),
+                fit_window=(9.995, 20.0),
+            ),
+        ),
+        (
+            "exp_k2_exponential",
+            "fit_lo = 9.995\nfit_hi = 20.0",
+            lambda m: exp_k2_exponential(
+                m,
+                K2Constant(1.0),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-3, 10.0),
+                fit_window=(9.995, 20.0),
+            ),
+        ),
     ],
     ids=[
         "nakao_suite",
@@ -695,6 +728,8 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         "k2_r2_min",
         "k1_fit_lo",
         "k2_fit_window_past_horizon",
+        "k1_fit_window_too_few_samples",
+        "k2_fit_window_too_few_samples",
     ],
 )
 def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):

@@ -370,6 +370,17 @@ def test_sampling_stride_and_final_state():
     assert np.all(np.diff(traj.t) > 0.0)
 
 
+@pytest.mark.parametrize("stride", [1, 7, 55])
+def test_sample_times_are_the_recorded_times(stride):
+    # the fit-window check counts samples from IntegratorConfig.sample_times
+    m = build_model(2, math.pi, 0.0, 16)
+    init = ModalState(np.array([0.3, 0.1]), np.zeros(2), 0.25)
+    cfg = IntegratorConfig(dt=1e-2, horizon=0.55, sample_stride=stride)
+    traj = integrate(m, ZeroSource(), UNDAMPED, _zero_forcing(2), init, cfg)
+    assert np.array_equal(cfg.sample_times(0.25), traj.t)
+    assert cfg.n_steps == 55
+
+
 _ALL_DAMPING = [
     K1Monomial(1.0, 1.0),
     K2Constant(0.7),

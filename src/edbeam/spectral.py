@@ -178,4 +178,8 @@ def phase_norms(model, a, b):
     ``phase_norm`` wherever the row sits; one matrix-vector product over
     the rows would round a row by its position in the stack.
     """
-    return np.sqrt(np.sum(model.sigma * a**2, axis=-1) + np.sum(b**2, axis=-1))
+    # one (samples, N) temporary at a time
+    sa = a * a
+    sa *= model.sigma
+    sa = np.sum(sa, axis=-1)
+    return np.sqrt(sa + np.sum(b * b, axis=-1))

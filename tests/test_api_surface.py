@@ -73,11 +73,14 @@ def test_one_strang_kernel():
         )
 
     def rotates(node):
+        # the phase rotation is the only complex number in the module
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, complex)
         if isinstance(node, ast.Name):
             return node.id == "rot"
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr in {"cos", "sin", "sin_over", "omsin"}
+        return isinstance(node, ast.Attribute) and (
+            node.attr == "rot"
+            or node.attr in {"cos", "sin", "sin_over", "omsin"}
             and isinstance(node.ctx, ast.Load)
             and not (isinstance(node.value, ast.Name) and node.value.id in {"np", "self"})
         )

@@ -14,6 +14,11 @@ formally second order without an implicit solve.  A classical RK4 step on
 the first-order system is available for cross-checks, guarded by the usual
 dt * omega_max <= 2.8 stability bound.
 
+A free run (zero source, zero force) carries the complex phase variable
+z = omega a + i b, on which the rotation is one complex product, and fuses
+the half kicks that meet between steps; it agrees with the real loop to
+rounding, and every other run takes the real loop.
+
 The dissipation integral D(t) = int k(E_alpha) ||u_t||^2 is accumulated by
 the trapezoid rule at every micro step, independent of the sampling stride,
 so the energy-identity residual E(t) + D(t) - E(0) reflects scheme error
@@ -336,8 +341,9 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     ``s2^2 dot(Im z, Im z)``.  A sample, a check or the ``until`` test reads
     ``a = Re z / omega`` and ``b = s2 Im z`` as temporaries, so the carried
     state does not depend on the sampling stride; the pending factor is
-    applied once after the loop.  Every dot product of the free path takes
-    the strided real or imaginary view, as a batch row does.
+    applied once after the loop.  ``dot(Im z, Im z)`` reads the strided
+    imaginary view in a single run and in a batch alike, so a batch row
+    stays bitwise its single run.
 
     A power law can overflow on large finite states before the 128-step
     check sees a non-finite one, even on the initial state; that overflow is
@@ -375,7 +381,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
                 # the pending second half kick and this step's first, fused
                 p = 1.0 - qdt * kv
                 zi *= s2 * (1.0 - hdt * kf(sa + p * p * bb) * p)
-                s2 = 1.0
+                s2 = 1.0  # nothing pending, should the next law call overflow
                 z *= rot
                 sa = dot(zr * zr, w)
                 bb = dot(zi, zi)

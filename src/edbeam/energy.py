@@ -25,7 +25,6 @@ __all__ = [
     "fit_power_rate",
     "fit_exp_rate",
     "FitResult",
-    "FIT_MIN_POINTS",
 ]
 
 FIT_MIN_POINTS = 10  # the fewest samples a rate fit takes

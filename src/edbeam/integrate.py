@@ -148,11 +148,38 @@ def _mu2alpha(model, alpha):
 
 
 def _source_integral(model, source, a):
+    """The source integral of one row (N,) or of each row of (S, N).
+
+    A stack of rows goes through stacked matrix-vector products and row
+    sums, so every row rounds as it would alone.
+    """
     if isinstance(source, ZeroSource):
         return 0.0
-    u = a @ model.basis_table
-    # ndarray.sum is the same reduction as np.sum without its Python wrapper
-    return float(model.quad_weight * source.f_primitive(u).sum())
+    u = a[..., None, :] @ model.basis_table
+    return model.quad_weight * np.sum(source.f_primitive(u), axis=-1)[..., 0]
+
+
+_ENERGY_BLOCK = 64  # rows per block, so the (rows, M) source temporaries stay small
+
+
+def total_energies(model, source, lh, a, b):
+    """``total_energy`` of each row of stacked states a, b of shape (S, N).
+
+    Each row is reduced on its own (row dot products, row sums, one
+    matrix-vector product per row), so a row's energy is bitwise
+    ``total_energy`` of that row wherever it sits.
+    """
+    out = np.empty(a.shape[0])
+    for i in range(0, a.shape[0], _ENERGY_BLOCK):
+        ai, bi = a[i : i + _ENERGY_BLOCK], b[i : i + _ENERGY_BLOCK]
+        sq = ai * ai
+        quad = 0.5 * (
+            np.vecdot(bi, bi)
+            + np.sum(model.sigma * sq, axis=-1)
+            + model.kappa * np.sum(model.mu * sq, axis=-1)
+        )
+        out[i : i + _ENERGY_BLOCK] = quad + _source_integral(model, source, ai) - np.vecdot(ai, lh)
+    return out
 
 
 def total_energy(model, source, lh, a, b):
@@ -160,13 +187,7 @@ def total_energy(model, source, lh, a, b):
 
     ``lh`` is the applied force lam*h, ``Forcing.effective``.
     """
-    quad = 0.5 * (
-        float(b @ b)
-        + float((model.sigma * a**2).sum())
-        + model.kappa * float((model.mu * a**2).sum())
-    )
-    work = float(lh @ a)
-    return quad + _source_integral(model, source, a) - work
+    return float(total_energies(model, source, lh, a[None], b[None])[0])
 
 
 def coercivity_offset(model, constants, forcing):
@@ -499,10 +520,7 @@ def step(model, source, damping, forcing, state, cfg):
 
 def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
     """One run's Trajectory from its recorded samples."""
-    lh = forcing.effective
-    energy = np.array(
-        [total_energy(model, source, lh, a[i], b[i]) for i in range(t.shape[0])]
-    )
+    energy = total_energies(model, source, forcing.effective, a, b)
     return Trajectory(
         t=t,
         a=a,

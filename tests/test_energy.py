@@ -9,7 +9,9 @@ from edbeam import (
     AssumptionConstants,
     DoublePower,
     Forcing,
+    IntegratorConfig,
     InvalidConfigurationError,
+    K1Monomial,
     SampledSeries,
     ZeroSource,
     assumption_constants,
@@ -18,9 +20,17 @@ from edbeam import (
     envelope_constants,
     fit_exp_rate,
     fit_power_rate,
+    integrate,
 )
 from edbeam.energy import embedding_constant
-from edbeam.integrate import _mu2alpha, _source_integral, coercivity_offset, total_energy
+from edbeam.experiments import make_initial_state
+from edbeam.integrate import (
+    _mu2alpha,
+    _source_integral,
+    coercivity_offset,
+    total_energies,
+    total_energy,
+)
 
 
 def _zero(n):
@@ -33,6 +43,39 @@ def test_energy_single_mode():
     assert total_energy(m, ZeroSource(), np.zeros(4), e1, np.zeros(4)) == pytest.approx(
         0.5, abs=1e-15
     )
+
+
+def _per_sample_energy_reference(model, source, lh, a, b):
+    """total_energy as it was before samples were reduced together, kept
+    verbatim as the reference: one Python call per sample."""
+    quad = 0.5 * (
+        float(b @ b)
+        + float((model.sigma * a**2).sum())
+        + model.kappa * float((model.mu * a**2).sum())
+    )
+    work = float(lh @ a)
+    if isinstance(source, ZeroSource):
+        integral = 0.0
+    else:
+        integral = float(model.quad_weight * source.f_primitive(a @ model.basis_table).sum())
+    return quad + integral - work
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("source", [ZeroSource(), DoublePower(2.0, 1.0, 0.5)], ids=["zero", "dp"])
+def test_trajectory_energies_match_the_per_sample_reference_bitwise(source, alpha):
+    # 150 samples: two full 64-row blocks and a partial one
+    m = build_model(8, math.pi, 0.7, 64)
+    forcing = Forcing(0.6, np.random.default_rng(4).standard_normal(8) / np.arange(1, 9) ** 2)
+    start = make_initial_state(m, np.random.default_rng(5), 3.0)
+    cfg = IntegratorConfig(dt=1e-2, horizon=1.49, alpha=alpha)
+    traj = integrate(m, source, K1Monomial(1.0, 1.5), forcing, start, cfg)
+    lh = forcing.effective
+    assert traj.n_samples == 150
+    want = [_per_sample_energy_reference(m, source, lh, a, b) for a, b in zip(traj.a, traj.b)]
+    assert np.array_equal(traj.energy, want)
+    assert np.array_equal(total_energies(m, source, lh, traj.a, traj.b), want)
+    assert [total_energy(m, source, lh, a, b) for a, b in zip(traj.a, traj.b)] == want
 
 
 def test_modified_energy_reduces_without_data():

@@ -323,6 +323,9 @@ def _k_rows(kf):
     return k
 
 
+_OVERFLOW = "the damping law left float range"
+
+
 def _raise_unless_finite(ok, t, step):
     """Raise BlowUpError at (t, step) unless every per-run flag in ``ok`` holds."""
     if not np.all(ok):
@@ -375,12 +378,83 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     qdt = 0.25 * dt
     mu2a, lh = st.mu2a, st.lh
     kf = st.kf
-    dot = _dot
-    if a.ndim == 2:
-        dot, kf = _dot_rows, _k_rows(kf)
     zero_source = st.zero_source
     free = zero_source and not lh.any()
-    dcum = 0.0
+
+    # A run's scalars, as Python floats.  sa = dot(a*a, mu^2alpha), and
+    # bb = b.b, bg = b.base and gg = base.base describe the b that a half
+    # kick starts from; the kick moves b to s b + t base.
+    def row_step(sa, bb, bg, gg, ell_prev, dcum, kick=True):
+        """(s2, t2, ell, dcum, c1, c2) of one run after a rotation: its
+        second half kick (s2, t2) unless ``kick`` is false, the trapezoid
+        step of D to the state that leaves, and the next step's first half
+        kick fused with (s2, t2) into one (c1, c2).  A law call that
+        overflows in D or in the next kick comes back as None, which the
+        loop raises where the kick-by-kick loop raised it: at once for D,
+        and at the next step, if the run reaches it, for the next kick."""
+        s2, t2 = 1.0, 0.0
+        if kick:
+            p = 1.0 - qdt * kf(sa + bb)
+            mm = p * p * bb  # |bm|^2 of the midpoint bm = p b + qdt base
+            if gg:
+                # the expansion can round below zero, where a power law turns complex
+                mm = max(mm + 2.0 * p * qdt * bg + qdt * qdt * gg, 0.0)
+            km = kf(sa + mm)
+            s2, t2 = 1.0 - hdt * km * p, hdt * (1.0 - qdt * km)
+            if gg:
+                bb, bg = (
+                    max(s2 * s2 * bb + 2.0 * s2 * t2 * bg + t2 * t2 * gg, 0.0),
+                    s2 * bg + t2 * gg,
+                )
+            else:
+                bb = s2 * s2 * bb
+        try:
+            kv = kf(sa + bb)
+        except OverflowError:
+            return s2, t2, None, dcum, None, None
+        ell = kv * bb
+        dcum = dcum + hdt * (ell_prev + ell)
+        p = 1.0 - qdt * kv
+        mm = p * p * bb
+        if gg:
+            mm = max(mm + 2.0 * p * qdt * bg + qdt * qdt * gg, 0.0)
+        try:
+            km = kf(sa + mm)
+        except OverflowError:
+            return s2, t2, ell, dcum, None, None
+        s = 1.0 - hdt * km * p
+        return s2, t2, ell, dcum, s * s2, s * t2 + hdt * (1.0 - qdt * km)
+
+    if a.ndim == 1:
+        dot, col = _dot, float
+        step = row_step
+        zero, one = 0.0, 1.0
+    else:
+        # each row's scalars are lists of floats, mapped row by row; the
+        # law's Python evaluator would be 1 ulp off a numpy form on some
+        # arguments for powers, exp and expm1
+        def dot(x, y):
+            # one BLAS ddot per row, bitwise the float(x @ y) of a single run
+            return np.vecdot(x, y).tolist()
+
+        def col(x):
+            return np.array(x)[:, None]
+
+        def rows(f):
+            # f row by row; ell and c1 are None when any row's is, and the
+            # fused kick (c1, c2) comes back as (B, 1) columns
+            def f_rows(*args):
+                s2, t2, ell, dcum, c1, c2 = zip(*map(f, *args))
+                if None in ell:
+                    ell = None
+                if None in c1:
+                    return s2, t2, ell, dcum, None, None
+                return s2, t2, ell, dcum, col(c1), col(c2)
+
+            return f_rows
+
+        step = rows(row_step)
+        zero, one = [0.0] * len(a), [1.0] * len(a)
     n = -1  # the last completed step is n + 1
 
     try:
@@ -391,36 +465,36 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
             z = np.empty(a.shape, complex)
             zr, zi = z.real, z.imag
             zr[...], zi[...] = om * a, b
-            s2 = 1.0  # the factor of the last second half kick, pending on zi
+            s2 = one  # the factor of the last second half kick, pending on zi
             sa = dot(zr * zr, w)
-            bb = dot(zi, zi)
-            kv = kf(sa + bb)
-            ell_prev = kv * bb
+            # no second half kick before the first step (kick = 0.0)
+            _, _, ell, _, c1, _ = step(sa, dot(zi, zi), zero, zero, zero, zero, zero)
+            if ell is None:
+                raise OverflowError(_OVERFLOW)
+            dcum = zero
             for n in range(n_steps):
                 if n % stride == 0:
-                    rec.push(t0 + n * dt, zr / om, zi * s2, dcum)
+                    rec.push(t0 + n * dt, zr / om, zi * col(s2), col(dcum))
+                if c1 is None:
+                    raise OverflowError(_OVERFLOW)
                 # the pending second half kick and this step's first, fused
-                p = 1.0 - qdt * kv
-                zi *= s2 * (1.0 - hdt * kf(sa + p * p * bb) * p)
-                s2 = 1.0  # nothing pending, should the next law call overflow
+                zi *= c1
+                s2 = one  # nothing pending, should the next law call overflow
                 z *= rot
                 sa = dot(zr * zr, w)
-                bb = dot(zi, zi)
-                p = 1.0 - qdt * kf(sa + bb)
-                s2 = 1.0 - hdt * kf(sa + p * p * bb) * p
-                bb = s2 * s2 * bb
-                kv = kf(sa + bb)
-                ell = kv * bb
-                dcum += hdt * (ell_prev + ell)
-                ell_prev = ell
+                s2, _, ell, dcum, c1, _ = step(sa, dot(zi, zi), zero, zero, ell, dcum)
+                if ell is None:
+                    raise OverflowError(_OVERFLOW)
                 if n % _CHECK_EVERY == _CHECK_EVERY - 1:
-                    _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+                    _raise_unless_finite(
+                        np.isfinite(np.add(ell, sa)), t0 + (n + 1) * dt, n + 1
+                    )
                     if until is not None and all(
-                        map(until, *np.atleast_2d(zr / om, zi * s2))
+                        map(until, *np.atleast_2d(zr / om, zi * col(s2)))
                     ):
                         n_steps = n + 1
                         break
-            zi *= s2
+            zi *= col(s2)
             a, b = zr / om, zi
         else:
             cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
@@ -431,9 +505,13 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
                 def project(a):
                     return project_rows(a[drive])
 
+            dot, kf_ = _dot, st.kf
+            if a.ndim == 2:
+                dot, kf_ = _dot_rows, _k_rows(kf_)
+            dcum = 0.0
             sa = dot(a * a, mu2a)
             bb = dot(b, b)
-            kv = kf(sa + bb)
+            kv = kf_(sa + bb)
             ell_prev = kv * bb
             base = lh if zero_source else lh - project(a)
             for n in range(n_steps):
@@ -441,19 +519,19 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
                     rec.push(t0 + n * dt, a, b, dcum)
                 # first half kick (a frozen; sa, kv, base valid for the incoming state)
                 bm = b + qdt * (base - kv * b)
-                b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+                b = b + hdt * (base - kf_(sa + dot(bm, bm)) * bm)
                 # exact rotation over dt
                 a, b = cos * a + sin_over * b, nomsin * a + cos * b
                 # second half kick; base also serves the next step's first kick
                 if not zero_source:
                     base = lh - project(a)
                 sa = dot(a * a, mu2a)
-                g0 = base - kf(sa + dot(b, b)) * b
+                g0 = base - kf_(sa + dot(b, b)) * b
                 bm = b + qdt * g0
-                b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
+                b = b + hdt * (base - kf_(sa + dot(bm, bm)) * bm)
                 # trapezoid dissipation increment to the new state
                 bb = dot(b, b)
-                kv = kf(sa + bb)
+                kv = kf_(sa + bb)
                 ell = kv * bb
                 dcum += hdt * (ell_prev + ell)
                 ell_prev = ell
@@ -465,7 +543,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
                         break
     except OverflowError as exc:
         if free:
-            a, b = zr / om, zi * s2
+            a, b = zr / om, zi * col(s2)
         row = None
         if a.ndim == 2:
             # name the row furthest out; argmax counts a NaN as furthest
@@ -474,7 +552,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     _raise_unless_finite(
         np.isfinite(a).all(-1) & np.isfinite(b).all(-1), t0 + n_steps * dt, n_steps
     )
-    rec.push(t0 + n_steps * dt, a, b, dcum)
+    rec.push(t0 + n_steps * dt, a, b, dcum if not free or a.ndim == 1 else col(dcum))
 
 
 def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):

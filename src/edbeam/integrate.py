@@ -14,10 +14,12 @@ formally second order without an implicit solve.  A classical RK4 step on
 the first-order system is available for cross-checks, guarded by the usual
 dt * omega_max <= 2.8 stability bound.
 
-A free run (zero source, zero force) carries the complex phase variable
-z = omega a + i b, on which the rotation is one complex product, and fuses
-the half kicks that meet between steps; it agrees with the real loop to
-rounding, and every other run takes the real loop.
+Each half kick is affine in the velocity, b <- s b + t (lam*h - projected
+source), so the two half kicks that meet between steps are applied as one
+update, from per-run scalars kept in Python floats; this agrees with the
+kick-by-kick loop to rounding.  A free run (zero source, zero force) also
+carries the complex phase variable z = omega a + i b, on which the
+rotation is one complex product.
 
 The dissipation integral D(t) = int k(E_alpha) ||u_t||^2 is accumulated by
 the trapezoid rule at every micro step, independent of the sampling stride,
@@ -308,21 +310,6 @@ def _dot(x, y):
     return float(x.dot(y))
 
 
-def _dot_rows(x, y):
-    # one BLAS ddot per row, bitwise the float(x @ y) of a single run;
-    # einsum, (x*y).sum(1) and a gemv all round differently
-    return np.vecdot(x, y)[:, None]
-
-
-def _k_rows(kf):
-    # the law's one scalar evaluator, row by row; a vectorised numpy form
-    # would be 1 ulp off it on some arguments for powers, exp and expm1
-    def k(s):
-        return np.fromiter(map(kf, s[:, 0].tolist()), float, len(s))[:, None]
-
-    return k
-
-
 _OVERFLOW = "the damping law left float range"
 
 
@@ -338,40 +325,47 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
 
     a is frozen through each kick, so its source projection and the
     displacement part of E_alpha are evaluated once per kick; each kick is
-    one explicit-midpoint sub-evaluation of the nonlocal damping.  Nothing
-    moves a between the second half kick of one step and the first half
-    kick of the next, so the source part of the kick, ``base = lh -
-    project(a)``, is computed once after each rotation and carried into the
-    next step, as are the scalar pieces of the damping argument: one
-    projection per step plus one before the loop.  Checks for blow-up every
-    128 steps to keep the per-step cost down; the same check ends the run
-    early once ``until(a_row, b_row)`` holds for every row.
+    one explicit-midpoint sub-evaluation of the nonlocal damping.  With
+    ``base = lh - project(a)`` and ``p = 1 - (dt/4) k(sa + |b|^2)``, the
+    midpoint is ``bm = p b + (dt/4) base`` and the kick is the affine map
+    ``b <- s b + t base``, ``s = 1 - (dt/2) km p``, ``t = (dt/2)(1 - (dt/4)
+    km)``, ``km = k(sa + |bm|^2)``.  Its scalars need only ``bb = b.b``,
+    ``bg = b.base`` and ``gg = base.base``: ``|bm|^2 = p^2 bb + 2 p (dt/4)
+    bg + (dt/4)^2 gg``, and the b it leaves has ``s^2 bb + 2 s t bg + t^2
+    gg`` and ``s bg + t gg``.  Nothing moves a, and so base, between the
+    second half kick of one step and the first of the next: base is
+    projected once after each rotation (one projection per step plus one
+    before the loop), and the second kick stays pending as ``(s2, t2)`` to
+    be applied with the next first kick as one ``b <- c1 b + c2 base``.  A
+    step is a fixed handful of array operations (that update, the
+    rotation, the projection, four row dot products) plus one call of
+    ``row_step``, the run's scalar arithmetic in Python floats.  Checks for
+    blow-up every 128 steps to keep the per-step cost down; the same check
+    ends the run early once ``until(a_row, b_row)`` holds for every row.
 
     The state is one run, a and b of shape (N,), or a batch of runs, shape
-    (B, N), whose per-run scalars are (B, 1) columns.  Only the row dot
-    product, the damping evaluation and the source projection depend on the
-    shape, and each batched row is bitwise the single run.
+    (B, N).  A batch maps ``row_step`` over lists of its rows' scalars, from
+    one BLAS ddot per row, and applies the fused kick as (B, 1) columns;
+    IEEE operations round the same in Python as in numpy, so each batched
+    row is bitwise the single run.
 
-    A free run, zero source and zero force in every row, has ``base = 0``, so
-    each half kick only scales b: with ``p = 1 - (dt/4) k``, the midpoint is
-    ``p b`` and ``|p b|^2 = p^2 |b|^2``, and the kick is
-    ``b <- (1 - (dt/2) k(sa + p^2 |b|^2) p) b``.  Such a run carries the
-    complex phase variable ``z = omega a + i b``, omega = sqrt(sigma +
-    kappa mu), on which the exact rotation is the one product
-    ``z *= exp(-i omega dt)``.  The second half kick of one step and the
-    first half kick of the next meet with nothing in between, so they are
-    one scaling of ``Im z`` by the product of their factors: the second
-    factor ``s2`` stays pending on z, and ``|b|^2`` after it is carried as
-    ``s2^2 dot(Im z, Im z)``.  A sample, a check or the ``until`` test reads
-    ``a = Re z / omega`` and ``b = s2 Im z`` as temporaries, so the carried
-    state does not depend on the sampling stride; the pending factor is
-    applied once after the loop.  ``dot(Im z, Im z)`` reads the strided
-    imaginary view in a single run and in a batch alike, so a batch row
-    stays bitwise its single run.
+    A free run, zero source and zero force in every row, has ``base = 0``,
+    so each kick only scales b.  Such a run carries the complex phase
+    variable ``z = omega a + i b``, omega = sqrt(sigma + kappa mu), on which
+    the exact rotation is the one product ``z *= exp(-i omega dt)``, and
+    the fused kick is one scaling of ``Im z``.  ``dot(Im z, Im z)`` reads
+    the strided imaginary view in a single run and in a batch alike.
+
+    A sample, a check or the ``until`` test reads ``b = s2 b + t2 base``
+    (``a = Re z / omega`` and ``b = s2 Im z`` for a free run) as a
+    temporary, so the carried state does not depend on the sampling
+    stride; the pending kick is applied once after the loop.
 
     A power law can overflow on large finite states before the 128-step
     check sees a non-finite one, even on the initial state; that overflow is
-    reported as the same BlowUpError, at step 0 when no step has completed.
+    reported as the same BlowUpError, at the step and row the kick-by-kick
+    loop reported: at step 0 when no step has completed, and from the state
+    of the kick that overflowed.
     """
     dt = st.cfg.dt
     hdt = 0.5 * dt
@@ -440,20 +434,17 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
         def col(x):
             return np.array(x)[:, None]
 
-        def rows(f):
-            # f row by row; ell and c1 are None when any row's is, and the
-            # fused kick (c1, c2) comes back as (B, 1) columns
-            def f_rows(*args):
-                s2, t2, ell, dcum, c1, c2 = zip(*map(f, *args))
-                if None in ell:
-                    ell = None
-                if None in c1:
-                    return s2, t2, ell, dcum, None, None
-                return s2, t2, ell, dcum, col(c1), col(c2)
+        def step(*args):
+            # row_step row by row; ell and c1 are None when any row's is,
+            # and the fused kick (c1, c2) comes back as (B, 1) columns
+            s2, t2, ell, dcum, c1, c2 = zip(*map(row_step, *args))
+            if None in ell:
+                ell = None
+            if None in c1:
+                return s2, t2, ell, dcum, None, None
+            # a free run's c2 multiplies base = 0 and is never applied
+            return s2, t2, ell, dcum, col(c1), c2 if free else col(c2)
 
-            return f_rows
-
-        step = rows(row_step)
         zero, one = [0.0] * len(a), [1.0] * len(a)
     n = -1  # the last completed step is n + 1
 
@@ -505,45 +496,49 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
                 def project(a):
                     return project_rows(a[drive])
 
-            dot, kf_ = _dot, st.kf
-            if a.ndim == 2:
-                dot, kf_ = _dot_rows, _k_rows(kf_)
-            dcum = 0.0
-            sa = dot(a * a, mu2a)
-            bb = dot(b, b)
-            kv = kf_(sa + bb)
-            ell_prev = kv * bb
+            # the last second half kick, pending: the state's b is s2 b + t2 base
+            s2, t2 = one, zero
             base = lh if zero_source else lh - project(a)
+            gg = dot(base, base)
+            sa = dot(a * a, mu2a)
+            _, _, ell, _, c1, c2 = step(sa, dot(b, b), dot(b, base), gg, zero, zero, zero)
+            if ell is None:
+                raise OverflowError(_OVERFLOW)
+            dcum = zero
             for n in range(n_steps):
                 if n % stride == 0:
-                    rec.push(t0 + n * dt, a, b, dcum)
-                # first half kick (a frozen; sa, kv, base valid for the incoming state)
-                bm = b + qdt * (base - kv * b)
-                b = b + hdt * (base - kf_(sa + dot(bm, bm)) * bm)
+                    rec.push(t0 + n * dt, a, col(s2) * b + col(t2) * base, col(dcum))
+                if c1 is None:
+                    raise OverflowError(_OVERFLOW)
+                # the pending second half kick and this step's first, fused
+                b = c1 * b + c2 * base
+                s2, t2 = one, zero  # nothing pending, should the next law call overflow
                 # exact rotation over dt
                 a, b = cos * a + sin_over * b, nomsin * a + cos * b
-                # second half kick; base also serves the next step's first kick
+                # base serves this step's second half kick and the next step's first
                 if not zero_source:
                     base = lh - project(a)
+                    gg = dot(base, base)
                 sa = dot(a * a, mu2a)
-                g0 = base - kf_(sa + dot(b, b)) * b
-                bm = b + qdt * g0
-                b = b + hdt * (base - kf_(sa + dot(bm, bm)) * bm)
-                # trapezoid dissipation increment to the new state
-                bb = dot(b, b)
-                kv = kf_(sa + bb)
-                ell = kv * bb
-                dcum += hdt * (ell_prev + ell)
-                ell_prev = ell
+                s2, t2, ell, dcum, c1, c2 = step(sa, dot(b, b), dot(b, base), gg, ell, dcum)
+                if ell is None:
+                    raise OverflowError(_OVERFLOW)
                 if n % _CHECK_EVERY == _CHECK_EVERY - 1:
-                    _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
+                    _raise_unless_finite(
+                        np.isfinite(np.add(ell, sa)), t0 + (n + 1) * dt, n + 1
+                    )
                     # atleast_2d makes a single run a batch of one row
-                    if until is not None and all(map(until, *np.atleast_2d(a, b))):
+                    if until is not None and all(
+                        map(until, *np.atleast_2d(a, col(s2) * b + col(t2) * base))
+                    ):
                         n_steps = n + 1
                         break
+            b = col(s2) * b + col(t2) * base
     except OverflowError as exc:
         if free:
             a, b = zr / om, zi * col(s2)
+        else:
+            b = col(s2) * b + col(t2) * base
         row = None
         if a.ndim == 2:
             # name the row furthest out; argmax counts a NaN as furthest
@@ -552,7 +547,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     _raise_unless_finite(
         np.isfinite(a).all(-1) & np.isfinite(b).all(-1), t0 + n_steps * dt, n_steps
     )
-    rec.push(t0 + n_steps * dt, a, b, dcum if not free or a.ndim == 1 else col(dcum))
+    rec.push(t0 + n_steps * dt, a, b, col(dcum))
 
 
 def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):

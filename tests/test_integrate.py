@@ -396,11 +396,11 @@ _ALL_DAMPING = [
 @pytest.mark.parametrize("source", [ZeroSource(), DoublePower(2.0, 1.0, 0.5)], ids=["zero", "dp"])
 @pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
 def test_step_reproduces_integrate_bitwise(damping, source, forced, alpha):
-    # step() and integrate() run the same Strang code, so n single steps
-    # must land on integrate's final state exactly, not just closely.  A
-    # free run (zero source, zero force) carries z = omega a + i b inside the
-    # loop, and each step() call converts to z and back, so there the two
-    # agree to the free kick's 1e-12 of the state's scale instead
+    # step() and integrate() run the same Strang code.  The loop fuses the
+    # second half kick of each step with the first half kick of the next
+    # and carries the pending kick, while each step() call applies it, so n
+    # single steps land on integrate's final state to the fused kick's
+    # 1e-12 of the state's scale
     from edbeam.experiments import make_initial_state
 
     m = build_model(4, math.pi, 0.0, 32)
@@ -412,12 +412,8 @@ def test_step_reproduces_integrate_bitwise(damping, source, forced, alpha):
     traj = integrate(m, source, damping, forcing, state, cfg)
     for _ in range(n):
         state = step(m, source, damping, forcing, state, cfg)
-    if isinstance(source, ZeroSource) and not forced:
-        for got, want in ((state.a, traj.a[-1]), (state.b, traj.b[-1])):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    else:
-        assert np.array_equal(state.a, traj.a[-1])
-        assert np.array_equal(state.b, traj.b[-1])
+    for got, want in ((state.a, traj.a[-1]), (state.b, traj.b[-1])):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

@@ -73,12 +73,6 @@ def _ball_starts(inp):
     return inside, outside
 
 
-def _fit_window(inp):
-    """[fit_lo, fit_hi], or the last nine tenths of the horizon if that is empty."""
-    lo, hi = inp.opts["fit_lo"], inp.opts["fit_hi"]
-    return (inp.icfg.horizon / 10.0, inp.icfg.horizon) if hi <= lo else (lo, hi)
-
-
 # experiment id -> (runner, `edbeam list` description).  A runner takes the
 # _start inputs and the driver's seed= and out_dir=.  It looks its driver up
 # in this module when it runs, so a driver rebound here (as a tracer does)
@@ -98,7 +92,7 @@ _RUNNERS = {
             inp.icfg,
             source=inp.source,
             forcing=inp.forcing,
-            fit_window=_fit_window(inp),
+            fit_window=(inp.opts["fit_lo"], inp.opts["fit_hi"]),
             **out,
         ),
         "two-sided polynomial energy envelope and 1/q rate fit for the monomial damping",
@@ -111,7 +105,7 @@ _RUNNERS = {
             inp.icfg,
             source=inp.source,
             forcing=inp.forcing,
-            fit_window=_fit_window(inp),
+            fit_window=(inp.opts["fit_lo"], inp.opts["fit_hi"]),
             r2_min=inp.opts["r2_min"],
             **out,
         ),

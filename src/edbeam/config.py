@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .experiments import check_fit_window, check_option, check_requirements
+from .experiments import check_option, check_requirements, resolve_fit_window
 from .integrate import IntegratorConfig
 from .laws import (
     DampingLaw,
@@ -306,9 +306,13 @@ def parse_config(text, experiment_id=None):
                 raise InvalidConfigurationError(
                     f"[experiment] {key} = {options[key]}: {exc}"
                 ) from None
+    # the drivers check their requirements on the window they resolve
+    window = {}
     if "fit_lo" in options:
         try:
-            check_fit_window(options["fit_lo"], options["fit_hi"], integrator)
+            window["fit_window"] = resolve_fit_window(
+                options["fit_lo"], options["fit_hi"], integrator
+            )
         except InvalidConfigurationError as exc:
             raise InvalidConfigurationError(f"[experiment] {exc}") from None
 
@@ -323,7 +327,9 @@ def parse_config(text, experiment_id=None):
     )
     cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
     # the driver's arguments, as cli builds them from the run file
-    given = dict(options, damping=damping, source=source, forcing=applied, icfg=integrator)
+    given = dict(
+        options, damping=damping, source=source, forcing=applied, icfg=integrator, **window
+    )
     lambdas = lambda_grid(options) if "grid_step" in options else None
     check_requirements(exp_id, **given, n_modes=model.n_modes, lambdas=lambdas)
 

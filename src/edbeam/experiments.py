@@ -82,12 +82,14 @@ REQUIREMENTS = {
         len(probe_modes) > 0 and 1 <= min(probe_modes) <= max(probe_modes) <= n_modes
     ),
     "lambda0 in [0, 1]": lambda lambda0, **_: 0.0 <= lambda0 <= 1.0,
+    # a power fit takes logarithms of the sample times
+    "fit_lo > 0": lambda fit_window, **_: fit_window is None or fit_window[0] > 0.0,
     "two grid intensities besides lambda0": lambda lambdas, lambda0, **_: (
         len(lambdas) >= 2 and lambda0 not in lambdas
     ),
 }
 EXPERIMENT_REQUIRES = {
-    "exp_k1_decay": ("the monomial law",),
+    "exp_k1_decay": ("the monomial law", "fit_lo > 0"),
     "exp_k3_ball": ("a threshold law", "zero forcing", "the zero source"),
     "exp_two_trajectory": ("the monomial law", "zero forcing"),
     "exp_decomposition": (
@@ -124,26 +126,36 @@ def check_option(key, value):
         raise InvalidConfigurationError(f"{key} = {value}: {key} {bound[0]} required")
 
 
-def check_fit_window(fit_lo, fit_hi, icfg, t0=0.0):
-    """Raise unless the fit window [fit_lo, fit_hi] meets its options' bounds
-    and, when it is not empty, starts before the horizon and holds at least
-    ``FIT_MIN_POINTS`` of the samples a run of ``icfg`` from ``t0`` records."""
+def resolve_fit_window(fit_lo, fit_hi, icfg, t0=0.0):
+    """The window a rate fit of a run of ``icfg`` from ``t0`` uses:
+    [fit_lo, fit_hi], or, when that is empty, the default last nine tenths
+    of the run, [end / 10, end] with end = t0 + horizon.
+
+    Raises unless fit_lo and fit_hi meet their options' bounds and the
+    window starts before the horizon and holds at least ``FIT_MIN_POINTS``
+    of the samples the run records.
+    """
     check_option("fit_lo", fit_lo)
     check_option("fit_hi", fit_hi)
-    if not fit_lo < fit_hi:
-        return
-    if not fit_lo < t0 + icfg.horizon:
-        raise InvalidConfigurationError(
-            f"fit_lo = {fit_lo}: fit_lo < horizon {t0 + icfg.horizon} required"
+    end = t0 + icfg.horizon
+    if fit_lo < fit_hi:
+        if not fit_lo < end:
+            raise InvalidConfigurationError(f"fit_lo = {fit_lo}: fit_lo < horizon {end} required")
+        lo, hi = fit_lo, fit_hi
+        needs = f"fit_lo = {fit_lo}: fit_lo with >= {FIT_MIN_POINTS} samples in [fit_lo, {hi}]"
+    else:
+        lo, hi = end / 10.0, end
+        needs = (
+            f"fit_lo = {fit_lo}, fit_hi = {fit_hi}: an empty window takes the default "
+            f"[horizon/10, horizon] = [{lo}, {hi}], with >= {FIT_MIN_POINTS} samples"
         )
     t = icfg.sample_times(t0)
-    count = int(np.count_nonzero((t >= fit_lo) & (t <= fit_hi)))
+    count = int(np.count_nonzero((t >= lo) & (t <= hi)))
     if count < FIT_MIN_POINTS:
         raise InvalidConfigurationError(
-            f"fit_lo = {fit_lo}: fit_lo with >= {FIT_MIN_POINTS} samples in "
-            f"[fit_lo, {fit_hi}] ({count} at dt {icfg.dt}, sample_stride "
-            f"{icfg.sample_stride}) required"
+            f"{needs} ({count} at dt {icfg.dt}, sample_stride {icfg.sample_stride}) required"
         )
+    return lo, hi
 
 
 def make_initial_state(model, rng, energy2=1.0):
@@ -278,11 +290,12 @@ def exp_k1_decay(
     Checks that the modified energy stays between the closed-form envelopes
     (with 2% relative slack) at every sample, and, when ``fit_window`` is
     given, that the log-log slopes of energy and phase norm match -1/q and
-    -1/(2q) within 15%.
+    -1/(2q) within 15% over the window ``resolve_fit_window`` makes of it
+    (an empty one takes the last nine tenths of the run).
     """
-    check_requirements("exp_k1_decay", damping=damping)
     if fit_window is not None:
-        check_fit_window(*fit_window, icfg, initial.t)
+        fit_window = resolve_fit_window(*fit_window, icfg, initial.t)
+    check_requirements("exp_k1_decay", damping=damping, fit_window=fit_window)
     slack, rate_tol = 0.02, 0.15
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
@@ -355,23 +368,21 @@ def exp_k2_exponential(
 ):
     """Exponential decay fit (homogeneous) or floored exponential fit (forced).
 
-    Homogeneous runs must fit a clean positive rate with r^2 >= ``r2_min``.
-    Forced runs fit constants (C, c) such that
+    Homogeneous runs must fit a clean positive rate with r^2 >= ``r2_min``
+    over ``fit_window``, which ``resolve_fit_window`` resolves (None is the
+    empty window, so the last nine tenths of the run).  Forced runs fit
+    constants (C, c) such that
     Etilde(t) <= C Etilde(0) exp(-c t) + 8 K_lambda holds at every sample,
     and must eventually enter the absorbing ball 64 K_lambda / omega.
     """
     check_option("r2_min", r2_min)
-    if fit_window is not None:
-        check_fit_window(*fit_window, icfg, initial.t)
+    fit_window = resolve_fit_window(*(fit_window or (0.0, 0.0)), icfg, initial.t)
     source, forcing, constants = _fill_defaults(model, source, forcing)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k2_exponential", seed=seed)
     report.metrics["identity_residual"] = energy_identity_residual(traj)
     omega, k_lam = coercivity_offset(model, constants, forcing)
-    horizon = float(traj.t[-1])
-    if fit_window is None:
-        fit_window = (horizon / 10.0, horizon)
 
     forced = forcing.effective_norm > 0.0
     if not forced:

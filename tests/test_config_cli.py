@@ -554,6 +554,24 @@ REMOVED_KEYS = [
             "error: [experiment] fit_lo = 0.95: fit_lo with >= 10 samples in [fit_lo, 5.0] "
             "(6 at dt 0.01, sample_stride 1) required",
         ),
+        # a power fit over a window from t = 0 died after the run with
+        # "power fit requires positive times"
+        (
+            "exp_k1_decay",
+            "",
+            "fit_lo = 0.0\nfit_hi = 0.5\n",
+            "error: exp_k1_decay requires fit_lo > 0",
+        ),
+        # an empty window took its default after parsing, and the run died
+        # naming a fit_lo = 0.1 the run file never set
+        (
+            "exp_k1_decay",
+            "sample_stride = 50\n",
+            "",
+            "error: [experiment] fit_lo = 0.0, fit_hi = 0.0: an empty window takes the "
+            "default [horizon/10, horizon] = [0.1, 1.0], with >= 10 samples (2 at dt 0.01, "
+            "sample_stride 50) required",
+        ),
         *[
             (
                 exp_id,
@@ -591,6 +609,8 @@ REMOVED_KEYS = [
         "fit_lo_not_finite",
         "fit_window_past_horizon",
         "fit_window_too_few_samples",
+        "k1_fit_window_from_zero",
+        "default_fit_window_too_few_samples",
         *[f"removed_{exp_id}_{key}" for exp_id, key, _ in REMOVED_KEYS],
     ],
 )
@@ -743,6 +763,35 @@ def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):
     assert str(run_file.value) == f"[experiment] {direct.value}"
 
 
+@pytest.mark.parametrize(
+    "exp_id, call",
+    [
+        (
+            "exp_k1_decay",
+            lambda m, u, icfg: exp_k1_decay(
+                m, K1Monomial(1.0, 1.0), u, icfg, fit_window=(0.0, 0.0)
+            ),
+        ),
+        ("exp_k2_exponential", lambda m, u, icfg: exp_k2_exponential(m, K2Constant(1.0), u, icfg)),
+    ],
+    ids=["k1_empty_window", "k2_no_window"],
+)
+def test_the_default_fit_window_is_resolved_and_checked_once(exp_id, call):
+    # one rule makes the default window, for the run file and the direct
+    # call alike, and both check it before the run
+    model = build_model(8, math.pi, 0.0, 64)
+    start = make_initial_state(model, np.random.default_rng(0))
+    with pytest.raises(InvalidConfigurationError) as direct:
+        call(model, start, IntegratorConfig(dt=0.01, horizon=1.0, sample_stride=50))
+    with pytest.raises(InvalidConfigurationError) as run_file:
+        parse_config(
+            "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
+            f"sample_stride = 50\n[experiment]\nid = {exp_id}\n"
+        )
+    assert "[0.1, 1.0]" in str(direct.value)
+    assert str(run_file.value) == f"[experiment] {direct.value}"
+
+
 # (id, requirement) -> the run file's sections and [experiment] options that
 # break it, and a direct call of the driver that breaks it.  The call is None
 # where the driver builds that input itself (exp_k3_ball's source and
@@ -752,6 +801,11 @@ REQUIREMENT_CASES = {
         "[damping]\nvariant = k2_constant\n",
         "",
         lambda m, u, icfg: exp_k1_decay(m, K2Constant(1.0), u, icfg),
+    ),
+    ("exp_k1_decay", "fit_lo > 0"): (
+        "",
+        "fit_lo = 0.0\nfit_hi = 0.5\n",
+        lambda m, u, icfg: exp_k1_decay(m, K1Monomial(1.0, 1.0), u, icfg, fit_window=(0.0, 0.5)),
     ),
     ("exp_k3_ball", "a threshold law"): (
         "",

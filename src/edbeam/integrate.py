@@ -386,6 +386,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
         overflows in D or in the next kick comes back as None, which the
         loop raises where the kick-by-kick loop raised it: at once for D,
         and at the next step, if the run reaches it, for the next kick."""
+        # base = 0 (gg = 0) leaves every t unused, so it is not computed
         s2, t2 = 1.0, 0.0
         if kick:
             p = 1.0 - qdt * kf(sa + bb)
@@ -394,8 +395,9 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
                 # the expansion can round below zero, where a power law turns complex
                 mm = max(mm + 2.0 * p * qdt * bg + qdt * qdt * gg, 0.0)
             km = kf(sa + mm)
-            s2, t2 = 1.0 - hdt * km * p, hdt * (1.0 - qdt * km)
+            s2 = 1.0 - hdt * km * p
             if gg:
+                t2 = hdt * (1.0 - qdt * km)
                 bb, bg = (
                     max(s2 * s2 * bb + 2.0 * s2 * t2 * bg + t2 * t2 * gg, 0.0),
                     s2 * bg + t2 * gg,
@@ -417,7 +419,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
         except OverflowError:
             return s2, t2, ell, dcum, None, None
         s = 1.0 - hdt * km * p
-        return s2, t2, ell, dcum, s * s2, s * t2 + hdt * (1.0 - qdt * km)
+        return s2, t2, ell, dcum, s * s2, s * t2 + hdt * (1.0 - qdt * km) if gg else 0.0
 
     if a.ndim == 1:
         dot, col = _dot, float

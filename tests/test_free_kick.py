@@ -9,6 +9,7 @@ the law as a negative argument; and a forced batch that overflows names the
 step and row the kick-by-kick loop named."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ def test_fused_final_state_does_not_depend_on_the_stride(rows, kind):
                 assert np.array_equal(g, w)
 
 
+@dataclass(frozen=True)
+class _ArgumentsSeen(K1Monomial):
+    """K1Monomial that records every argument its scalar evaluator gets."""
+
+    seen: list = field(default_factory=list)
+
+    def scalar_k(self):
+        k, seen = super().scalar_k(), self.seen
+
+        def recorded(s):
+            seen.append(s)
+            return k(s)
+
+        return recorded
+
+
 def test_a_cancelling_midpoint_never_reaches_the_law_negative():
     # a = 0 and b = -(qdt/p) base, base = lam*h, make the first kick's
     # midpoint bm = p b + qdt base vanish.  Its expanded square
@@ -246,8 +263,7 @@ def test_a_cancelling_midpoint_never_reaches_the_law_negative():
     # and K1Monomial(1, 1.5) of a negative float is a complex number
     n = 8
     m = build_model(n, math.pi, 0.5, 64)
-    law = K1Monomial(1.0, 1.5)
-    kf = law.scalar_k()
+    kf = K1Monomial(1.0, 1.5).scalar_k()
     cfg = IntegratorConfig(dt=0.1, horizon=0.5)
     qdt = 0.25 * cfg.dt
     negative = 0
@@ -261,7 +277,9 @@ def test_a_cancelling_midpoint_never_reaches_the_law_negative():
         p = 1.0 - qdt * kf(float(b @ b))
         bb, bg, gg = float(b @ b), float(b @ base), float(base @ base)
         negative += p * p * bb + 2.0 * p * qdt * bg + qdt * qdt * gg < 0.0
+        law = _ArgumentsSeen(1.0, 1.5)
         traj = integrate(m, ZeroSource(), law, forcing, ModalState(np.zeros(n), b), cfg)
+        assert all(type(s) is float and s >= 0.0 for s in law.seen)
         for series in (traj.a, traj.b, traj.dissipation, traj.energy):
             assert series.dtype == float and np.all(np.isfinite(series))
     # the expansion did round below zero on some of these states

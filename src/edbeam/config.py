@@ -307,12 +307,10 @@ def parse_config(text, experiment_id=None):
                     f"[experiment] {key} = {options[key]}: {exc}"
                 ) from None
     # the drivers check their requirements on the window they resolve
-    window = {}
+    fit_window = None
     if "fit_lo" in options:
         try:
-            window["fit_window"] = resolve_fit_window(
-                options["fit_lo"], options["fit_hi"], integrator
-            )
+            fit_window = resolve_fit_window(options["fit_lo"], options["fit_hi"], integrator)
         except InvalidConfigurationError as exc:
             raise InvalidConfigurationError(f"[experiment] {exc}") from None
 
@@ -328,7 +326,12 @@ def parse_config(text, experiment_id=None):
     cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
     # the driver's arguments, as cli builds them from the run file
     given = dict(
-        options, damping=damping, source=source, forcing=applied, icfg=integrator, **window
+        options,
+        damping=damping,
+        source=source,
+        forcing=applied,
+        icfg=integrator,
+        fit_window=fit_window,
     )
     lambdas = lambda_grid(options) if "grid_step" in options else None
     check_requirements(exp_id, **given, n_modes=model.n_modes, lambdas=lambdas)

@@ -338,7 +338,7 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     before the loop), and the second kick stays pending as ``(s2, t2)`` to
     be applied with the next first kick as one ``b <- c1 b + c2 base``.  A
     step is a fixed handful of array operations (that update, the
-    rotation, the projection, four row dot products) plus one call of
+    rotation, the projection, up to four row dot products) plus one call of
     ``row_step``, the run's scalar arithmetic in Python floats.  Checks for
     blow-up every 128 steps to keep the per-step cost down; the same check
     ends the run early once ``until(a_row, b_row)`` holds for every row.

@@ -436,16 +436,21 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
         def col(x):
             return np.array(x)[:, None]
 
+        c1_col, c2_col = np.zeros((2, len(a), 1))
+
         def step(*args):
             # row_step row by row; ell and c1 are None when any row's is,
-            # and the fused kick (c1, c2) comes back as (B, 1) columns
+            # and the fused kick (c1, c2) is written into two (B, 1)
+            # columns, which the loop uses before the next step rewrites them
             s2, t2, ell, dcum, c1, c2 = zip(*map(row_step, *args))
             if None in ell:
                 ell = None
             if None in c1:
                 return s2, t2, ell, dcum, None, None
-            # a free run's c2 multiplies base = 0 and is never applied
-            return s2, t2, ell, dcum, col(c1), c2 if free else col(c2)
+            c1_col[:, 0] = c1
+            if not free:  # a free run's c2 multiplies base = 0 and is never applied
+                c2_col[:, 0] = c2
+            return s2, t2, ell, dcum, c1_col, c2_col
 
         zero, one = [0.0] * len(a), [1.0] * len(a)
     n = -1  # the last completed step is n + 1

@@ -233,8 +233,6 @@ class _Stepper:
         self.omega_max = float(om[-1])
         self.cos = np.cos(om * cfg.dt)
         self.sin = np.sin(om * cfg.dt)
-        self.sin_over = self.sin / om
-        self.omsin = om * self.sin
         if cfg.scheme == "rk4" and cfg.dt * self.omega_max > RK4_STABILITY_LIMIT:
             raise InvalidConfigurationError(
                 f"rk4 unstable: dt*omega_max = {cfg.dt * self.omega_max:.3g} "
@@ -336,12 +334,21 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     second half kick of one step and the first of the next: base is
     projected once after each rotation (one projection per step plus one
     before the loop), and the second kick stays pending as ``(s2, t2)`` to
-    be applied with the next first kick as one ``b <- c1 b + c2 base``.  A
-    step is a fixed handful of array operations (that update, the
-    rotation, the projection, up to four row dot products) plus one call of
-    ``row_step``, the run's scalar arithmetic in Python floats.  Checks for
-    blow-up every 128 steps to keep the per-step cost down; the same check
-    ends the run early once ``until(a_row, b_row)`` holds for every row.
+    be applied with the next first kick as one ``b <- c1 b + c2 base``.
+
+    Every run carries the complex phase variable ``z = omega a + i b``,
+    omega = sqrt(sigma + kappa mu), on which the exact rotation is the one
+    product ``z *= exp(-i omega dt)`` and the fused kick acts on ``Im z``.
+    The projection reads ``a = Re z / omega`` as a contiguous temporary,
+    ``sa = dot((Re z)^2, mu^2alpha / omega^2)``, and ``bb`` and ``bg`` read
+    the strided imaginary view.  A step is a fixed handful of array
+    operations (the fused kick, the rotation, the projection, up to four
+    row dot products) plus one call of ``row_step``, the run's scalar
+    arithmetic in Python floats.  A free run, zero source and zero force in
+    every row, has ``base = 0``: it skips the base terms, so its kick only
+    scales ``Im z``.  Checks for blow-up every 128 steps to keep the
+    per-step cost down; the same check ends the run early once
+    ``until(a_row, b_row)`` holds for every row.
 
     The state is one run, a and b of shape (N,), or a batch of runs, shape
     (B, N).  A batch maps ``row_step`` over lists of its rows' scalars, from
@@ -349,17 +356,10 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     IEEE operations round the same in Python as in numpy, so each batched
     row is bitwise the single run.
 
-    A free run, zero source and zero force in every row, has ``base = 0``,
-    so each kick only scales b.  Such a run carries the complex phase
-    variable ``z = omega a + i b``, omega = sqrt(sigma + kappa mu), on which
-    the exact rotation is the one product ``z *= exp(-i omega dt)``, and
-    the fused kick is one scaling of ``Im z``.  ``dot(Im z, Im z)`` reads
-    the strided imaginary view in a single run and in a batch alike.
-
-    A sample, a check or the ``until`` test reads ``b = s2 b + t2 base``
-    (``a = Re z / omega`` and ``b = s2 Im z`` for a free run) as a
-    temporary, so the carried state does not depend on the sampling
-    stride; the pending kick is applied once after the loop.
+    A sample, a check or the ``until`` test reads ``a = Re z / omega`` and
+    ``b = s2 Im z + t2 base`` (``s2 Im z`` for a free run) as temporaries,
+    so the carried state does not depend on the sampling stride; the
+    pending kick is applied once after the loop.
 
     A power law can overflow on large finite states before the 128-step
     check sees a non-finite one, even on the initial state; that overflow is
@@ -370,14 +370,13 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     dt = st.cfg.dt
     hdt = 0.5 * dt
     qdt = 0.25 * dt
-    mu2a, lh = st.mu2a, st.lh
-    kf = st.kf
+    lh, kf = st.lh, st.kf
     zero_source = st.zero_source
     free = zero_source and not lh.any()
 
-    # A run's scalars, as Python floats.  sa = dot(a*a, mu^2alpha), and
-    # bb = b.b, bg = b.base and gg = base.base describe the b that a half
-    # kick starts from; the kick moves b to s b + t base.
+    # A run's scalars, as Python floats.  sa is the displacement part of
+    # E_alpha, and bb = b.b, bg = b.base and gg = base.base describe the b
+    # that a half kick starts from; the kick moves b to s b + t base.
     def row_step(sa, bb, bg, gg, ell_prev, dcum, kick=True):
         """(s2, t2, ell, dcum, c1, c2) of one run after a rotation: its
         second half kick (s2, t2) unless ``kick`` is false, the trapezoid
@@ -453,104 +452,77 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
             return s2, t2, ell, dcum, c1_col, c2_col
 
         zero, one = [0.0] * len(a), [1.0] * len(a)
+
+    project = st.project
+    if st.drive is not None:
+        drive, project_rows = st.drive, project
+
+        def project(a):
+            return project_rows(a[drive])
+
+    om = st.om
+    rot = st.cos - 1j * st.sin
+    w = st.mu2a / st.lam2  # sa = dot((Re z)^2, w)
+    z = np.empty(a.shape, complex)
+    zr, zi = z.real, z.imag
+    zr[...], zi[...] = om * a, b
+    base = lh if zero_source else lh - project(a)
+    gg = dot(base, base)
+
+    def pending(s2, t2, base):
+        # b with the pending second half kick applied, as a temporary
+        return zi * col(s2) if free else col(s2) * zi + col(t2) * base
+
+    # the last second half kick, pending: the state's b is s2 Im z + t2 base
+    s2, t2 = one, zero
     n = -1  # the last completed step is n + 1
 
     try:
-        if free:
-            om = st.om
-            rot = st.cos - 1j * st.sin
-            w = mu2a / st.lam2  # sa = dot((Re z)^2, w)
-            z = np.empty(a.shape, complex)
-            zr, zi = z.real, z.imag
-            zr[...], zi[...] = om * a, b
-            s2 = one  # the factor of the last second half kick, pending on zi
+        sa = dot(zr * zr, w)
+        bg = zero if free else dot(zi, base)
+        # no second half kick before the first step (kick = 0.0)
+        _, _, ell, _, c1, c2 = step(sa, dot(zi, zi), bg, gg, zero, zero, zero)
+        if ell is None:
+            raise OverflowError(_OVERFLOW)
+        dcum = zero
+        for n in range(n_steps):
+            if n % stride == 0:
+                rec.push(t0 + n * dt, zr / om, pending(s2, t2, base), col(dcum))
+            if c1 is None:
+                raise OverflowError(_OVERFLOW)
+            # the pending second half kick and this step's first, fused
+            zi *= c1
+            if not free:
+                zi += c2 * base
+            s2, t2 = one, zero  # nothing pending, should the next law call overflow
+            z *= rot
+            # base serves this step's second half kick and the next step's first
+            if not zero_source:
+                base = lh - project(zr / om)
+                gg = dot(base, base)
             sa = dot(zr * zr, w)
-            # no second half kick before the first step (kick = 0.0)
-            _, _, ell, _, c1, _ = step(sa, dot(zi, zi), zero, zero, zero, zero, zero)
+            bg = zero if free else dot(zi, base)
+            s2, t2, ell, dcum, c1, c2 = step(sa, dot(zi, zi), bg, gg, ell, dcum)
             if ell is None:
                 raise OverflowError(_OVERFLOW)
-            dcum = zero
-            for n in range(n_steps):
-                if n % stride == 0:
-                    rec.push(t0 + n * dt, zr / om, zi * col(s2), col(dcum))
-                if c1 is None:
-                    raise OverflowError(_OVERFLOW)
-                # the pending second half kick and this step's first, fused
-                zi *= c1
-                s2 = one  # nothing pending, should the next law call overflow
-                z *= rot
-                sa = dot(zr * zr, w)
-                s2, _, ell, dcum, c1, _ = step(sa, dot(zi, zi), zero, zero, ell, dcum)
-                if ell is None:
-                    raise OverflowError(_OVERFLOW)
-                if n % _CHECK_EVERY == _CHECK_EVERY - 1:
-                    _raise_unless_finite(
-                        np.isfinite(np.add(ell, sa)), t0 + (n + 1) * dt, n + 1
-                    )
-                    if until is not None and all(
-                        map(until, *np.atleast_2d(zr / om, zi * col(s2)))
-                    ):
-                        n_steps = n + 1
-                        break
-            zi *= col(s2)
-            a, b = zr / om, zi
-        else:
-            cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
-            project = st.project
-            if st.drive is not None:
-                drive, project_rows = st.drive, project
-
-                def project(a):
-                    return project_rows(a[drive])
-
-            # the last second half kick, pending: the state's b is s2 b + t2 base
-            s2, t2 = one, zero
-            base = lh if zero_source else lh - project(a)
-            gg = dot(base, base)
-            sa = dot(a * a, mu2a)
-            _, _, ell, _, c1, c2 = step(sa, dot(b, b), dot(b, base), gg, zero, zero, zero)
-            if ell is None:
-                raise OverflowError(_OVERFLOW)
-            dcum = zero
-            for n in range(n_steps):
-                if n % stride == 0:
-                    rec.push(t0 + n * dt, a, col(s2) * b + col(t2) * base, col(dcum))
-                if c1 is None:
-                    raise OverflowError(_OVERFLOW)
-                # the pending second half kick and this step's first, fused
-                b = c1 * b + c2 * base
-                s2, t2 = one, zero  # nothing pending, should the next law call overflow
-                # exact rotation over dt
-                a, b = cos * a + sin_over * b, nomsin * a + cos * b
-                # base serves this step's second half kick and the next step's first
-                if not zero_source:
-                    base = lh - project(a)
-                    gg = dot(base, base)
-                sa = dot(a * a, mu2a)
-                s2, t2, ell, dcum, c1, c2 = step(sa, dot(b, b), dot(b, base), gg, ell, dcum)
-                if ell is None:
-                    raise OverflowError(_OVERFLOW)
-                if n % _CHECK_EVERY == _CHECK_EVERY - 1:
-                    _raise_unless_finite(
-                        np.isfinite(np.add(ell, sa)), t0 + (n + 1) * dt, n + 1
-                    )
-                    # atleast_2d makes a single run a batch of one row
-                    if until is not None and all(
-                        map(until, *np.atleast_2d(a, col(s2) * b + col(t2) * base))
-                    ):
-                        n_steps = n + 1
-                        break
-            b = col(s2) * b + col(t2) * base
+            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
+                _raise_unless_finite(
+                    np.isfinite(np.add(ell, sa)), t0 + (n + 1) * dt, n + 1
+                )
+                # atleast_2d makes a single run a batch of one row
+                if until is not None and all(
+                    map(until, *np.atleast_2d(zr / om, pending(s2, t2, base)))
+                ):
+                    n_steps = n + 1
+                    break
     except OverflowError as exc:
-        if free:
-            a, b = zr / om, zi * col(s2)
-        else:
-            b = col(s2) * b + col(t2) * base
+        a, b = zr / om, pending(s2, t2, base)
         row = None
         if a.ndim == 2:
             # name the row furthest out; argmax counts a NaN as furthest
             row = int(np.argmax(np.maximum(np.abs(a).max(1), np.abs(b).max(1))))
         raise BlowUpError(t0 + (n + 1) * dt, step=n + 1, row=row) from exc
+    a, b = zr / om, pending(s2, t2, base)
     _raise_unless_finite(
         np.isfinite(a).all(-1) & np.isfinite(b).all(-1), t0 + n_steps * dt, n_steps
     )

@@ -67,7 +67,7 @@ def _lockstep_reference(model, source, gamma, forcing, initial, icfg, horizon):
         bz = kick_const(bz, neg_f, free_v and st.zero_source)
 
     def rotate(a, b):
-        return st.cos * a + st.sin_over * b, -st.omsin * a + st.cos * b
+        return st.cos * a + (st.sin / st.om) * b, -(st.om * st.sin) * a + st.cos * b
 
     records = []
 

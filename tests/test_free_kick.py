@@ -70,7 +70,7 @@ def _general_kick_reference(st, a, b, n_steps, stride, t0, rec):
     dt = st.cfg.dt
     hdt = 0.5 * dt
     qdt = 0.25 * dt
-    cos, sin_over, nomsin = st.cos, st.sin_over, -st.omsin
+    cos, sin_over, nomsin = st.cos, st.sin / st.om, -(st.om * st.sin)
     mu2a, lh = st.mu2a, st.lh
     kf = st.kf
     dot = _dot

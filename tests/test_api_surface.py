@@ -87,6 +87,9 @@ def test_one_strang_kernel():
 
     assert owners(steps) == {"_run_strang", "_run_rk4"}
     assert owners(rotates) == {"_run_strang"}
+    # and every Strang run, free or not, takes the one stepping loop
+    (strang,) = [n for n in tree.body if getattr(n, "name", None) == "_run_strang"]
+    assert sum(map(steps, ast.walk(strang))) == 1
 
 
 def test_one_formula_per_damping_law():

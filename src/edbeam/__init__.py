@@ -24,7 +24,6 @@ from .integrate import (
     energy_identity_residual,
     integrate,
     integrate_batch,
-    step,
 )
 from .laws import (
     AssumptionConstants,

@@ -43,7 +43,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "ConvergenceResult",
-    "step",
     "integrate",
     "integrate_batch",
     "energy_identity_residual",
@@ -560,14 +559,6 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
         np.isfinite(a).all() & np.isfinite(b).all(), t0 + n_steps * dt, n_steps
     )
     rec.push(t0 + n_steps * dt, a, b, dcum)
-
-
-def step(model, source, damping, forcing, state, cfg):
-    """Advance one step of the selected scheme; pure and re-entrant."""
-    cfg = replace(cfg, horizon=cfg.dt)
-    st = _Stepper(model, source, damping, forcing.effective, cfg)
-    rec = _advance(st, state.a, state.b, state.t)
-    return ModalState(rec.amat[1], rec.bmat[1], state.t + cfg.dt)
 
 
 def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):

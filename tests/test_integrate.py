@@ -25,7 +25,6 @@ from edbeam import (
     energy_identity_residual,
     integrate,
     phase_norm,
-    step,
 )
 from edbeam.integrate import _Stepper
 from edbeam.series import write_csv
@@ -43,7 +42,7 @@ def test_step_matches_harmonic_oscillator():
     m = build_model(1, math.pi, 0.0, 8)
     cfg = IntegratorConfig(dt=0.1, horizon=0.1)
     state = ModalState(np.array([1.0]), np.array([0.0]))
-    out = step(m, ZeroSource(), UNDAMPED, _zero_forcing(1), state, cfg)
+    out = integrate(m, ZeroSource(), UNDAMPED, _zero_forcing(1), state, cfg).final_state
     assert out.a[0] == pytest.approx(math.cos(0.1), abs=1e-15)
     assert out.b[0] == pytest.approx(-math.sin(0.1), abs=1e-15)
 
@@ -68,7 +67,8 @@ def test_strang_local_order_against_substep_reference():
     init = ModalState(np.array([1.0]), np.array([0.2]))
 
     def local_error(dt):
-        one = step(m, ZeroSource(), law, _zero_forcing(1), init, IntegratorConfig(dt=dt, horizon=dt))
+        one_cfg = IntegratorConfig(dt=dt, horizon=dt)
+        one = integrate(m, ZeroSource(), law, _zero_forcing(1), init, one_cfg).final_state
         fine = integrate(
             m,
             ZeroSource(),
@@ -189,9 +189,9 @@ def test_linear_time_reversal():
     rng = np.random.default_rng(2)
     init = make_initial_state(m, rng, 0.25)
     cfg = IntegratorConfig(dt=0.25, horizon=0.25)
-    fwd = step(m, ZeroSource(), UNDAMPED, _zero_forcing(6), init, cfg)
+    fwd = integrate(m, ZeroSource(), UNDAMPED, _zero_forcing(6), init, cfg).final_state
     flipped = ModalState(fwd.a, -fwd.b)
-    back = step(m, ZeroSource(), UNDAMPED, _zero_forcing(6), flipped, cfg)
+    back = integrate(m, ZeroSource(), UNDAMPED, _zero_forcing(6), flipped, cfg).final_state
     assert np.max(np.abs(back.a - init.a)) < 1e-13
     assert np.max(np.abs(back.b + init.b)) < 1e-13
 
@@ -396,10 +396,10 @@ _ALL_DAMPING = [
 @pytest.mark.parametrize("source", [ZeroSource(), DoublePower(2.0, 1.0, 0.5)], ids=["zero", "dp"])
 @pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
 def test_step_reproduces_integrate_bitwise(damping, source, forced, alpha):
-    # step() and integrate() run the same Strang code.  The loop fuses the
-    # second half kick of each step with the first half kick of the next
-    # and carries the pending kick, while each step() call applies it, so n
-    # single steps land on integrate's final state to the fused kick's
+    # restarting from each step's final state: the loop fuses the second
+    # half kick of each step with the first half kick of the next and
+    # carries the pending kick, while each one-step run applies it, so n
+    # restarts land on one n-step run's final state to the fused kick's
     # 1e-12 of the state's scale
     from edbeam.experiments import make_initial_state
 
@@ -410,28 +410,11 @@ def test_step_reproduces_integrate_bitwise(damping, source, forced, alpha):
     n = 20
     cfg = IntegratorConfig(dt=0.05, horizon=n * 0.05, alpha=alpha, sample_stride=n)
     traj = integrate(m, source, damping, forcing, state, cfg)
+    one_cfg = replace(cfg, horizon=cfg.dt)
     for _ in range(n):
-        state = step(m, source, damping, forcing, state, cfg)
+        state = integrate(m, source, damping, forcing, state, one_cfg).final_state
     for got, want in ((state.a, traj.a[-1]), (state.b, traj.b[-1])):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("forced", [False, True])
-@pytest.mark.parametrize("source", [ZeroSource(), DoublePower(2.0, 1.0, 0.5)], ids=["zero", "dp"])
-@pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
-def test_step_is_integrate_over_one_step_bitwise(damping, source, forced, alpha):
-    from edbeam.experiments import make_initial_state
-
-    m = build_model(4, math.pi, 0.0, 32)
-    forcing = Forcing.single_mode(4, 1, 1.0, 0.5) if forced else _zero_forcing(4)
-    state = make_initial_state(m, np.random.default_rng(1), 2.5)
-    cfg = IntegratorConfig(dt=0.05, horizon=1.0, alpha=alpha)
-    out = step(m, source, damping, forcing, state, cfg)
-    traj = integrate(m, source, damping, forcing, state, replace(cfg, horizon=cfg.dt))
-    assert np.array_equal(out.a, traj.a[-1])
-    assert np.array_equal(out.b, traj.b[-1])
-    assert out.t == traj.t[-1]
 
 
 def test_dt_must_divide_horizon():

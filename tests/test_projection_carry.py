@@ -5,6 +5,7 @@ fuses the two half kicks that meet between steps), for one run, a batch and
 a driven batch, and it projects exactly n_steps + 1 times per run."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from edbeam import (
     integrate,
     integrate_batch,
     project_source,
-    step,
 )
 from edbeam.experiments import make_initial_state
 from edbeam.integrate import (
@@ -219,7 +219,7 @@ def test_one_projection_per_step_plus_one(projection_calls):
     assert projection_calls == [(2, _N)] * (n_steps + 1)
 
     projection_calls.clear()
-    step(m, src, _LAW, zero, ModalState(starts[0].a, starts[0].b), cfg)
+    integrate(m, src, _LAW, zero, starts[0], replace(cfg, horizon=cfg.dt))
     assert projection_calls == [(_N,)] * 2
 
 

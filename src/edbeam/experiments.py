@@ -256,10 +256,12 @@ def _fill_defaults(model, source, forcing):
     return source, forcing, assumption_constants(source, model=model)
 
 
-def _write_traj(traj, out_dir, name, report):
+def _write_artifact(report, out_dir, name, *table, write=write_csv):
+    """Write the CSV ``name`` into ``out_dir`` and list it in the report;
+    nothing without ``out_dir``.  ``table`` is the header and the columns
+    of ``write_csv``; a trajectory passes its own ``write_csv`` instead."""
     if out_dir is not None:
-        path = f"{out_dir}/{name}"
-        traj.write_csv(path)
+        write(f"{out_dir}/{name}", *table)
         report.artifacts.append(name)
 
 
@@ -269,7 +271,7 @@ def simulate(model, damping, source, forcing, initial, icfg, *, seed=None, out_d
     traj = integrate(model, source, damping, forcing, initial, icfg)
     report = ExperimentReport("simulate", seed=seed)
     report.add("completed", True, f"{traj.n_samples} samples over [0, {traj.t[-1]:g}]")
-    _write_traj(traj, out_dir, "trajectory.csv", report)
+    _write_artifact(report, out_dir, "trajectory.csv", write=traj.write_csv)
     return report
 
 
@@ -342,14 +344,14 @@ def exp_k1_decay(
         report.metrics["slope_phase"] = fit_p.slope
 
     _common_checks(report, traj, params.omega)
-    _write_traj(traj, out_dir, "trajectory.csv", report)
-    if out_dir is not None:
-        write_csv(
-            f"{out_dir}/envelope.csv",
-            ["t", "Etilde", "lower", "upper"],
-            [traj.t, traj.energy_mod, lower, upper],
-        )
-        report.artifacts.append("envelope.csv")
+    _write_artifact(report, out_dir, "trajectory.csv", write=traj.write_csv)
+    _write_artifact(
+        report,
+        out_dir,
+        "envelope.csv",
+        ["t", "Etilde", "lower", "upper"],
+        [traj.t, traj.energy_mod, lower, upper],
+    )
     return report
 
 
@@ -433,7 +435,7 @@ def exp_k2_exponential(
         report.metrics["c_fit"] = c_rate
 
     _common_checks(report, traj, omega)
-    _write_traj(traj, out_dir, "trajectory.csv", report)
+    _write_artifact(report, out_dir, "trajectory.csv", write=traj.write_csv)
     return report
 
 
@@ -474,7 +476,7 @@ def exp_k3_ball(
         drift = float(np.max(np.abs(traj.energy - e0))) / max(abs(e0), 1e-300)
         worst_drift = max(worst_drift, drift)
         if idx == 0:
-            _write_traj(traj, out_dir, "inside_0.csv", report)
+            _write_artifact(report, out_dir, "inside_0.csv", write=traj.write_csv)
     inside = traj = None  # free the inside runs before the outside batch
     report.add(
         "inside_conserved",
@@ -510,7 +512,7 @@ def exp_k3_ball(
         viol = float(np.max(dist - (np.sqrt(e2) - 1.0)))
         worst_dist_violation = max(worst_dist_violation, viol)
         if idx == 0:
-            _write_traj(traj, out_dir, "outside_0.csv", report)
+            _write_artifact(report, out_dir, "outside_0.csv", write=traj.write_csv)
 
     if initials_outside:
         report.add(
@@ -616,13 +618,13 @@ def exp_two_trajectory(
     report.metrics.update(
         C1=c1, C2=c2, max_residual=worst, tightness_end=tight_end, d0=d0
     )
-    if out_dir is not None:
-        write_csv(
-            f"{out_dir}/difference.csv",
-            ["t", "d", "poly_bound", "lower_order"],
-            [t_obs, d_obs, poly, g],
-        )
-        report.artifacts.append("difference.csv")
+    _write_artifact(
+        report,
+        out_dir,
+        "difference.csv",
+        ["t", "d", "poly_bound", "lower_order"],
+        [t_obs, d_obs, poly, g],
+    )
     return report
 
 
@@ -689,9 +691,7 @@ def exp_lambda_lipschitz(
     report.metrics["ratio_spread"] = (
         float(np.max(vals) / np.min(vals)) if np.min(vals) > 0 else math.inf
     )
-    if out_dir is not None:
-        write_csv(f"{out_dir}/ratios.csv", ["lambda", "ratio"], [lams, vals])
-        report.artifacts.append("ratios.csv")
+    _write_artifact(report, out_dir, "ratios.csv", ["lambda", "ratio"], [lams, vals])
     return report
 
 
@@ -806,13 +806,13 @@ def exp_decomposition(
         f"ratios {['%.4g' % r for r in ratios]}, max/min = {spread:.4g}",
     )
     report.metrics["smoothing_spread"] = spread
-    if out_dir is not None:
-        write_csv(
-            f"{out_dir}/decomposition.csv",
-            ["t", "split_gap", "linear_gap"],
-            [times, gap, gap_v],
-        )
-        report.artifacts.append("decomposition.csv")
+    _write_artifact(
+        report,
+        out_dir,
+        "decomposition.csv",
+        ["t", "split_gap", "linear_gap"],
+        [times, gap, gap_v],
+    )
     return report
 
 
@@ -1012,10 +1012,8 @@ def exp_stationary(model, source, forcing, n_starts, *, tol=1e-8, seed=0, out_di
     )
     report.metrics["n_distinct"] = len(results)
     report.metrics["best_value"] = min(r.functional_value for r in results)
-    if out_dir is not None:
-        header = ["lambda", "functional_value", "residual"]
-        header += [f"c_{k}" for k in range(1, model.n_modes + 1)]
-        rows = [[forcing.lam, r.functional_value, r.residual, *r.coeffs] for r in results]
-        write_csv(f"{out_dir}/stationary.csv", header, [rows])
-        report.artifacts.append("stationary.csv")
+    header = ["lambda", "functional_value", "residual"]
+    header += [f"c_{k}" for k in range(1, model.n_modes + 1)]
+    rows = [[forcing.lam, r.functional_value, r.residual, *r.coeffs] for r in results]
+    _write_artifact(report, out_dir, "stationary.csv", header, [rows])
     return report

@@ -17,9 +17,10 @@ dt * omega_max <= 2.8 stability bound.
 Each half kick is affine in the velocity, b <- s b + t (lam*h - projected
 source), so the two half kicks that meet between steps are applied as one
 update, from per-run scalars kept in Python floats; this agrees with the
-kick-by-kick loop to rounding.  A free run (zero source, zero force) also
-carries the complex phase variable z = omega a + i b, on which the
-rotation is one complex product.
+kick-by-kick loop to rounding.  Every run carries the complex phase
+variable z = omega a + i b, on which the rotation is one complex product;
+a free run (zero source, zero force) skips the base terms, so its kick
+only scales Im z.
 
 The dissipation integral D(t) = int k(E_alpha) ||u_t||^2 is accumulated by
 the trapezoid rule at every micro step, independent of the sampling stride,

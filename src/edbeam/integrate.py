@@ -470,7 +470,8 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
     gg = dot(base, base)
 
     def pending(s2, t2, base):
-        # b with the pending second half kick applied, as a temporary
+        # b with the pending second half kick applied, as a temporary; a
+        # free run leaves out t2 base = 0, which would turn -0.0 into 0.0
         return zi * col(s2) if free else col(s2) * zi + col(t2) * base
 
     # the last second half kick, pending: the state's b is s2 Im z + t2 base

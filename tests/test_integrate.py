@@ -417,6 +417,26 @@ def test_step_reproduces_integrate_bitwise(damping, source, forced, alpha):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("source", [ZeroSource(), DoublePower(2.0, 1.0, 0.5)], ids=["zero", "dp"])
+@pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
+def test_step_is_integrate_over_one_step_bitwise(damping, source, forced, alpha):
+    # a one-step run's final state is the first sample of a longer run: the
+    # sample applies the pending half kick the same way the run's end does
+    from edbeam.experiments import make_initial_state
+
+    m = build_model(4, math.pi, 0.0, 32)
+    forcing = Forcing.single_mode(4, 1, 1.0, 0.5) if forced else _zero_forcing(4)
+    state = make_initial_state(m, np.random.default_rng(1), 2.5)
+    cfg = IntegratorConfig(dt=0.05, horizon=1.0, alpha=alpha)
+    traj = integrate(m, source, damping, forcing, state, cfg)
+    out = integrate(m, source, damping, forcing, state, replace(cfg, horizon=cfg.dt)).final_state
+    assert np.array_equal(out.a, traj.a[1])
+    assert np.array_equal(out.b, traj.b[1])
+    assert out.t == traj.t[1]
+
+
 def test_dt_must_divide_horizon():
     # horizon 1.0 at dt 0.3 would otherwise stop at 0.9 without a word
     with pytest.raises(InvalidConfigurationError, match="does not divide"):

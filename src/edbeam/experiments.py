@@ -42,7 +42,7 @@ from .laws import (
 )
 from .nakao import CONCLUSION_TOL, _draw_rows, _verify_draws, haraux_check
 from .series import SampledSeries, write_csv
-from .spectral import ModalState, phase_norm, phase_norms
+from .spectral import ModalState, _quadrature, _synthesize, phase_norm, phase_norms
 from .stationary import multi_start, stationary_bound_check
 
 __all__ = [
@@ -573,10 +573,8 @@ def exp_two_trajectory(
     times = t1.t
 
     a_alpha = np.sqrt(da**2 @ _mu2alpha(model, icfg.alpha))
-    w_grid = da @ model.basis_table
-    lp = (
-        model.quad_weight * np.sum(np.abs(w_grid) ** (p_exponent + 2.0), axis=1)
-    ) ** (2.0 / (p_exponent + 2.0))
+    lp = _quadrature(model, np.abs(_synthesize(model, da)) ** (p_exponent + 2.0))
+    lp **= 2.0 / (p_exponent + 2.0)
     lower_raw = a_alpha ** (2.0 * (q + 1.0) / (2.0 * q + 1.0)) + lp
     prefix_max = np.maximum.accumulate(lower_raw)
 

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BlowUpError, InvalidConfigurationError
 from .laws import ZeroSource, assumption_constants
 from .series import write_csv
-from .spectral import ModalState, _project, phase_norms
+from .spectral import ModalState, _project, _quadrature, _synthesize, phase_norms
 
 __all__ = [
     "IntegratorConfig",
@@ -149,38 +149,28 @@ def _mu2alpha(model, alpha):
     return model.mu ** (2.0 * alpha)
 
 
-def _source_integral(model, source, a):
-    """The source integral of one row (N,) or of each row of (S, N).
-
-    A stack of rows goes through stacked matrix-vector products and row
-    sums, so every row rounds as it would alone.
-    """
-    if isinstance(source, ZeroSource):
-        return 0.0
-    u = a[..., None, :] @ model.basis_table
-    return model.quad_weight * np.sum(source.f_primitive(u), axis=-1)[..., 0]
-
-
 _ENERGY_BLOCK = 64  # rows per block, so the (rows, M) source temporaries stay small
 
 
 def total_energies(model, source, lh, a, b):
     """``total_energy`` of each row of stacked states a, b of shape (S, N).
 
-    Each row is reduced on its own (row dot products, row sums, one
-    matrix-vector product per row), so a row's energy is bitwise
+    Each row is reduced on its own (row dot products and the row-wise
+    quadrature of ``spectral``), so a row's energy is bitwise
     ``total_energy`` of that row wherever it sits.
     """
     out = np.empty(a.shape[0])
     for i in range(0, a.shape[0], _ENERGY_BLOCK):
         ai, bi = a[i : i + _ENERGY_BLOCK], b[i : i + _ENERGY_BLOCK]
         sq = ai * ai
-        quad = 0.5 * (
+        e = 0.5 * (
             np.vecdot(bi, bi)
             + np.sum(model.sigma * sq, axis=-1)
             + model.kappa * np.sum(model.mu * sq, axis=-1)
         )
-        out[i : i + _ENERGY_BLOCK] = quad + _source_integral(model, source, ai) - np.vecdot(ai, lh)
+        if not isinstance(source, ZeroSource):
+            e += _quadrature(model, source.f_primitive(_synthesize(model, ai)))
+        out[i : i + _ENERGY_BLOCK] = e - np.vecdot(ai, lh)
     return out
 
 
@@ -240,20 +230,11 @@ class _Stepper:
             )
 
     def project(self, a):
-        """Galerkin projection of f(u) for one row (N,) or each row of (B, N).
-
-        A batch goes through stacked matrix-vector products, so every row
-        takes the same gemv as a single run; one 2-D product would be a gemm
-        and round differently.
-        """
+        """Galerkin projection of f(u) for one row (N,) or each row of (B, N);
+        a batch row rounds as its single run."""
         if self.zero_source:
             return None
-        m = self.model
-        if a.ndim == 1:
-            return _project(m, self.source.f, a)
-        bt = m.basis_table
-        u = a[:, None, :] @ bt
-        return m.quad_weight * (bt @ self.source.f(u)[:, 0, :, None])[:, :, 0]
+        return _project(self.model, self.source.f, a)
 
     def dissipation_rate(self, a, b):
         """k(E_alpha(a, b)) * ||b||^2, the integrand of D."""

@@ -1,4 +1,4 @@
-"""Sine eigenbasis of the hinged beam, synthesis and phase norms.
+"""Sine eigenbasis of the hinged beam, its quadrature and phase norms.
 
 On the interval (0, L) with hinged ends, the second-order operator and the
 fourth-order operator share the eigenfunctions
@@ -14,7 +14,9 @@ to M, and a product of an even number of basis modes whose frequencies sum
 to less than 2(M+1) is integrated exactly.  For a polynomial source f of
 degree d, f(u) w_j and F(u) are such products of frequency at most (d+1)N,
 so the default M is the exact size (d+1)N/2 (2N for the cubic), capped at
-8N; any other source, or none, gets M = 8N.
+8N; any other source, or none, gets M = 8N.  This module alone holds the
+rule: synthesis on the grid, projection, integrals over (0, L) and Gram
+matrices all go through its helpers.
 """
 
 from __future__ import annotations
@@ -153,15 +155,37 @@ def _check_coeffs(model, coeffs):
 
 def synthesize(model, coeffs):
     """Evaluate the modal expansion on the quadrature grid."""
-    c = _check_coeffs(model, coeffs)
-    return c @ model.basis_table
+    return _synthesize(model, _check_coeffs(model, coeffs))
+
+
+# The quadrature helpers take one row (N,) or a stack (..., N), unchecked.  A
+# stack takes one matrix-vector product and one sum per row, so each row rounds
+# as it would alone; one matrix product over the rows would round by position.
+
+
+def _synthesize(model, a):
+    # the grid values u(x_m) of each row
+    return (a[..., None, :] @ model.basis_table)[..., 0, :]
+
+
+def _quadrature(model, values):
+    # the integral of each row of grid values
+    return model.quad_weight * np.sum(values, axis=-1)
+
+
+def _gram(model, values):
+    # <g w_i, w_j> for one row g of grid values
+    bt = model.basis_table
+    return model.quad_weight * ((bt * values) @ bt.T)
 
 
 def _project(model, f, a):
-    # the Galerkin projection of f(u) for u with coefficients a: synthesize,
-    # apply f on the grid, analyze; unchecked, for callers that checked a
+    # <f(u), w_j> of each row: synthesize, apply f on the grid, analyze; one
+    # row synthesizes inline, as a single run projects at every step
     bt = model.basis_table
-    return model.quad_weight * (bt @ f(a @ bt))
+    if a.ndim == 1:
+        return model.quad_weight * (bt @ f(a @ bt))
+    return model.quad_weight * (bt @ f(_synthesize(model, a))[..., None])[..., 0]
 
 
 def phase_norm(model, state):

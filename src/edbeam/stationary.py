@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import project_source
-from .spectral import synthesize
+from .spectral import _gram, _quadrature, synthesize
 
 __all__ = [
     "StationaryResult",
@@ -60,8 +60,7 @@ def euler_lagrange_value(model, source, forcing, coeffs):
     c = np.asarray(coeffs, dtype=float)
     quad = 0.5 * float(np.sum((model.sigma + model.kappa * model.mu) * c**2))
     work = float(forcing.effective @ c)
-    potential = float(source.f_primitive(synthesize(model, c)).sum())
-    return quad - work + model.quad_weight * potential
+    return quad - work + float(_quadrature(model, source.f_primitive(synthesize(model, c))))
 
 
 def el_gradient(model, source, forcing, coeffs):
@@ -76,11 +75,8 @@ def el_gradient(model, source, forcing, coeffs):
 
 def _el_hessian(model, source, c):
     """Exact Hessian: diag(sigma_j + kappa mu_j) + <f'(u) w_i, w_j>."""
-    bt = model.basis_table
     fp = source.f_derivative(synthesize(model, c))
-    return np.diag(model.sigma + model.kappa * model.mu) + model.quad_weight * (
-        (bt * fp) @ bt.T
-    )
+    return np.diag(model.sigma + model.kappa * model.mu) + _gram(model, fp)
 
 
 def minimize_functional(model, source, forcing, start, tol=1e-8):

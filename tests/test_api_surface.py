@@ -45,13 +45,31 @@ def test_no_unused_imports(name):
     assert _unused_imports(tree) == []
 
 
+def _attribute_readers(attrs, allowed=("np", "math")):
+    # the modules that load one of ``attrs`` from anything but ``allowed``
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in attrs
+                and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id in allowed)
+            ):
+                readers.add(path.stem)
+    return readers
+
+
+def test_one_quadrature():
+    # synthesis, projection, integrals and Gram matrices go through the
+    # spectral helpers, so the quadrature rule is read in one module
+    assert _attribute_readers({"basis_table", "quad_weight"}) == {"spectral"}
+
+
 def test_one_strang_kernel():
     # the rotation tables belong to the kernel alone, and no driver builds
     # its own stepper to run a private copy of the kick and rotation
-    for path in SRC.glob("*.py"):
-        if path.stem != "integrate":
-            text = path.read_text(encoding="utf-8")
-            assert "sin_over" not in text and "omsin" not in text, path.name
+    assert _attribute_readers({"cos", "sin", "om"}) == {"integrate"}
     assert "_Stepper" not in (SRC / "experiments.py").read_text(encoding="utf-8")
 
     # inside integrate, only the two schemes' loops step in time, and only
@@ -80,7 +98,7 @@ def test_one_strang_kernel():
             return node.id == "rot"
         return isinstance(node, ast.Attribute) and (
             node.attr == "rot"
-            or node.attr in {"cos", "sin", "sin_over", "omsin"}
+            or node.attr in {"cos", "sin"}
             and isinstance(node.ctx, ast.Load)
             and not (isinstance(node.value, ast.Name) and node.value.id in {"np", "self"})
         )

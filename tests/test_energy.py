@@ -26,11 +26,11 @@ from edbeam.energy import embedding_constant
 from edbeam.experiments import make_initial_state
 from edbeam.integrate import (
     _mu2alpha,
-    _source_integral,
     coercivity_offset,
     total_energies,
     total_energy,
 )
+from edbeam.spectral import _quadrature, _synthesize
 
 
 def _zero(n):
@@ -95,7 +95,7 @@ def test_source_term_matches_fine_quadrature():
     x = np.linspace(0.0, math.pi, 10001)
     u = 0.7 * math.sqrt(2.0 / math.pi) * np.sin(x)
     ref = np.trapezoid(law.f_primitive(u), x)
-    assert _source_integral(m, law, a) == pytest.approx(ref, abs=1e-9)
+    assert _quadrature(m, law.f_primitive(_synthesize(m, a))) == pytest.approx(ref, abs=1e-9)
 
 
 def test_e_alpha_consistency_at_one():

@@ -21,7 +21,7 @@ from edbeam import (
     project_source,
 )
 from edbeam.config import build_objects, parse_config
-from edbeam.integrate import _source_integral
+from edbeam.spectral import _quadrature, _synthesize
 
 POLYNOMIAL = [(2.0, 1.0, 0.0), (4.0, 1.0, 0.0), (4.0, 2.0, 0.5)]
 
@@ -44,8 +44,9 @@ def test_exact_size_matches_eight_nodes_per_mode(delta, r, sigma, n):
         want = project_source(full, law, a)
         got = project_source(exact, law, a)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        want = _source_integral(full, law, a)
-        assert abs(_source_integral(exact, law, a) - want) <= 1e-13 * abs(want)
+        want = _quadrature(full, law.f_primitive(_synthesize(full, a)))
+        got = _quadrature(exact, law.f_primitive(_synthesize(exact, a)))
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("n", [4, 32])

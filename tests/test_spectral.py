@@ -10,7 +10,7 @@ from edbeam import (
     phase_norm,
     synthesize,
 )
-from edbeam.spectral import _project, phase_norms
+from edbeam.spectral import _gram, _project, _quadrature, _synthesize, phase_norms
 
 
 def test_eigenvalues_unit_domain():
@@ -55,6 +55,8 @@ def test_discrete_orthonormality():
     m = build_model(6, 2.5, 0.0, 12)
     gram = m.quad_weight * (m.basis_table @ m.basis_table.T)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
+    # the weighted Gram matrix of the weight 1 is the same matrix
+    assert np.array_equal(_gram(m, np.ones(m.quad_points)), gram)
 
 
 def test_synthesize_zero_and_basis():
@@ -148,16 +150,30 @@ def test_phase_norms_rows_match_phase_norm():
 @pytest.mark.parametrize("n_modes", [3, 8, 17])
 def test_phase_norms_rows_do_not_depend_on_their_position(n_modes):
     # a gemv over all samples rounded a row by where it sat in the stack, so a
-    # stopped run's phase column was not a prefix of its full run's
+    # stopped run's phase column was not a prefix of its full run's; the
+    # quadrature helpers take stacks of rows under the same rule
     m = build_model(n_modes, math.pi, 0.5, 8 * n_modes)
     rng = np.random.default_rng(n_modes)
     a = rng.standard_normal((4001, n_modes))
     b = rng.standard_normal((4001, n_modes))
+    grid = rng.standard_normal((4001, m.quad_points))
     full = phase_norms(m, a, b)
     for k in range(0, 4001, 37):
         assert full[k] == phase_norm(m, ModalState(a[k], b[k]))
     for n in range(1, 4001, 19):
         assert np.array_equal(phase_norms(m, a[:n], b[:n]), full[:n])
+
+    rows = {
+        "synthesize": (lambda x: _synthesize(m, x), a),
+        "quadrature": (lambda v: _quadrature(m, v), grid),
+        "project": (lambda x: _project(m, lambda u: u * u * u, x), a),
+    }
+    for name, (helper, stack) in rows.items():
+        full = helper(stack)
+        for k in range(0, 4001, 37):
+            assert np.array_equal(full[k], helper(stack[k])), (name, k)
+        for n in range(1, 4001, 19):
+            assert np.array_equal(helper(stack[:n]), full[:n]), (name, n)
 
 
 def test_modal_state_rejects_nonfinite():

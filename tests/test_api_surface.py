@@ -45,8 +45,8 @@ def test_no_unused_imports(name):
     assert _unused_imports(tree) == []
 
 
-def _attribute_readers(attrs, allowed=("np", "math")):
-    # the modules that load one of ``attrs`` from anything but ``allowed``
+def _attribute_readers(attrs):
+    # the modules that load one of ``attrs`` from anything but np or math
     readers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -54,7 +54,7 @@ def _attribute_readers(attrs, allowed=("np", "math")):
                 isinstance(node, ast.Attribute)
                 and node.attr in attrs
                 and isinstance(node.ctx, ast.Load)
-                and not (isinstance(node.value, ast.Name) and node.value.id in allowed)
+                and not (isinstance(node.value, ast.Name) and node.value.id in {"np", "math"})
             ):
                 readers.add(path.stem)
     return readers

@@ -19,6 +19,11 @@ re-validated at parse time with the failed invariant named.  Omitted keys
 take the documented defaults (length pi, zero source, zero forcing, and the
 quadrature ``build_model`` sizes for the source: 2 n_modes for the cubic
 source, 8 n_modes for a source that is no polynomial).
+
+The ``[experiment]`` keys an id takes, their defaults and which of them are
+run horizons are read from the id's row of ``experiments.EXPERIMENTS``;
+``experiments.check_run`` then checks the row's requirements, so this module
+spells no option and no requirement of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .experiments import check_option, check_requirements, resolve_fit_window
+from .experiments import EXPERIMENTS, check_option, check_run
 from .integrate import IntegratorConfig
 from .laws import (
     DampingLaw,
@@ -65,34 +70,6 @@ SOURCE_LAWS = {
     "zero": (ZeroSource, {}),
     "double_power": (DoublePower, {"delta": None, "r": None, "sigma": 0.0}),
 }
-
-# Experiment ids and the extra keys each accepts (with defaults).
-EXPERIMENT_OPTIONS = {
-    "simulate": {"energy2": 1.0},
-    "exp_k1_decay": {"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0},
-    "exp_k2_exponential": {"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0, "r2_min": 0.999},
-    "exp_k3_ball": {"n_inside": 10, "n_outside": 10, "horizon_outside": 1000.0},
-    "exp_two_trajectory": {"energy2": 1.0},
-    "exp_lambda_lipschitz": {"lambda0": 0.5, "t_probe": 10.0, "grid_step": 0.1, "energy2": 1.0},
-    "exp_decomposition": {"s": 1.0, "probe_modes": (4, 8, 16, 32), "energy2": 1.0},
-    "exp_entropy": {"n_points": 10000},
-    "nakao_suite": {"trials": 1000},
-    "haraux_suite": {"trials": 100000},
-    "stationary": {"n_starts": 20, "tol": 1e-8},
-}
-# Options that are run horizons, stepped with the [integrator] dt.
-HORIZON_OPTIONS = ("horizon_outside", "t_probe")
-
-
-def lambda_grid(options):
-    """The intensities exp_lambda_lipschitz compares with ``lambda0``: the
-    multiples of ``grid_step`` in [0, 1], ``lambda0`` left out."""
-    lam0, step = options["lambda0"], options["grid_step"]
-    return [
-        round(k * step, 12)
-        for k in range(int(math.floor(1.0 / step)) + 1)
-        if abs(k * step - lam0) > 1e-12
-    ]
 
 
 @dataclass(frozen=True)
@@ -274,45 +251,35 @@ def parse_config(text, experiment_id=None):
 
     e = dict(parser.items("experiment")) if parser.has_section("experiment") else {}
     exp_id = e.pop("id", experiment_id or base.experiment_id)
-    if exp_id not in EXPERIMENT_OPTIONS:
+    if exp_id not in EXPERIMENTS:
         raise InvalidConfigurationError(
-            f"[experiment] id = {exp_id!r} (allowed: {sorted(EXPERIMENT_OPTIONS)})"
+            f"[experiment] id = {exp_id!r} (allowed: {sorted(EXPERIMENTS)})"
         )
     if experiment_id is not None and exp_id != experiment_id:
         raise InvalidConfigurationError(
             f"[experiment] id = {exp_id}: the command runs {experiment_id}"
         )
-    defaults = EXPERIMENT_OPTIONS[exp_id]
-    options = {}
+    row = EXPERIMENTS[exp_id]
+    options = dict(row.options)
     for key, raw in e.items():
-        if key not in defaults:
+        if key not in row.options:
             raise InvalidConfigurationError(
                 f"[experiment] unknown key {key!r} for {exp_id} "
-                f"(allowed: {sorted(defaults)})"
+                f"(allowed: {sorted(row.options)})"
             )
-        value = _typed("experiment", key, raw, type(defaults[key]))
+        value = _typed("experiment", key, raw, type(row.options[key]))
         try:
             check_option(key, value)
         except InvalidConfigurationError as exc:
             raise InvalidConfigurationError(f"[experiment] {exc}") from None
         options[key] = value
-    for key, val in defaults.items():
-        options.setdefault(key, val)
-    for key in HORIZON_OPTIONS:
-        if key in options:
-            try:
-                replace(integrator, horizon=options[key])
-            except InvalidConfigurationError as exc:
-                raise InvalidConfigurationError(
-                    f"[experiment] {key} = {options[key]}: {exc}"
-                ) from None
-    # the drivers check their requirements on the window they resolve
-    fit_window = None
-    if "fit_lo" in options:
+    for key in row.horizons:
         try:
-            fit_window = resolve_fit_window(options["fit_lo"], options["fit_hi"], integrator)
+            replace(integrator, horizon=options[key])
         except InvalidConfigurationError as exc:
-            raise InvalidConfigurationError(f"[experiment] {exc}") from None
+            raise InvalidConfigurationError(
+                f"[experiment] {key} = {options[key]}: {exc}"
+            ) from None
 
     cfg = RunConfig(
         model=model,
@@ -324,17 +291,16 @@ def parse_config(text, experiment_id=None):
         options=options,
     )
     cfg = _parse_section(parser, "run", RUN_KEYS, cfg)
-    # the driver's arguments, as cli builds them from the run file
-    given = dict(
+    # the drivers check the same requirements on the window and grid they use
+    check_run(
+        exp_id,
         options,
         damping=damping,
         source=source,
         forcing=applied,
         icfg=integrator,
-        fit_window=fit_window,
+        n_modes=model.n_modes,
     )
-    lambdas = lambda_grid(options) if "grid_step" in options else None
-    check_requirements(exp_id, **given, n_modes=model.n_modes, lambdas=lambdas)
 
     # Model-level invariants are re-checked by actually building the model.
     build_model(model.n_modes, model.length, model.kappa, model.quad_points, source)

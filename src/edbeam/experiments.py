@@ -10,6 +10,7 @@ spectral model.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,21 +89,11 @@ REQUIREMENTS = {
         len(lambdas) >= 2 and lambda0 not in lambdas
     ),
 }
-EXPERIMENT_REQUIRES = {
-    "exp_k1_decay": ("the monomial law", "fit_lo > 0"),
-    "exp_k3_ball": ("a threshold law", "zero forcing", "the zero source"),
-    "exp_two_trajectory": ("the monomial law", "zero forcing"),
-    "exp_decomposition": (
-        "a constant damping coefficient", "scheme = strang", "s in (0, 2)",
-        "probe_modes in [1, n_modes]",
-    ),
-    "exp_lambda_lipschitz": ("lambda0 in [0, 1]", "two grid intensities besides lambda0"),
-}
 
 
 def check_requirements(exp_id, **given):
     """Raise naming the first requirement of ``exp_id`` that ``given`` breaks."""
-    for need in EXPERIMENT_REQUIRES.get(exp_id, ()):
+    for need in EXPERIMENTS[exp_id].requires:
         if not REQUIREMENTS[need](**given):
             raise InvalidConfigurationError(f"{exp_id} requires {need}")
 
@@ -158,6 +149,34 @@ def resolve_fit_window(fit_lo, fit_hi, icfg, t0=0.0):
     return lo, hi
 
 
+def lambda_grid(options):
+    """The intensities exp_lambda_lipschitz compares with ``lambda0``: the
+    multiples of ``grid_step`` in [0, 1], ``lambda0`` left out."""
+    lam0, step = options["lambda0"], options["grid_step"]
+    return [
+        round(k * step, 12)
+        for k in range(int(math.floor(1.0 / step)) + 1)
+        if abs(k * step - lam0) > 1e-12
+    ]
+
+
+def check_run(exp_id, options, **given):
+    """Raise unless a run of ``exp_id`` with the run file's ``options`` and
+    the inputs ``given`` (damping, source, forcing, icfg and n_modes) meets
+    its requirements, on the fit window and intensity grid its driver uses;
+    a fit window that breaks its bounds is named as an [experiment] option.
+    """
+    fit_window = lambdas = None
+    if "fit_lo" in options:
+        try:
+            fit_window = resolve_fit_window(options["fit_lo"], options["fit_hi"], given["icfg"])
+        except InvalidConfigurationError as exc:
+            raise InvalidConfigurationError(f"[experiment] {exc}") from None
+    if "grid_step" in options:
+        lambdas = lambda_grid(options)
+    check_requirements(exp_id, **options, **given, fit_window=fit_window, lambdas=lambdas)
+
+
 def make_initial_state(model, rng, energy2=1.0):
     """Random state: Gaussian modal coefficients with j**-2 falloff.
 
@@ -175,6 +194,26 @@ def make_initial_state(model, rng, energy2=1.0):
     )
     scale = math.sqrt(energy2 / quad)
     return ModalState(a * scale, b * scale, 0.0)
+
+
+def _states(inp, n):
+    """``n`` initial states drawn in turn from the run's generator with the
+    ``energy2`` option."""
+    return [make_initial_state(inp.model, inp.rng, inp.opts["energy2"]) for _ in range(n)]
+
+
+def _ball_starts(inp):
+    """exp_k3_ball's inside and outside starts, drawn in turn from the run's
+    generator: 2E uniform in (0.05, 0.95) inside the unit ball, and uniform
+    in (2, 8) outside it."""
+    model, opts, rng = inp.model, inp.opts, inp.rng
+    inside = [
+        make_initial_state(model, rng, rng.uniform(0.05, 0.95)) for _ in range(opts["n_inside"])
+    ]
+    outside = [
+        make_initial_state(model, rng, rng.uniform(2.0, 8.0)) for _ in range(opts["n_outside"])
+    ]
+    return inside, outside
 
 
 @dataclass(frozen=True)
@@ -1015,3 +1054,135 @@ def exp_stationary(model, source, forcing, n_starts, *, tol=1e-8, seed=0, out_di
     rows = [[forcing.lam, r.functional_value, r.residual, *r.coeffs] for r in results]
     _write_artifact(report, out_dir, "stationary.csv", header, [rows])
     return report
+
+
+# experiment id -> its row: the keys its run file's [experiment] section
+# takes, with their defaults (``options``); ``run(inp, seed=, out_dir=)``,
+# which draws the driver's inputs from a run's inputs ``inp`` (cli's
+# ``_start``) and calls the driver; its ``edbeam list`` line (``about``); the
+# options that are run ``horizons``, stepped with the [integrator] dt; and the
+# names of the REQUIREMENTS it ``requires``.  A runner looks its driver up in
+# this module when it runs, so a driver rebound in experiments (as a tracer
+# does) is the one that runs.
+Experiment = namedtuple("Experiment", "options run about horizons requires", defaults=((), ()))
+EXPERIMENTS = {
+    "simulate": Experiment(
+        options={"energy2": 1.0},
+        run=lambda inp, **out: simulate(
+            inp.model, inp.damping, inp.source, inp.forcing, *_states(inp, 1), inp.icfg, **out
+        ),
+        about="plain trajectory integration with CSV export",
+    ),
+    "exp_k1_decay": Experiment(
+        options={"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0},
+        requires=("the monomial law", "fit_lo > 0"),
+        run=lambda inp, **out: exp_k1_decay(
+            inp.model,
+            inp.damping,
+            *_states(inp, 1),
+            inp.icfg,
+            source=inp.source,
+            forcing=inp.forcing,
+            fit_window=(inp.opts["fit_lo"], inp.opts["fit_hi"]),
+            **out,
+        ),
+        about="two-sided polynomial energy envelope and 1/q rate fit for the monomial damping",
+    ),
+    "exp_k2_exponential": Experiment(
+        options={"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0, "r2_min": 0.999},
+        run=lambda inp, **out: exp_k2_exponential(
+            inp.model,
+            inp.damping,
+            *_states(inp, 1),
+            inp.icfg,
+            source=inp.source,
+            forcing=inp.forcing,
+            fit_window=(inp.opts["fit_lo"], inp.opts["fit_hi"]),
+            r2_min=inp.opts["r2_min"],
+            **out,
+        ),
+        about="exponential decay fit, floored fit under forcing, absorbing-ball entry",
+    ),
+    "exp_k3_ball": Experiment(
+        options={"n_inside": 10, "n_outside": 10, "horizon_outside": 1000.0},
+        horizons=("horizon_outside",),
+        requires=("a threshold law", "zero forcing", "the zero source"),
+        run=lambda inp, **out: exp_k3_ball(
+            inp.model,
+            inp.damping,
+            *_ball_starts(inp),
+            inp.icfg,
+            horizon_outside=inp.opts["horizon_outside"],
+            **out,
+        ),
+        about="conservation inside and attraction to the unit energy sphere for the threshold "
+        "damping",
+    ),
+    "exp_two_trajectory": Experiment(
+        options={"energy2": 1.0},
+        requires=("the monomial law", "zero forcing"),
+        run=lambda inp, **out: exp_two_trajectory(
+            inp.model, inp.damping, *_states(inp, 2), inp.icfg, source=inp.source, **out
+        ),
+        about="feasibility of the two-trajectory difference envelope",
+    ),
+    "exp_lambda_lipschitz": Experiment(
+        options={"lambda0": 0.5, "t_probe": 10.0, "grid_step": 0.1, "energy2": 1.0},
+        horizons=("t_probe",),
+        requires=("lambda0 in [0, 1]", "two grid intensities besides lambda0"),
+        run=lambda inp, **out: exp_lambda_lipschitz(
+            inp.model,
+            inp.damping,
+            inp.source,
+            inp.forcing.h_coeffs,
+            lambda_grid(inp.opts),
+            inp.opts["lambda0"],
+            inp.opts["t_probe"],
+            *_states(inp, 1),
+            inp.icfg,
+            **out,
+        ),
+        about="Lipschitz sensitivity of trajectories to the forcing intensity",
+    ),
+    "exp_decomposition": Experiment(
+        options={"s": 1.0, "probe_modes": (4, 8, 16, 32), "energy2": 1.0},
+        requires=(
+            "a constant damping coefficient", "scheme = strang", "s in (0, 2)",
+            "probe_modes in [1, n_modes]",
+        ),
+        run=lambda inp, **out: exp_decomposition(
+            inp.model,
+            inp.damping,
+            inp.source,
+            inp.forcing,
+            *_states(inp, 2),
+            inp.icfg,
+            s=inp.opts["s"],
+            probe_modes=inp.opts["probe_modes"],
+            **out,
+        ),
+        about="contracting + smoothing splitting of the constant-damping flow",
+    ),
+    "exp_entropy": Experiment(
+        options={"n_points": 10000},
+        run=lambda inp, seed, out_dir: exp_entropy(seed, inp.opts["n_points"]),
+        about="covering-number dimension estimates on synthetic manifolds",
+    ),
+    "nakao_suite": Experiment(
+        options={"trials": 1000},
+        run=lambda inp, seed, out_dir: nakao_suite(seed, inp.opts["trials"]),
+        about="randomized soundness of the window decay lemma",
+    ),
+    "haraux_suite": Experiment(
+        options={"trials": 100000},
+        run=lambda inp, seed, out_dir: haraux_suite(seed, inp.opts["trials"]),
+        about="randomized soundness of the norm power-difference bound",
+    ),
+    "stationary": Experiment(
+        options={"n_starts": 20, "tol": 1e-8},
+        run=lambda inp, **out: exp_stationary(
+            inp.model, inp.source, inp.forcing, inp.opts["n_starts"], tol=inp.opts["tol"], **out
+        ),
+        about="variational stationary solver with a-priori bound check",
+    ),
+}

@@ -134,12 +134,31 @@ def test_stationary_reads_no_source_parameters():
 
 
 def test_one_reading_of_the_run_file():
-    # config resolves the experiment and its options, and keeps the laws
-    # themselves rather than mirror dataclasses of them
+    # config keeps the laws themselves rather than mirror dataclasses of them
     from edbeam import config
 
-    assert "EXPERIMENT_OPTIONS" not in (SRC / "cli.py").read_text(encoding="utf-8")
     assert not hasattr(config, "DampingConfig") and not hasattr(config, "SourceConfig")
+
+
+def test_one_declaration_of_experiment_options():
+    # an experiment's option keys and requirement names are spelled in its
+    # row of experiments.EXPERIMENTS and in REQUIREMENTS alone; config and
+    # cli read them from there
+    from edbeam import experiments
+
+    names = set(experiments.REQUIREMENTS)
+    names |= {key for row in experiments.EXPERIMENTS.values() for key in row.options}
+    spelled = {}
+    for path in SRC.glob("*.py"):
+        if path.stem == "experiments":
+            continue
+        count = sum(
+            isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in names
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+        if count:
+            spelled[path.stem] = count
+    assert spelled == {}
 
 
 def test_one_declaration_of_experiment_requirements():
@@ -172,10 +191,6 @@ def test_one_declaration_of_experiment_requirements():
     assert own == []
 
     tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
-    strings = {
-        n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
-    }
-    assert sorted(strings & set(experiments.REQUIREMENTS)) == []
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Lambda)] == []
     # a bound on an argument the requirements read belongs in REQUIREMENTS
     read = {
@@ -188,10 +203,14 @@ def test_one_declaration_of_experiment_requirements():
 
 def test_cli_builds_no_report():
     # the drivers in experiments build every report and write every CSV;
-    # cli dispatches and writes report.txt and manifest.ini
+    # cli dispatches through the registry, imports no driver, and writes
+    # report.txt and manifest.ini
+    from edbeam import experiments
+
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(names & {"ExperimentReport", "write_csv"}) == []
+    assert sorted(names & set(experiments.__all__)) == []
     calls = [
         n.func.attr
         for n in ast.walk(tree)
@@ -201,11 +220,10 @@ def test_cli_builds_no_report():
 
 
 def test_one_runner_row_per_experiment():
-    from edbeam import cli, config
+    from edbeam.experiments import EXPERIMENTS
 
-    assert sorted(cli._RUNNERS) == sorted(config.EXPERIMENT_OPTIONS)
-    for exp_id, (_, description) in cli._RUNNERS.items():
-        assert description.strip(), exp_id
+    for exp_id, row in EXPERIMENTS.items():
+        assert row.about.strip() and callable(row.run), exp_id
 
 
 def test_one_nakao_candidate_stream():

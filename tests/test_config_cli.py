@@ -16,9 +16,9 @@ from edbeam import (
     K3Rational,
     ZeroSource,
     build_model,
-    cli,
+    experiments,
 )
-from edbeam.cli import _RUNNERS, _start, _states, list_experiments, main, run
+from edbeam.cli import _start, list_experiments, main, run
 from edbeam.config import (
     DAMPING_LAWS,
     SOURCE_LAWS,
@@ -27,8 +27,9 @@ from edbeam.config import (
     parse_config,
 )
 from edbeam.experiments import (
-    EXPERIMENT_REQUIRES,
+    EXPERIMENTS,
     ExperimentReport,
+    _states,
     exp_decomposition,
     exp_k1_decay,
     exp_k2_exponential,
@@ -160,7 +161,7 @@ def test_list_experiments_catalog(capsys):
     out = capsys.readouterr().out
     assert "exp_k3_ball" in out
     assert "nakao_suite" in out
-    assert ids == sorted(_RUNNERS)
+    assert ids == sorted(EXPERIMENTS)
 
 
 # `edbeam list` as it read when the descriptions had a table of their own
@@ -184,17 +185,17 @@ def test_list_output_is_pinned(capsys):
     assert capsys.readouterr().out == LIST_OUTPUT
 
 
-@pytest.mark.parametrize("exp_id", sorted(_RUNNERS))
-def test_runner_calls_the_driver_bound_in_cli(exp_id, tmp_path, monkeypatch):
-    # a tracer wraps a driver by rebinding its name in cli, so the runner
-    # must look the name up when it runs
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_runner_calls_the_driver_bound_in_experiments(exp_id, tmp_path, monkeypatch):
+    # a tracer wraps a driver by rebinding its name in experiments, so the
+    # runner must look the name up when it runs
     calls = []
 
     def fake(*args, **kwargs):
         calls.append(exp_id)
         return ExperimentReport(exp_id)
 
-    monkeypatch.setattr(cli, {"stationary": "exp_stationary"}.get(exp_id, exp_id), fake)
+    monkeypatch.setattr(experiments, {"stationary": "exp_stationary"}.get(exp_id, exp_id), fake)
     cfg = parse_config((GOLDEN_RUNS / f"{exp_id}.ini").read_text(encoding="utf-8"))
     assert run(dataclasses.replace(cfg, output_dir=str(tmp_path)), quiet=True) == 0
     assert calls == [exp_id]
@@ -885,7 +886,7 @@ REQUIREMENT_CASES = {
 
 @pytest.mark.parametrize(
     "exp_id, need",
-    [(exp_id, need) for exp_id, needs in EXPERIMENT_REQUIRES.items() for need in needs],
+    [(exp_id, need) for exp_id, row in EXPERIMENTS.items() for need in row.requires],
 )
 def test_run_file_and_direct_call_break_a_requirement_alike(exp_id, need):
     sections, options, call = REQUIREMENT_CASES[exp_id, need]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from edbeam.cli import _RUNNERS
+from edbeam.experiments import EXPERIMENTS
 
 sys.path.insert(0, str(Path(__file__).parent / "golden"))
 from capture import (  # noqa: E402
@@ -80,12 +80,12 @@ def _mismatches(got, pinned):
 
 
 def test_every_runner_has_a_golden_run():
-    assert sorted(p.stem for p in RUNS.glob("*.ini")) == sorted(_RUNNERS)
-    assert sorted(PINNED["runs"]) == sorted(_RUNNERS)
-    assert sorted(PINNED_VALUES["runs"]) == sorted(_RUNNERS)
+    assert sorted(p.stem for p in RUNS.glob("*.ini")) == sorted(EXPERIMENTS)
+    assert sorted(PINNED["runs"]) == sorted(EXPERIMENTS)
+    assert sorted(PINNED_VALUES["runs"]) == sorted(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("exp_id", sorted(_RUNNERS))
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_artifacts_match_pinned_values(exp_id, run_dir):
     got = artifact_values(run_dir(exp_id))
     pinned = PINNED_VALUES["runs"][exp_id]
@@ -95,7 +95,7 @@ def test_artifacts_match_pinned_values(exp_id, run_dir):
     assert _mismatches(got, pinned) == []
 
 
-@pytest.mark.parametrize("exp_id", sorted(_RUNNERS))
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_artifacts_match_pinned_hashes(exp_id, run_dir):
     if PINNED["build"] != build_info():
         pytest.skip(f"hashes pinned on {PINNED['build']}, running on {build_info()}")

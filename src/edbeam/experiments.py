@@ -925,6 +925,7 @@ def exp_entropy(seed=0, n_points=10000):
     """Covering-number dimension of ``n_points`` samples of a circle (1
     within 0.2) and then of a flat 2-torus (2 within 0.3), drawn in turn
     from one generator."""
+    check_option("n_points", n_points)
     rng = np.random.default_rng(seed)
     report = ExperimentReport("exp_entropy", seed=seed)
     for name, sample, eps, target, tol in (

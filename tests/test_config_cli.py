@@ -31,6 +31,7 @@ from edbeam.experiments import (
     ExperimentReport,
     _states,
     exp_decomposition,
+    exp_entropy,
     exp_k1_decay,
     exp_k2_exponential,
     exp_k3_ball,
@@ -659,6 +660,8 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         # the suites passed on 0 violations in 0 trials, and stationary ran one start
         ("nakao_suite", "trials = 0", lambda m: nakao_suite(0, 0)),
         ("haraux_suite", "trials = 0", lambda m: haraux_suite(0, 0)),
+        # a direct call raised from numpy or from the covering count
+        ("exp_entropy", "n_points = 0", lambda m: exp_entropy(0, 0)),
         (
             "stationary",
             "n_starts = 0",
@@ -742,6 +745,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
     ids=[
         "nakao_suite",
         "haraux_suite",
+        "exp_entropy",
         "stationary",
         "initial_state",
         "k3_ball",

@@ -188,6 +188,13 @@ def _project(model, f, a):
     return model.quad_weight * (bt @ f(_synthesize(model, a))[..., None])[..., 0]
 
 
+def _weighted_squares(x, w):
+    # sum_j w_j x_j**2 of each row, one (rows, N) temporary at a time
+    sq = x * x
+    sq *= w
+    return np.sum(sq, axis=-1)
+
+
 def phase_norm(model, state):
     """Finite-energy phase-space norm (sum sigma_j a_j^2 + sum b_j^2)**0.5."""
     a = _check_coeffs(model, state.a)
@@ -202,8 +209,4 @@ def phase_norms(model, a, b):
     ``phase_norm`` wherever the row sits; one matrix-vector product over
     the rows would round a row by its position in the stack.
     """
-    # one (samples, N) temporary at a time
-    sa = a * a
-    sa *= model.sigma
-    sa = np.sum(sa, axis=-1)
-    return np.sqrt(sa + np.sum(b * b, axis=-1))
+    return np.sqrt(_weighted_squares(a, model.sigma) + np.sum(b * b, axis=-1))

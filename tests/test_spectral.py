@@ -10,7 +10,14 @@ from edbeam import (
     phase_norm,
     synthesize,
 )
-from edbeam.spectral import _gram, _project, _quadrature, _synthesize, phase_norms
+from edbeam.spectral import (
+    _gram,
+    _project,
+    _quadrature,
+    _synthesize,
+    _weighted_squares,
+    phase_norms,
+)
 
 
 def test_eigenvalues_unit_domain():
@@ -167,6 +174,7 @@ def test_phase_norms_rows_do_not_depend_on_their_position(n_modes):
         "synthesize": (lambda x: _synthesize(m, x), a),
         "quadrature": (lambda v: _quadrature(m, v), grid),
         "project": (lambda x: _project(m, lambda u: u * u * u, x), a),
+        "weighted_squares": (lambda x: _weighted_squares(x, m.sigma), a),
     }
     for name, (helper, stack) in rows.items():
         full = helper(stack)

@@ -43,7 +43,14 @@ from .laws import (
 )
 from .nakao import CONCLUSION_TOL, _draw_rows, _verify_draws, haraux_check
 from .series import SampledSeries, write_csv
-from .spectral import ModalState, _quadrature, _synthesize, phase_norm, phase_norms
+from .spectral import (
+    ModalState,
+    _quadrature,
+    _synthesize,
+    _weighted_squares,
+    phase_norm,
+    phase_norms,
+)
 from .stationary import multi_start, stationary_bound_check
 
 __all__ = [
@@ -608,10 +615,10 @@ def exp_two_trajectory(
 
     da = t1.a - t2.a
     db = t1.b - t2.b
-    d = da**2 @ model.sigma + np.sum(db**2, axis=1)
+    d = _weighted_squares(da, model.sigma) + np.sum(db**2, axis=1)
     times = t1.t
 
-    a_alpha = np.sqrt(da**2 @ _mu2alpha(model, icfg.alpha))
+    a_alpha = np.sqrt(_weighted_squares(da, _mu2alpha(model, icfg.alpha)))
     lp = _quadrature(model, np.abs(_synthesize(model, da)) ** (p_exponent + 2.0))
     lp **= 2.0 / (p_exponent + 2.0)
     lower_raw = a_alpha ** (2.0 * (q + 1.0) / (2.0 * q + 1.0)) + lp

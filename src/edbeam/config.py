@@ -102,6 +102,13 @@ class RunConfig:
         # here rather than in parse_config, so that replace() checks it too
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigurationError(f"seed = {self.seed}: 64-bit value required")
+        if self.experiment_id not in EXPERIMENTS:
+            raise InvalidConfigurationError(
+                f"experiment_id = {self.experiment_id!r} (allowed: {sorted(EXPERIMENTS)})"
+            )
+        # a directly built config runs with its row's defaults, as a run file does
+        options = EXPERIMENTS[self.experiment_id].options | self.options
+        object.__setattr__(self, "options", options)
 
 
 # The keys of the plain sections and their types, in emit order; their

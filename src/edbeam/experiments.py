@@ -295,13 +295,6 @@ def _common_checks(report, traj, omega):
     )
 
 
-def _fill_defaults(model, source, forcing):
-    """Zero source and forcing unless given, and the source's constants."""
-    source = source if source is not None else ZeroSource()
-    forcing = forcing if forcing is not None else Forcing.zero(model.n_modes)
-    return source, forcing, assumption_constants(source, model=model)
-
-
 def _write_artifact(report, out_dir, name, *table, write=write_csv):
     """Write the CSV ``name`` into ``out_dir`` and list it in the report;
     nothing without ``out_dir``.  ``table`` is the header and the columns
@@ -322,16 +315,7 @@ def simulate(model, damping, source, forcing, initial, icfg, *, seed=None, out_d
 
 
 def exp_k1_decay(
-    model,
-    damping,
-    initial,
-    icfg,
-    *,
-    source=None,
-    forcing=None,
-    fit_window=None,
-    seed=None,
-    out_dir=None,
+    model, damping, source, forcing, initial, icfg, *, fit_window=None, seed=None, out_dir=None
 ):
     """Two-sided polynomial envelope and optimal-rate fit for the monomial law.
 
@@ -345,7 +329,7 @@ def exp_k1_decay(
         fit_window = resolve_fit_window(*fit_window, icfg, initial.t)
     check_requirements("exp_k1_decay", damping=damping, fit_window=fit_window)
     slack, rate_tol = 0.02, 0.15
-    source, forcing, constants = _fill_defaults(model, source, forcing)
+    constants = assumption_constants(source, model=model)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k1_decay", seed=seed)
@@ -404,11 +388,11 @@ def exp_k1_decay(
 def exp_k2_exponential(
     model,
     damping,
+    source,
+    forcing,
     initial,
     icfg,
     *,
-    source=None,
-    forcing=None,
     fit_window=None,
     r2_min=0.999,
     seed=None,
@@ -425,7 +409,7 @@ def exp_k2_exponential(
     """
     check_option("r2_min", r2_min)
     fit_window = resolve_fit_window(*(fit_window or (0.0, 0.0)), icfg, initial.t)
-    source, forcing, constants = _fill_defaults(model, source, forcing)
+    constants = assumption_constants(source, model=model)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k2_exponential", seed=seed)
@@ -488,6 +472,8 @@ def exp_k2_exponential(
 def exp_k3_ball(
     model,
     damping,
+    source,
+    forcing,
     initials_inside,
     initials_outside,
     icfg,
@@ -507,8 +493,6 @@ def exp_k3_ball(
     stop.
     """
     drift_tol, target_tol = 1e-10, 1e-3
-    source = ZeroSource()
-    forcing = Forcing.zero(model.n_modes)
     check_requirements("exp_k3_ball", damping=damping, source=source, forcing=forcing)
     check_option("n_inside", len(initials_inside))
     report = ExperimentReport("exp_k3_ball", seed=seed)
@@ -583,15 +567,7 @@ def exp_k3_ball(
 
 
 def exp_two_trajectory(
-    model,
-    damping,
-    initial_1,
-    initial_2,
-    icfg,
-    *,
-    source=None,
-    seed=None,
-    out_dir=None,
+    model, damping, source, forcing, initial_1, initial_2, icfg, *, seed=None, out_dir=None
 ):
     """Feasibility fit of the two-trajectory difference envelope.
 
@@ -601,11 +577,8 @@ def exp_two_trajectory(
     source).  Constants are fitted from the data; the experiment passes when
     the fit leaves no positive residual.
     """
-    source = source if source is not None else ZeroSource()
-    forcing = Forcing.zero(model.n_modes)
     check_requirements("exp_two_trajectory", damping=damping, forcing=forcing)
-    p_exponent = source.p if hasattr(source, "p") else 2.0
-    q = damping.q
+    p_exponent, q = source.p, damping.q
 
     # the lower-order sup looks ahead one unit
     run_cfg = replace(icfg, horizon=icfg.horizon + 1.0)
@@ -676,27 +649,27 @@ def exp_lambda_lipschitz(
     model,
     damping,
     source,
-    h_coeffs,
-    lambdas,
-    lambda0,
-    t_probe,
+    forcing,
     initial,
     icfg,
     *,
+    lambdas,
+    lambda0,
+    t_probe,
     seed=None,
     out_dir=None,
 ):
     """Trajectory sensitivity to the forcing intensity.
 
-    Runs the same initial state under every intensity in ``lambdas`` plus
-    the reference ``lambda0`` and reports the difference-to-gap ratios at
-    ``t_probe``.  Passes when all ratios are finite and the two smallest
-    gaps give ratios within a factor of two of each other.
+    Runs the same initial state under the profile of ``forcing`` at every
+    intensity in ``lambdas`` plus the reference ``lambda0`` (the intensity
+    of ``forcing`` itself is not used) and reports the difference-to-gap
+    ratios at ``t_probe``.  Passes when all ratios are finite and the two
+    smallest gaps give ratios within a factor of two of each other.
     """
     lams = [float(x) for x in lambdas]
     check_requirements("exp_lambda_lipschitz", lambdas=lams, lambda0=lambda0)
 
-    h = np.asarray(h_coeffs, dtype=float)
     run_cfg = replace(
         icfg, horizon=t_probe, sample_stride=max(1, int(round(t_probe / icfg.dt)))
     )
@@ -706,7 +679,7 @@ def exp_lambda_lipschitz(
         model,
         source,
         damping,
-        [Forcing(lam, h) for lam in runs],
+        [Forcing(lam, forcing.h_coeffs) for lam in runs],
         [initial] * len(runs),
         run_cfg,
     )
@@ -1067,30 +1040,26 @@ def exp_stationary(model, source, forcing, n_starts, *, tol=1e-8, seed=0, out_di
 # experiment id -> its row: the keys its run file's [experiment] section
 # takes, with their defaults (``options``); ``run(inp, seed=, out_dir=)``,
 # which draws the driver's inputs from a run's inputs ``inp`` (cli's
-# ``_start``) and calls the driver; its ``edbeam list`` line (``about``); the
-# options that are run ``horizons``, stepped with the [integrator] dt; and the
-# names of the REQUIREMENTS it ``requires``.  A runner looks its driver up in
-# this module when it runs, so a driver rebound in experiments (as a tracer
-# does) is the one that runs.
+# ``_start``, whose first four, ``inp[:4]``, are the model, damping, source
+# and forcing every integrating driver takes first) and calls the driver; its
+# ``edbeam list`` line (``about``); the options that are run ``horizons``,
+# stepped with the [integrator] dt; and the names of the REQUIREMENTS it
+# ``requires``.  A runner looks its driver up in this module when it runs, so
+# a driver rebound in experiments (as a tracer does) is the one that runs.
 Experiment = namedtuple("Experiment", "options run about horizons requires", defaults=((), ()))
 EXPERIMENTS = {
     "simulate": Experiment(
         options={"energy2": 1.0},
-        run=lambda inp, **out: simulate(
-            inp.model, inp.damping, inp.source, inp.forcing, *_states(inp, 1), inp.icfg, **out
-        ),
+        run=lambda inp, **out: simulate(*inp[:4], *_states(inp, 1), inp.icfg, **out),
         about="plain trajectory integration with CSV export",
     ),
     "exp_k1_decay": Experiment(
         options={"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0},
         requires=("the monomial law", "fit_lo > 0"),
         run=lambda inp, **out: exp_k1_decay(
-            inp.model,
-            inp.damping,
+            *inp[:4],
             *_states(inp, 1),
             inp.icfg,
-            source=inp.source,
-            forcing=inp.forcing,
             fit_window=(inp.opts["fit_lo"], inp.opts["fit_hi"]),
             **out,
         ),
@@ -1099,12 +1068,9 @@ EXPERIMENTS = {
     "exp_k2_exponential": Experiment(
         options={"energy2": 1.0, "fit_lo": 0.0, "fit_hi": 0.0, "r2_min": 0.999},
         run=lambda inp, **out: exp_k2_exponential(
-            inp.model,
-            inp.damping,
+            *inp[:4],
             *_states(inp, 1),
             inp.icfg,
-            source=inp.source,
-            forcing=inp.forcing,
             fit_window=(inp.opts["fit_lo"], inp.opts["fit_hi"]),
             r2_min=inp.opts["r2_min"],
             **out,
@@ -1116,8 +1082,7 @@ EXPERIMENTS = {
         horizons=("horizon_outside",),
         requires=("a threshold law", "zero forcing", "the zero source"),
         run=lambda inp, **out: exp_k3_ball(
-            inp.model,
-            inp.damping,
+            *inp[:4],
             *_ball_starts(inp),
             inp.icfg,
             horizon_outside=inp.opts["horizon_outside"],
@@ -1129,9 +1094,7 @@ EXPERIMENTS = {
     "exp_two_trajectory": Experiment(
         options={"energy2": 1.0},
         requires=("the monomial law", "zero forcing"),
-        run=lambda inp, **out: exp_two_trajectory(
-            inp.model, inp.damping, *_states(inp, 2), inp.icfg, source=inp.source, **out
-        ),
+        run=lambda inp, **out: exp_two_trajectory(*inp[:4], *_states(inp, 2), inp.icfg, **out),
         about="feasibility of the two-trajectory difference envelope",
     ),
     "exp_lambda_lipschitz": Experiment(
@@ -1139,15 +1102,12 @@ EXPERIMENTS = {
         horizons=("t_probe",),
         requires=("lambda0 in [0, 1]", "two grid intensities besides lambda0"),
         run=lambda inp, **out: exp_lambda_lipschitz(
-            inp.model,
-            inp.damping,
-            inp.source,
-            inp.forcing.h_coeffs,
-            lambda_grid(inp.opts),
-            inp.opts["lambda0"],
-            inp.opts["t_probe"],
+            *inp[:4],
             *_states(inp, 1),
             inp.icfg,
+            lambdas=lambda_grid(inp.opts),
+            lambda0=inp.opts["lambda0"],
+            t_probe=inp.opts["t_probe"],
             **out,
         ),
         about="Lipschitz sensitivity of trajectories to the forcing intensity",
@@ -1159,10 +1119,7 @@ EXPERIMENTS = {
             "probe_modes in [1, n_modes]",
         ),
         run=lambda inp, **out: exp_decomposition(
-            inp.model,
-            inp.damping,
-            inp.source,
-            inp.forcing,
+            *inp[:4],
             *_states(inp, 2),
             inp.icfg,
             s=inp.opts["s"],

@@ -149,6 +149,9 @@ class SourceLaw:
 class ZeroSource(SourceLaw):
     """No source: f = 0."""
 
+    # exp_two_trajectory's L^(p+2) norm uses p = 2 for f = 0
+    p = 2.0
+
     def f(self, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)

@@ -88,6 +88,8 @@ def k2_runs():
     homogeneous = exp_k2_exponential(
         m,
         K2Constant(1.0),
+        ZERO_SRC,
+        Forcing.zero(16),
         make_initial_state(m, rng, 1.0),
         IntegratorConfig(dt=1e-3, horizon=30.0, alpha=1.0, sample_stride=10),
         seed=7,
@@ -95,9 +97,10 @@ def k2_runs():
     forced = exp_k2_exponential(
         m,
         K2Constant(1.0),
+        ZERO_SRC,
+        Forcing.single_mode(16, 1, 1.0, 1.0),
         make_initial_state(m, rng, 100.0),
         IntegratorConfig(dt=1e-3, horizon=40.0, alpha=1.0, sample_stride=10),
-        forcing=Forcing.single_mode(16, 1, 1.0, 1.0),
         seed=7,
     )
     return homogeneous, forced
@@ -206,7 +209,8 @@ def k3_report():
     outside = [make_initial_state(m, rng, rng.uniform(2.0, 8.0)) for _ in range(10)]
     cfg = IntegratorConfig(dt=1e-2, horizon=100.0, alpha=1.0, sample_stride=10)
     return exp_k3_ball(
-        m, K3Rational(1.0), inside, outside, cfg, horizon_outside=1000.0, seed=11
+        m, K3Rational(1.0), ZERO_SRC, Forcing.zero(16), inside, outside, cfg,
+        horizon_outside=1000.0, seed=11,
     )
 
 
@@ -233,12 +237,12 @@ def test_criterion_7_lambda_lipschitz():
         m,
         K2Constant(1.0),
         ZERO_SRC,
-        np.eye(16)[0],
-        grid,
-        0.5,
-        10.0,
+        Forcing(0.5, np.eye(16)[0]),
         initial,
         cfg,
+        lambdas=grid,
+        lambda0=0.5,
+        t_probe=10.0,
         seed=3,
     )
     assert rep.passed, rep.to_text()

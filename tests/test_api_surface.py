@@ -219,6 +219,29 @@ def test_cli_builds_no_report():
     assert "add" not in calls
 
 
+def test_one_calling_convention_for_the_integrating_drivers():
+    # every driver that integrates takes the run's model, damping, source
+    # and forcing first, then its initial states and icfg, and keeps its
+    # options, seed and out_dir keyword-only: no driver defaults an input
+    import inspect
+
+    from edbeam import experiments
+
+    checked = []
+    for name in experiments.__all__:
+        params = inspect.signature(getattr(experiments, name)).parameters
+        if "icfg" not in params:
+            continue
+        positional = [p.name for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert positional[:4] == ["model", "damping", "source", "forcing"], name
+        assert positional[-1] == "icfg", name
+        assert all(params[p].default is inspect.Parameter.empty for p in positional), name
+        keyword = {k: p.default for k, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        assert keyword["seed"] is None and keyword["out_dir"] is None, name
+        checked.append(name)
+    assert len(checked) == 7
+
+
 def test_one_runner_row_per_experiment():
     from edbeam.experiments import EXPERIMENTS
 

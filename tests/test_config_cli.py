@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edbeam import (
+    DoublePower,
     Forcing,
     IntegratorConfig,
     InvalidConfigurationError,
@@ -22,6 +23,7 @@ from edbeam.cli import _start, list_experiments, main, run
 from edbeam.config import (
     DAMPING_LAWS,
     SOURCE_LAWS,
+    RunConfig,
     build_objects,
     emit_config,
     parse_config,
@@ -44,6 +46,11 @@ from edbeam.experiments import (
 )
 
 GOLDEN_RUNS = Path(__file__).parent / "golden" / "runs"
+
+
+def _unforced(model):
+    """The zero source and the zero forcing of ``model``."""
+    return ZeroSource(), Forcing.zero(model.n_modes)
 
 
 def test_parse_minimal_defaults():
@@ -218,6 +225,21 @@ def test_run_simulate_zero_initial(tmp_path):
     assert "edbeam" in manifest and "seed = 3" in manifest
 
 
+def test_run_of_a_directly_built_config(tmp_path):
+    # options defaulted to {}, so the run made its directory and then died
+    # with KeyError: 'energy2'
+    cfg = RunConfig(output_dir=str(tmp_path))
+    assert cfg.options == EXPERIMENTS["simulate"].options
+    assert run(cfg, quiet=True) == 0
+    assert (tmp_path / "simulate-seed0" / "report.txt").is_file()
+    assert parse_config(emit_config(cfg)) == cfg
+    k1 = RunConfig(experiment_id="exp_k1_decay", options={"fit_lo": 1.0})
+    assert k1.options == EXPERIMENTS["exp_k1_decay"].options | {"fit_lo": 1.0}
+    assert parse_config(emit_config(k1)) == k1
+    with pytest.raises(InvalidConfigurationError, match="experiment_id = 'exp_bogus'"):
+        RunConfig(experiment_id="exp_bogus")
+
+
 def test_run_determinism_byte_identical(tmp_path):
     base = (
         "[model]\nn_modes = 6\n"
@@ -318,15 +340,7 @@ def test_cli_two_trajectory_takes_p_from_the_source(tmp_path):
     assert inp.source.p == 3.0
     direct = tmp_path / "direct"
     direct.mkdir()
-    exp_two_trajectory(
-        inp.model,
-        inp.damping,
-        *_states(inp, 2),
-        inp.icfg,
-        source=inp.source,
-        seed=0,
-        out_dir=str(direct),
-    )
+    exp_two_trajectory(*inp[:4], *_states(inp, 2), inp.icfg, seed=0, out_dir=str(direct))
     got = (out / "exp_two_trajectory-seed0" / "difference.csv").read_bytes()
     assert got == (direct / "difference.csv").read_bytes()
 
@@ -676,7 +690,9 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         (
             "exp_k3_ball",
             "n_inside = 0",
-            lambda m: exp_k3_ball(m, K3Rational(1.0), [], [], IntegratorConfig(1e-2, 1.0)),
+            lambda m: exp_k3_ball(
+                m, K3Rational(1.0), *_unforced(m), [], [], IntegratorConfig(1e-2, 1.0)
+            ),
         ),
         # these ran, and failed or died after the integration
         (
@@ -690,6 +706,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             lambda m: exp_k2_exponential(
                 m,
                 K2Constant(1.0),
+                *_unforced(m),
                 make_initial_state(m, np.random.default_rng(0)),
                 IntegratorConfig(1e-2, 10.0),
                 r2_min=1.5,
@@ -701,6 +718,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             lambda m: exp_k1_decay(
                 m,
                 K1Monomial(1.0, 1.0),
+                *_unforced(m),
                 make_initial_state(m, np.random.default_rng(0)),
                 IntegratorConfig(1e-2, 10.0),
                 fit_window=(math.nan, 0.5),
@@ -713,6 +731,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             lambda m: exp_k2_exponential(
                 m,
                 K2Constant(1.0),
+                *_unforced(m),
                 make_initial_state(m, np.random.default_rng(0)),
                 IntegratorConfig(1e-2, 10.0),
                 fit_window=(20.0, 30.0),
@@ -725,6 +744,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             lambda m: exp_k1_decay(
                 m,
                 K1Monomial(1.0, 1.0),
+                *_unforced(m),
                 make_initial_state(m, np.random.default_rng(0)),
                 IntegratorConfig(1e-3, 10.0),
                 fit_window=(9.995, 20.0),
@@ -736,6 +756,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
             lambda m: exp_k2_exponential(
                 m,
                 K2Constant(1.0),
+                *_unforced(m),
                 make_initial_state(m, np.random.default_rng(0)),
                 IntegratorConfig(1e-3, 10.0),
                 fit_window=(9.995, 20.0),
@@ -774,10 +795,13 @@ def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):
         (
             "exp_k1_decay",
             lambda m, u, icfg: exp_k1_decay(
-                m, K1Monomial(1.0, 1.0), u, icfg, fit_window=(0.0, 0.0)
+                m, K1Monomial(1.0, 1.0), *_unforced(m), u, icfg, fit_window=(0.0, 0.0)
             ),
         ),
-        ("exp_k2_exponential", lambda m, u, icfg: exp_k2_exponential(m, K2Constant(1.0), u, icfg)),
+        (
+            "exp_k2_exponential",
+            lambda m, u, icfg: exp_k2_exponential(m, K2Constant(1.0), *_unforced(m), u, icfg),
+        ),
     ],
     ids=["k1_empty_window", "k2_no_window"],
 )
@@ -798,45 +822,52 @@ def test_the_default_fit_window_is_resolved_and_checked_once(exp_id, call):
 
 
 # (id, requirement) -> the run file's sections and [experiment] options that
-# break it, and a direct call of the driver that breaks it.  The call is None
-# where the driver builds that input itself (exp_k3_ball's source and
-# forcing, exp_two_trajectory's forcing), so only a run file can set it.
+# break it, and a direct call of the driver that breaks it.
 REQUIREMENT_CASES = {
     ("exp_k1_decay", "the monomial law"): (
         "[damping]\nvariant = k2_constant\n",
         "",
-        lambda m, u, icfg: exp_k1_decay(m, K2Constant(1.0), u, icfg),
+        lambda m, u, icfg: exp_k1_decay(m, K2Constant(1.0), *_unforced(m), u, icfg),
     ),
     ("exp_k1_decay", "fit_lo > 0"): (
         "",
         "fit_lo = 0.0\nfit_hi = 0.5\n",
-        lambda m, u, icfg: exp_k1_decay(m, K1Monomial(1.0, 1.0), u, icfg, fit_window=(0.0, 0.5)),
+        lambda m, u, icfg: exp_k1_decay(
+            m, K1Monomial(1.0, 1.0), *_unforced(m), u, icfg, fit_window=(0.0, 0.5)
+        ),
     ),
     ("exp_k3_ball", "a threshold law"): (
         "",
         "",
-        lambda m, u, icfg: exp_k3_ball(m, K1Monomial(1.0, 1.0), [], [], icfg),
+        lambda m, u, icfg: exp_k3_ball(m, K1Monomial(1.0, 1.0), *_unforced(m), [], [], icfg),
     ),
     ("exp_k3_ball", "zero forcing"): (
         "[damping]\nvariant = k3_rational\n[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
         "",
-        None,
+        lambda m, u, icfg: exp_k3_ball(
+            m, K3Rational(1.0), ZeroSource(), Forcing.single_mode(8, 1, 5.0, 0.5), [], [], icfg
+        ),
     ),
     ("exp_k3_ball", "the zero source"): (
         "[damping]\nvariant = k3_rational\n"
         "[source]\nvariant = double_power\ndelta = 2.0\nr = 1.0\n",
         "",
-        None,
+        lambda m, u, icfg: exp_k3_ball(
+            m, K3Rational(1.0), DoublePower(2.0, 1.0), Forcing.zero(8), [], [], icfg
+        ),
     ),
     ("exp_two_trajectory", "the monomial law"): (
         "[damping]\nvariant = k2_constant\n",
         "",
-        lambda m, u, icfg: exp_two_trajectory(m, K2Constant(1.0), u, u, icfg),
+        lambda m, u, icfg: exp_two_trajectory(m, K2Constant(1.0), *_unforced(m), u, u, icfg),
     ),
     ("exp_two_trajectory", "zero forcing"): (
         "[forcing]\nlambda = 0.5\nh = mode:1:5.0\n",
         "",
-        None,
+        lambda m, u, icfg: exp_two_trajectory(
+            m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.single_mode(8, 1, 5.0, 0.5), u, u,
+            icfg,
+        ),
     ),
     ("exp_decomposition", "a constant damping coefficient"): (
         "",
@@ -875,14 +906,16 @@ REQUIREMENT_CASES = {
         "",
         "lambda0 = 1.5\n",
         lambda m, u, icfg: exp_lambda_lipschitz(
-            m, K1Monomial(1.0, 1.0), ZeroSource(), np.zeros(8), [0.0, 0.1], 1.5, 1.0, u, icfg
+            m, K1Monomial(1.0, 1.0), *_unforced(m), u, icfg,
+            lambdas=[0.0, 0.1], lambda0=1.5, t_probe=1.0,
         ),
     ),
     ("exp_lambda_lipschitz", "two grid intensities besides lambda0"): (
         "",
         "grid_step = 2.0\n",
         lambda m, u, icfg: exp_lambda_lipschitz(
-            m, K1Monomial(1.0, 1.0), ZeroSource(), np.zeros(8), [0.0], 0.5, 1.0, u, icfg
+            m, K1Monomial(1.0, 1.0), *_unforced(m), u, icfg,
+            lambdas=[0.0], lambda0=0.5, t_probe=1.0,
         ),
     ),
 }
@@ -900,12 +933,11 @@ def test_run_file_and_direct_call_break_a_requirement_alike(exp_id, need):
             f"{sections}[experiment]\nid = {exp_id}\n{options}"
         )
     assert str(run_file.value) == f"{exp_id} requires {need}"
-    if call is not None:
-        model = build_model(8, math.pi, 0.0, 64)
-        start = make_initial_state(model, np.random.default_rng(0))
-        with pytest.raises(InvalidConfigurationError) as direct:
-            call(model, start, IntegratorConfig(dt=0.01, horizon=1.0))
-        assert str(direct.value) == str(run_file.value)
+    model = build_model(8, math.pi, 0.0, 64)
+    start = make_initial_state(model, np.random.default_rng(0))
+    with pytest.raises(InvalidConfigurationError) as direct:
+        call(model, start, IntegratorConfig(dt=0.01, horizon=1.0))
+    assert str(direct.value) == str(run_file.value)
 
 
 @pytest.mark.parametrize(

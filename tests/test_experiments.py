@@ -47,7 +47,7 @@ def test_exp_k1_short_run_passes():
     rng = np.random.default_rng(1)
     init = make_initial_state(m, rng, 1.0)
     cfg = IntegratorConfig(dt=1e-3, horizon=20.0, alpha=0.5, sample_stride=10)
-    rep = exp_k1_decay(m, K1Monomial(1.0, 1.0), init, cfg, seed=1)
+    rep = exp_k1_decay(m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(8), init, cfg, seed=1)
     assert rep.passed, rep.to_text()
     assert rep.metrics["C_lower"] == pytest.approx(0.125)
 
@@ -57,7 +57,7 @@ def test_exp_k1_requires_monomial_law():
     init = make_initial_state(m, np.random.default_rng(0), 1.0)
     cfg = IntegratorConfig(dt=1e-2, horizon=1.0)
     with pytest.raises(InvalidConfigurationError):
-        exp_k1_decay(m, K2Constant(1.0), init, cfg)
+        exp_k1_decay(m, K2Constant(1.0), ZeroSource(), Forcing.zero(4), init, cfg)
 
 
 def test_exp_k2_rational_variant_positive_rate():
@@ -67,7 +67,9 @@ def test_exp_k2_rational_variant_positive_rate():
     from edbeam import K2Rational
 
     cfg = IntegratorConfig(dt=1e-3, horizon=25.0, alpha=1.0, sample_stride=10)
-    rep = exp_k2_exponential(m, K2Rational(1.0), init, cfg, r2_min=0.99, seed=2)
+    rep = exp_k2_exponential(
+        m, K2Rational(1.0), ZeroSource(), Forcing.zero(8), init, cfg, r2_min=0.99, seed=2
+    )
     assert rep.metrics["rate"] > 0.0
     assert rep.passed, rep.to_text()
 
@@ -77,7 +79,9 @@ def test_exp_k3_boundary_start_conserved():
     rng = np.random.default_rng(3)
     boundary = make_initial_state(m, rng, 1.0)  # 2E = 1 exactly, k(1) = 0
     cfg = IntegratorConfig(dt=1e-2, horizon=50.0, alpha=1.0, sample_stride=10)
-    rep = exp_k3_ball(m, K3Rational(1.0), [boundary], [], cfg, seed=3)
+    rep = exp_k3_ball(
+        m, K3Rational(1.0), ZeroSource(), Forcing.zero(8), [boundary], [], cfg, seed=3
+    )
     inside = [c for c in rep.criteria if c.name == "inside_conserved"][0]
     assert inside.passed, inside.detail
 
@@ -88,14 +92,14 @@ def test_exp_two_trajectory_degenerate_and_symmetry():
     u1 = make_initial_state(m, rng, 1.0)
     u2 = make_initial_state(m, rng, 1.0)
     cfg = IntegratorConfig(dt=1e-2, horizon=5.0, alpha=0.5, sample_stride=5)
-    law = K1Monomial(1.0, 1.0)
+    system = m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(6)
 
-    same = exp_two_trajectory(m, law, u1, u1, cfg, seed=4)
+    same = exp_two_trajectory(*system, u1, u1, cfg, seed=4)
     assert same.passed
     assert same.metrics["C2"] == 0.0
 
-    ab = exp_two_trajectory(m, law, u1, u2, cfg, seed=4)
-    ba = exp_two_trajectory(m, law, u2, u1, cfg, seed=4)
+    ab = exp_two_trajectory(*system, u1, u2, cfg, seed=4)
+    ba = exp_two_trajectory(*system, u2, u1, cfg, seed=4)
     assert ab.metrics["d0"] == pytest.approx(ba.metrics["d0"], rel=1e-14)
     assert ab.metrics["C1"] == pytest.approx(ba.metrics["C1"], rel=1e-12)
 
@@ -109,12 +113,12 @@ def test_exp_lambda_zero_profile_gives_zero_differences():
         m,
         K2Constant(1.0),
         ZeroSource(),
-        np.zeros(4),
-        [0.0, 0.2, 0.8],
-        0.5,
-        2.0,
+        Forcing.zero(4),
         init,
         cfg,
+        lambdas=[0.0, 0.2, 0.8],
+        lambda0=0.5,
+        t_probe=2.0,
         seed=5,
     )
     assert rep.metrics["max_ratio"] == 0.0
@@ -136,7 +140,8 @@ def test_exp_lambda_rejects_bad_grid():
     ]:
         with pytest.raises(ValueError, match=message):
             exp_lambda_lipschitz(
-                m, K2Constant(1.0), ZeroSource(), np.zeros(4), grid, 0.5, 1.0, init, cfg
+                m, K2Constant(1.0), ZeroSource(), Forcing.zero(4), init, cfg,
+                lambdas=grid, lambda0=0.5, t_probe=1.0,
             )
 
 
@@ -243,7 +248,10 @@ def test_k3_end_state_cloud_sits_on_unit_sphere():
     outside = [make_initial_state(m, rng, rng.uniform(2.0, 6.0)) for _ in range(5)]
     inside = [make_initial_state(m, np.random.default_rng(0), 0.5)]  # one is required
     cfg = IntegratorConfig(dt=1e-2, horizon=50.0, alpha=1.0, sample_stride=10)
-    rep = exp_k3_ball(m, K3Rational(1.0), inside, outside, cfg, horizon_outside=500.0)
+    rep = exp_k3_ball(
+        m, K3Rational(1.0), ZeroSource(), Forcing.zero(8), inside, outside, cfg,
+        horizon_outside=500.0,
+    )
     pts = np.array([np.concatenate([s.a, s.b]) for s in rep.end_states])
     weights = np.concatenate([m.sigma, np.ones(8)])
     norms2 = pts**2 @ weights  # = 2E for kappa = 0
@@ -259,7 +267,8 @@ def test_k3_outside_runs_that_miss_the_sphere_fail(tmp_path):
     inside = [make_initial_state(m, np.random.default_rng(0), 0.5)]  # one is required
     cfg = IntegratorConfig(dt=1e-2, horizon=1.0, alpha=1.0, sample_stride=10)
     rep = exp_k3_ball(
-        m, K3Rational(1.0), inside, outside, cfg, horizon_outside=2.0, out_dir=str(tmp_path)
+        m, K3Rational(1.0), ZeroSource(), Forcing.zero(8), inside, outside, cfg,
+        horizon_outside=2.0, out_dir=str(tmp_path),
     )
     verdicts = {c.name: c.passed for c in rep.criteria}
     assert verdicts["outside_reaches_sphere"] is False
@@ -280,7 +289,9 @@ def test_determinism_same_seed_same_report():
     def run():
         rng = np.random.default_rng(42)
         init = make_initial_state(m, rng, 1.0)
-        return exp_k1_decay(m, K1Monomial(1.0, 1.0), init, cfg, seed=42).to_text()
+        return exp_k1_decay(
+            m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(6), init, cfg, seed=42
+        ).to_text()
 
     assert run() == run()
 
@@ -289,4 +300,4 @@ def test_exp_k3_requires_threshold_law():
     m = build_model(4, math.pi, 0.0, 32)
     cfg = IntegratorConfig(dt=1e-2, horizon=1.0)
     with pytest.raises(InvalidConfigurationError):
-        exp_k3_ball(m, K1Monomial(1.0, 1.0), [], [], cfg)
+        exp_k3_ball(m, K1Monomial(1.0, 1.0), ZeroSource(), Forcing.zero(4), [], [], cfg)

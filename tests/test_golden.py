@@ -10,6 +10,7 @@ is skipped on a different build.  See ``tests/golden/capture.py`` for how to
 re-pin both.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from edbeam.config import emit_config, parse_config
 from edbeam.experiments import EXPERIMENTS
 
 sys.path.insert(0, str(Path(__file__).parent / "golden"))
@@ -100,6 +102,44 @@ def test_artifacts_match_pinned_hashes(exp_id, run_dir):
     if PINNED["build"] != build_info():
         pytest.skip(f"hashes pinned on {PINNED['build']}, running on {build_info()}")
     assert artifact_hashes(run_dir(exp_id)) == PINNED["runs"][exp_id]
+
+
+# The ids whose drivers integrate, and the CSV columns that are fits over the
+# whole run rather than per-sample values.
+INTEGRATING = (
+    "simulate",
+    "exp_k1_decay",
+    "exp_k2_exponential",
+    "exp_k3_ball",
+    "exp_two_trajectory",
+    "exp_lambda_lipschitz",
+    "exp_decomposition",
+)
+WHOLE_RUN_FITS = {"poly_bound"}
+
+
+def _per_sample_lines(path):
+    """The CSV's lines with the whole-run fit columns left out."""
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in WHOLE_RUN_FITS]
+    return [",".join(row[i] for i in keep) for row in rows]
+
+
+@pytest.mark.parametrize("exp_id", INTEGRATING)
+def test_a_longer_horizon_keeps_the_first_rows(exp_id, run_dir, tmp_path):
+    # a sample's value must not depend on how many samples follow it, so a
+    # run to 2T starts with the bytes of the run to T
+    cfg = parse_config((RUNS / f"{exp_id}.ini").read_text(encoding="utf-8"))
+    icfg = dataclasses.replace(cfg.integrator, horizon=2.0 * cfg.integrator.horizon)
+    run_file = tmp_path / f"{exp_id}.ini"
+    run_file.write_text(emit_config(dataclasses.replace(cfg, integrator=icfg)), encoding="utf-8")
+    longer = run_artifacts(run_file, tmp_path)
+    shorter = run_dir(exp_id)
+    csvs = sorted(p.name for p in shorter.glob("*.csv"))
+    assert csvs == sorted(p.name for p in longer.glob("*.csv")) and csvs
+    for name in csvs:
+        first = _per_sample_lines(shorter / name)
+        assert _per_sample_lines(longer / name)[: len(first)] == first, name
 
 
 def test_value_check_resolves_rtol():

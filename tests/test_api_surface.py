@@ -299,3 +299,35 @@ def test_one_default_quadrature():
         if isinstance(n, ast.FunctionDef) and n.name == "_default_quad_points"
     ]
     assert spelled(sizer) == (1, 1)
+
+
+def test_one_csv_writer():
+    # series.write_csv is the only CSV writer: no other module spells the
+    # "%.17g" format or opens a file for writing, and no text file another
+    # module writes is named *.csv
+    writers = {}
+    for path in SRC.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        found = {".17g"} if ".17g" in text else set()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name == "open":  # open(file, mode) or path.open(mode)
+                at = 1 if isinstance(func, ast.Name) else 0
+                mode = node.args[at] if len(node.args) > at else None
+                mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+                if mode is not None and not (
+                    isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
+                ):
+                    found.add("open for writing")
+            elif name in {"savetxt", "tofile", "writer", "DictWriter"}:
+                found.add(name)
+            elif name in {"write_text", "write_bytes"}:
+                constants = [n.value for n in ast.walk(func) if isinstance(n, ast.Constant)]
+                if any(".csv" in str(c) for c in constants):
+                    found.add(f"{name} of a .csv")
+        if found:
+            writers[path.stem] = sorted(found)
+    assert writers == {"series": [".17g", "open for writing"]}

@@ -27,7 +27,7 @@ from edbeam import (
     phase_norm,
 )
 from edbeam.integrate import _Stepper
-from edbeam.series import write_csv
+from edbeam.series import _BLOCK_VALUES, write_csv
 
 # Inside the unit energy ball the threshold law evaluates to exactly zero,
 # which is the only way the law families express an undamped linear flow.
@@ -339,22 +339,33 @@ def _write_csv_per_value(path, header, columns):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-@pytest.mark.parametrize("rows", [0, 1, 15, 16, 17, 40])
-def test_write_csv_matches_the_per_value_writer(tmp_path, rows):
-    # a 1-d column, a 2-d column of three and another 1-d column
+def _rows_and_widths():
+    # around the writer's block for two widths that do not divide it; the
+    # ids of the width-5 cases are their row counts
+    cases = [pytest.param(r, 5, id=str(r)) for r in (0, 1, 15, 16, 17, 40)]
+    for width in (5, 261):
+        rows = _BLOCK_VALUES // width
+        assert _BLOCK_VALUES % width != 0
+        cases += [pytest.param(r, width, id=f"{r}x{width}") for r in (rows - 1, rows, rows + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("rows, width", _rows_and_widths())
+def test_write_csv_matches_the_per_value_writer(tmp_path, rows, width):
+    # a 1-d column, a 2-d column of width - 2 and another 1-d column
     rng = np.random.default_rng(rows)
-    values = rng.standard_normal(5 * rows) * 10.0 ** rng.uniform(-300.0, 300.0, 5 * rows)
+    values = rng.standard_normal(width * rows) * 10.0 ** rng.uniform(-300.0, 300.0, width * rows)
     special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
     values[: len(special)] = special[: values.size]
-    values = rng.permutation(values).reshape(rows, 5)
-    columns = [values[:, 0], values[:, 1:4], values[:, 4]]
-    header = ["t", "a_1", "a_2", "a_3", "E"]
+    values = rng.permutation(values).reshape(rows, width)
+    columns = [values[:, 0], values[:, 1:-1], values[:, -1]]
+    header = ["t"] + [f"a_{j}" for j in range(1, width - 1)] + ["E"]
     write_csv(tmp_path / "block.csv", header, columns)
     _write_csv_per_value(tmp_path / "value.csv", header, columns)
     text = (tmp_path / "block.csv").read_bytes()
     assert text == (tmp_path / "value.csv").read_bytes()
     assert text.count(b"\n") == rows + 1
-    if rows >= 15:
+    if values.size >= len(special):
         cells = set(text.replace(b"\n", b",").split(b","))
         assert {b"-0", b"inf", b"-inf", b"nan", b"4.9406564584124654e-324", b"-1e+308"} <= cells
 

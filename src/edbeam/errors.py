@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check that raises one."""
 
 
 class InvalidConfigurationError(ValueError):
@@ -23,3 +23,15 @@ class BlowUpError(RuntimeError):
         self.row = row
         where = "" if row is None else f" in row {row}"
         super().__init__(message or f"non-finite state{where} at t = {self.time:.6g}")
+
+
+def integral(name, value):
+    """``value`` as an int, or InvalidConfigurationError naming ``name``
+    when it is not a whole number: 2.5 is rejected, not truncated to 2."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole != value:
+        raise InvalidConfigurationError(f"{name} must be an integer, got {value!r}")
+    return whole

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidConfigurationError
+from .errors import BlowUpError, InvalidConfigurationError, integral
 from .laws import ZeroSource, assumption_constants
 from .series import write_csv
 from .spectral import ModalState, _project, _quadrature, _synthesize, phase_norms
@@ -78,7 +78,7 @@ class IntegratorConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidConfigurationError(f"alpha must be in [0, 1], got {self.alpha}")
-        if int(self.sample_stride) < 1:
+        if integral("sample_stride", self.sample_stride) < 1:
             raise InvalidConfigurationError("sample_stride must be >= 1")
         if abs(round(self.horizon / self.dt) * self.dt - self.horizon) > 1e-9 * self.horizon:
             raise InvalidConfigurationError(

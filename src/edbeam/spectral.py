@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, integral
 
 __all__ = [
     "SpectralModel",
@@ -102,7 +102,7 @@ def build_model(n_modes, length, kappa=0.0, quad_points=None, source=None):
     space, capped at 8*n_modes; 8*n_modes for any other source or for none.
     An explicit ``quad_points`` wins.  Requires quad_points >= 2*n_modes.
     """
-    n_modes = int(n_modes)
+    n_modes = integral("n_modes", n_modes)
     if n_modes < 1:
         raise InvalidConfigurationError(f"n_modes must be >= 1, got {n_modes}")
     length = float(length)
@@ -113,7 +113,7 @@ def build_model(n_modes, length, kappa=0.0, quad_points=None, source=None):
         raise InvalidConfigurationError(f"kappa must be >= 0, got {kappa}")
     if quad_points is None:
         quad_points = _default_quad_points(n_modes, source)
-    quad_points = int(quad_points)
+    quad_points = integral("quad_points", quad_points)
     if quad_points < 2 * n_modes:
         raise InvalidConfigurationError(
             f"quad_points = {quad_points} too small, need >= 2*n_modes = {2 * n_modes}"

@@ -448,6 +448,15 @@ def test_step_is_integrate_over_one_step_bitwise(damping, source, forced, alpha)
     assert out.t == traj.t[1]
 
 
+def test_sample_stride_must_be_an_integer():
+    # 2.5 used to sample every 2 steps without a word
+    with pytest.raises(InvalidConfigurationError, match="sample_stride must be an integer"):
+        IntegratorConfig(dt=0.1, horizon=1.0, sample_stride=2.5)
+    for stride in (2, 2.0, np.int64(2)):
+        cfg = IntegratorConfig(dt=0.1, horizon=1.0, sample_stride=stride)
+        assert np.array_equal(cfg.sample_times(), np.arange(0, 11, 2) * 0.1)
+
+
 def test_dt_must_divide_horizon():
     # horizon 1.0 at dt 0.3 would otherwise stop at 0.9 without a word
     with pytest.raises(InvalidConfigurationError, match="does not divide"):

@@ -58,6 +58,22 @@ def test_invalid_configuration(kwargs):
         build_model(**kwargs)
 
 
+def test_n_modes_must_be_an_integer():
+    # 4.7 used to build 4 modes without a word
+    with pytest.raises(InvalidConfigurationError, match="n_modes must be an integer"):
+        build_model(4.7, 1.0)
+    for n in (4, 4.0, np.int64(4)):
+        assert build_model(n, 1.0).n_modes == 4
+
+
+def test_quad_points_must_be_an_integer():
+    # 9.9 used to give 9 nodes without a word
+    with pytest.raises(InvalidConfigurationError, match="quad_points must be an integer"):
+        build_model(4, 1.0, quad_points=9.9)
+    for m in (9, 9.0, np.int64(9)):
+        assert build_model(4, 1.0, quad_points=m).quad_points == 9
+
+
 def test_discrete_orthonormality():
     m = build_model(6, 2.5, 0.0, 12)
     gram = m.quad_weight * (m.basis_table @ m.basis_table.T)

@@ -20,7 +20,6 @@ from .errors import BlowUpError, InvalidConfigurationError
 from .integrate import (
     IntegratorConfig,
     Trajectory,
-    convergence_order,
     energy_identity_residual,
     integrate,
     integrate_batch,

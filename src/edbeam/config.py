@@ -102,6 +102,11 @@ class RunConfig:
         # here rather than in parse_config, so that replace() checks it too
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigurationError(f"seed = {self.seed}: 64-bit value required")
+        # RK4 is a test reference, so no run file names a scheme
+        if self.integrator.scheme != "strang":
+            raise InvalidConfigurationError(
+                f"integrator scheme = {self.integrator.scheme!r}: a run takes the Strang scheme"
+            )
         if self.experiment_id not in EXPERIMENTS:
             raise InvalidConfigurationError(
                 f"experiment_id = {self.experiment_id!r} (allowed: {sorted(EXPERIMENTS)})"
@@ -114,13 +119,7 @@ class RunConfig:
 # The keys of the plain sections and their types, in emit order; their
 # defaults are the fields of RunConfig().
 MODEL_KEYS = {"n_modes": int, "length": float, "kappa": float, "quad_points": int}
-INTEGRATOR_KEYS = {
-    "dt": float,
-    "horizon": float,
-    "scheme": str,
-    "alpha": float,
-    "sample_stride": int,
-}
+INTEGRATOR_KEYS = {"dt": float, "horizon": float, "alpha": float, "sample_stride": int}
 RUN_KEYS = {"seed": int, "output_dir": str}
 
 
@@ -310,7 +309,10 @@ def parse_config(text, experiment_id=None):
     )
 
     # Model-level invariants are re-checked by actually building the model.
-    build_model(model.n_modes, model.length, model.kappa, model.quad_points, source)
+    try:
+        build_model(model.n_modes, model.length, model.kappa, model.quad_points, source)
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(f"[model] {exc}") from None
     return cfg
 
 

@@ -84,7 +84,7 @@ REQUIREMENTS = {
     "a constant damping coefficient": lambda damping, **_: isinstance(damping, K2Constant),
     "zero forcing": lambda forcing, **_: forcing.effective_norm == 0.0,
     "the zero source": lambda source, **_: isinstance(source, ZeroSource),
-    "scheme = strang": lambda icfg, **_: icfg.scheme == "strang",
+    "the Strang scheme": lambda icfg, **_: icfg.scheme == "strang",
     "s in (0, 2)": lambda s, **_: 0.0 < s < 2.0,
     "probe_modes in [1, n_modes]": lambda probe_modes, n_modes, **_: (
         len(probe_modes) > 0 and 1 <= min(probe_modes) <= max(probe_modes) <= n_modes
@@ -108,8 +108,8 @@ def check_requirements(exp_id, **given):
 # Every int option is a count, at least 1; these float options are bounded.
 # Each bound is named as it completes "<key> ... required".
 OPTION_BOUNDS = {
-    "energy2": (">= 0.0", lambda v: v >= 0.0),
-    "grid_step": ("> 0", lambda v: v > 0.0),
+    "energy2": (">= 0 and finite", lambda v: 0.0 <= v < math.inf),
+    "grid_step": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
     "tol": ("> 0 and finite", lambda v: 0.0 < v < math.inf),
     "r2_min": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "fit_lo": (">= 0 and finite", lambda v: 0.0 <= v < math.inf),
@@ -1115,7 +1115,7 @@ EXPERIMENTS = {
     "exp_decomposition": Experiment(
         options={"s": 1.0, "probe_modes": (4, 8, 16, 32), "energy2": 1.0},
         requires=(
-            "a constant damping coefficient", "scheme = strang", "s in (0, 2)",
+            "a constant damping coefficient", "the Strang scheme", "s in (0, 2)",
             "probe_modes in [1, n_modes]",
         ),
         run=lambda inp, **out: exp_decomposition(

@@ -41,8 +41,8 @@ class DampingLaw:
     the law's one formula, on Python floats."""
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise InvalidConfigurationError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise InvalidConfigurationError(f"gamma must be > 0 and finite, got {self.gamma}")
 
     def scalar_k(self):
         """Unchecked scalar evaluator s -> k(s), s >= 0, for integrator hot loops;
@@ -59,8 +59,8 @@ class K1Monomial(DampingLaw):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.q >= 0.5:
-            raise InvalidConfigurationError(f"q >= 1/2 required, got {self.q}")
+        if not 0.5 <= self.q < math.inf:
+            raise InvalidConfigurationError(f"q >= 1/2 and finite required, got {self.q}")
 
     def scalar_k(self):
         g, q = self.gamma, self.q
@@ -177,12 +177,14 @@ class DoublePower(SourceLaw):
     sigma_c: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.r < self.delta):
+        if not 0.0 < self.r < self.delta < math.inf:
             raise InvalidConfigurationError(
-                f"need 0 < r < delta, got r={self.r}, delta={self.delta}"
+                f"need 0 < r < delta < inf, got r={self.r}, delta={self.delta}"
             )
-        if self.sigma_c < 0.0:
-            raise InvalidConfigurationError(f"sigma_c must be >= 0, got {self.sigma_c}")
+        if not 0.0 <= self.sigma_c < math.inf:
+            raise InvalidConfigurationError(
+                f"sigma_c must be >= 0 and finite, got {self.sigma_c}"
+            )
 
     @property
     def p(self) -> float:

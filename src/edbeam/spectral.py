@@ -109,8 +109,8 @@ def build_model(n_modes, length, kappa=0.0, quad_points=None, source=None):
     if not (length > 0.0 and math.isfinite(length)):
         raise InvalidConfigurationError(f"length must be positive, got {length}")
     kappa = float(kappa)
-    if kappa < 0.0:
-        raise InvalidConfigurationError(f"kappa must be >= 0, got {kappa}")
+    if not 0.0 <= kappa < math.inf:
+        raise InvalidConfigurationError(f"kappa must be >= 0 and finite, got {kappa}")
     if quad_points is None:
         quad_points = _default_quad_points(n_modes, source)
     quad_points = integral("quad_points", quad_points)

@@ -1,4 +1,6 @@
+import configparser
 import dataclasses
+import io
 import math
 import subprocess
 import sys
@@ -22,6 +24,8 @@ from edbeam import (
 from edbeam.cli import _start, list_experiments, main, run
 from edbeam.config import (
     DAMPING_LAWS,
+    INTEGRATOR_KEYS,
+    MODEL_KEYS,
     SOURCE_LAWS,
     RunConfig,
     build_objects,
@@ -83,6 +87,23 @@ def test_parse_rejects_unknown_key_and_section():
         parse_config("[experiment]\nid = exp_k1_decay\nbogus = 3\n")
 
 
+@pytest.mark.parametrize("scheme", ["strang", "rk4"])
+def test_cli_rejects_a_run_file_scheme(tmp_path, capsys, scheme):
+    # RK4 is reached only from Python; a run file names no scheme at all
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(f"[integrator]\ndt = 0.01\nhorizon = 1.0\nscheme = {scheme}\n")
+    code = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [integrator] unknown key 'scheme'")
+    assert "scheme" not in emit_config(RunConfig())
+
+
+def test_run_config_takes_the_strang_scheme():
+    rk4 = IntegratorConfig(dt=0.01, horizon=1.0, scheme="rk4")
+    with pytest.raises(InvalidConfigurationError, match="a run takes the Strang scheme"):
+        RunConfig(integrator=rk4)
+
+
 def test_parse_syntax_error_carries_line():
     bad = "[model]\nn_modes = 4\nthis is not a pair\n"
     with pytest.raises(InvalidConfigurationError, match="line"):
@@ -129,7 +150,6 @@ h = mode:1:2.0
 [integrator]
 dt = 0.005
 horizon = 12.0
-scheme = rk4
 alpha = 0.5
 sample_stride = 4
 
@@ -436,7 +456,7 @@ REMOVED_KEYS = [
             # a leading key lands in the [integrator] section
             "scheme = rk4\n[damping]\nvariant = k2_constant\n",
             "probe_modes = 2,4\n",
-            "error: exp_decomposition requires scheme = strang",
+            "error: [integrator] unknown key 'scheme'",
         ),
         (
             "exp_decomposition",
@@ -499,7 +519,7 @@ REMOVED_KEYS = [
             "exp_lambda_lipschitz",
             "",
             "grid_step = 0.0\n",
-            "error: [experiment] grid_step = 0.0: grid_step > 0 required",
+            "error: [experiment] grid_step = 0.0: grid_step > 0 and finite required",
         ),
         (
             "exp_lambda_lipschitz",
@@ -661,10 +681,8 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
     cfg_file.write_text(f"[experiment]\nid = {exp_id}\n{option}\n")
     code = main(["exp", exp_id, "--config", str(cfg_file), "--out", str(tmp_path), "--quiet"])
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: [experiment] {key} = {value}: {key} >= {0.0 if key == 'energy2' else 1} "
-        "required\n"
-    )
+    bound = ">= 0 and finite" if key == "energy2" else ">= 1"
+    assert capsys.readouterr().err == f"error: [experiment] {key} = {value}: {key} {bound} required\n"
     assert not (tmp_path / f"{exp_id}-seed0").exists()
 
 
@@ -822,7 +840,8 @@ def test_the_default_fit_window_is_resolved_and_checked_once(exp_id, call):
 
 
 # (id, requirement) -> the run file's sections and [experiment] options that
-# break it, and a direct call of the driver that breaks it.
+# break it, and a direct call of the driver that breaks it.  A requirement no
+# run file can break has None for both texts.
 REQUIREMENT_CASES = {
     ("exp_k1_decay", "the monomial law"): (
         "[damping]\nvariant = k2_constant\n",
@@ -877,10 +896,10 @@ REQUIREMENT_CASES = {
             probe_modes=(2, 4),
         ),
     ),
-    ("exp_decomposition", "scheme = strang"): (
-        # a leading key lands in the [integrator] section
-        "scheme = rk4\n[damping]\nvariant = k2_constant\n",
-        "probe_modes = 2,4\n",
+    ("exp_decomposition", "the Strang scheme"): (
+        # a run file names no scheme
+        None,
+        None,
         lambda m, u, icfg: exp_decomposition(
             m, K2Constant(1.0), ZeroSource(), Forcing.zero(8), u, u,
             dataclasses.replace(icfg, scheme="rk4"), probe_modes=(2, 4),
@@ -927,17 +946,18 @@ REQUIREMENT_CASES = {
 )
 def test_run_file_and_direct_call_break_a_requirement_alike(exp_id, need):
     sections, options, call = REQUIREMENT_CASES[exp_id, need]
-    with pytest.raises(InvalidConfigurationError) as run_file:
-        parse_config(
-            "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
-            f"{sections}[experiment]\nid = {exp_id}\n{options}"
-        )
-    assert str(run_file.value) == f"{exp_id} requires {need}"
+    if sections is not None:
+        with pytest.raises(InvalidConfigurationError) as run_file:
+            parse_config(
+                "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
+                f"{sections}[experiment]\nid = {exp_id}\n{options}"
+            )
+        assert str(run_file.value) == f"{exp_id} requires {need}"
     model = build_model(8, math.pi, 0.0, 64)
     start = make_initial_state(model, np.random.default_rng(0))
     with pytest.raises(InvalidConfigurationError) as direct:
         call(model, start, IntegratorConfig(dt=0.01, horizon=1.0))
-    assert str(direct.value) == str(run_file.value)
+    assert str(direct.value) == f"{exp_id} requires {need}"
 
 
 @pytest.mark.parametrize(
@@ -1004,3 +1024,68 @@ def test_cli_resolves_the_command_experiment_at_parse_time(
     else:
         (report,) = out.glob("*-seed0/report.txt")
         assert expected in report.read_text()
+
+
+def _non_finite_cases():
+    """(exp_id, run file, section, variant, key) for every float key that the
+    run-file tables declare, each set in a golden run file that is valid
+    without it: the model and integrator keys, every key of every damping
+    and source variant, [forcing] lambda, and every float option of every
+    experiment row."""
+    simulate = (GOLDEN_RUNS / "simulate.ini").read_text(encoding="utf-8")
+    cases = [
+        ("simulate", simulate, section, None, key)
+        for section, keys in (("model", MODEL_KEYS), ("integrator", INTEGRATOR_KEYS))
+        for key, kind in keys.items()
+        if kind is float
+    ]
+    for section, laws in (("damping", DAMPING_LAWS), ("source", SOURCE_LAWS)):
+        cases += [
+            ("simulate", simulate, section, variant, key)
+            for variant, (_, keys) in laws.items()
+            for key in keys
+        ]
+    cases.append(("simulate", simulate, "forcing", None, "lambda"))
+    for exp_id, row in EXPERIMENTS.items():
+        text = (GOLDEN_RUNS / f"{exp_id}.ini").read_text(encoding="utf-8")
+        cases += [
+            (exp_id, text, "experiment", None, key)
+            for key, default in row.options.items()
+            if type(default) is float
+        ]
+    return [
+        pytest.param(*case, id="-".join(filter(None, (case[0], *case[2:])))) for case in cases
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "exp_id, text, section, variant, key",
+    _non_finite_cases(),
+)
+def test_cli_rejects_every_non_finite_float(
+    tmp_path, capsys, exp_id, text, section, variant, key, value
+):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    values = dict(parser[section])
+    if variant is not None:
+        # the variant's own keys, each from the run file or the table default
+        laws = DAMPING_LAWS if section == "damping" else SOURCE_LAWS
+        values = {"variant": variant} | {
+            k: values.get(k, repr(default)) for k, default in laws[variant][1].items()
+        }
+    parser[section] = values | {key: value}
+    buf = io.StringIO()
+    parser.write(buf)
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(buf.getvalue())
+    out = tmp_path / "out"
+    code = main(["exp", exp_id, "--config", str(cfg_file), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    # an option whose bound is a requirement is named in the requirement
+    assert err.startswith(f"error: [{section}] ") or f" requires {key} " in err, err
+    assert not out.exists()

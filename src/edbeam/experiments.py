@@ -84,7 +84,6 @@ REQUIREMENTS = {
     "a constant damping coefficient": lambda damping, **_: isinstance(damping, K2Constant),
     "zero forcing": lambda forcing, **_: forcing.effective_norm == 0.0,
     "the zero source": lambda source, **_: isinstance(source, ZeroSource),
-    "the Strang scheme": lambda icfg, **_: icfg.scheme == "strang",
     "s in (0, 2)": lambda s, **_: 0.0 < s < 2.0,
     "probe_modes in [1, n_modes]": lambda probe_modes, n_modes, **_: (
         len(probe_modes) > 0 and 1 <= min(probe_modes) <= max(probe_modes) <= n_modes
@@ -126,17 +125,22 @@ def check_option(key, value):
 
 def resolve_fit_window(fit_lo, fit_hi, icfg, t0=0.0):
     """The window a rate fit of a run of ``icfg`` from ``t0`` uses:
-    [fit_lo, fit_hi], or, when that is empty, the default last nine tenths
-    of the run, [end / 10, end] with end = t0 + horizon.
+    [fit_lo, fit_hi], or, when both are 0, the default last nine tenths of
+    the run, [end / 10, end] with end = t0 + horizon.
 
-    Raises unless fit_lo and fit_hi meet their options' bounds and the
-    window starts before the horizon and holds at least ``FIT_MIN_POINTS``
-    of the samples the run records.
+    Raises unless fit_lo and fit_hi meet their options' bounds, fit_lo <
+    min(fit_hi, horizon) unless both are 0, and the window holds at least
+    ``FIT_MIN_POINTS`` of the samples the run records.
     """
     check_option("fit_lo", fit_lo)
     check_option("fit_hi", fit_hi)
     end = t0 + icfg.horizon
-    if fit_lo < fit_hi:
+    if fit_lo or fit_hi:
+        if not fit_lo < fit_hi:
+            raise InvalidConfigurationError(
+                f"fit_lo = {fit_lo}: fit_lo < fit_hi = {fit_hi}, or both 0 for the default "
+                "window, required"
+            )
         if not fit_lo < end:
             raise InvalidConfigurationError(f"fit_lo = {fit_lo}: fit_lo < horizon {end} required")
         lo, hi = fit_lo, fit_hi
@@ -323,13 +327,13 @@ def exp_k1_decay(
     (with 2% relative slack) at every sample, and, when ``fit_window`` is
     given, that the log-log slopes of energy and phase norm match -1/q and
     -1/(2q) within 15% over the window ``resolve_fit_window`` makes of it
-    (an empty one takes the last nine tenths of the run).
+    (fit_lo = fit_hi = 0 takes the last nine tenths of the run).
     """
     if fit_window is not None:
         fit_window = resolve_fit_window(*fit_window, icfg, initial.t)
     check_requirements("exp_k1_decay", damping=damping, fit_window=fit_window)
     slack, rate_tol = 0.02, 0.15
-    constants = assumption_constants(source, model=model)
+    constants = assumption_constants(source)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k1_decay", seed=seed)
@@ -402,14 +406,14 @@ def exp_k2_exponential(
 
     Homogeneous runs must fit a clean positive rate with r^2 >= ``r2_min``
     over ``fit_window``, which ``resolve_fit_window`` resolves (None is the
-    empty window, so the last nine tenths of the run).  Forced runs fit
+    window (0, 0), so the last nine tenths of the run).  Forced runs fit
     constants (C, c) such that
     Etilde(t) <= C Etilde(0) exp(-c t) + 8 K_lambda holds at every sample,
     and must eventually enter the absorbing ball 64 K_lambda / omega.
     """
     check_option("r2_min", r2_min)
     fit_window = resolve_fit_window(*(fit_window or (0.0, 0.0)), icfg, initial.t)
-    constants = assumption_constants(source, model=model)
+    constants = assumption_constants(source)
 
     traj = integrate(model, source, damping, forcing, initial, icfg, constants)
     report = ExperimentReport("exp_k2_exponential", seed=seed)
@@ -753,12 +757,11 @@ def exp_decomposition(
     contracts pairs of initial states exponentially, and (iii) the smoothing
     part is controlled by the weak-space norm of single-mode perturbations
     uniformly over the probe modes, where the probe of mode j has weak norm
-    probe_eps * sigma_j**(s/4), 0 < s < 2, with probe_eps = 1e-3.  Runs the
-    Strang scheme only.
+    probe_eps * sigma_j**(s/4), 0 < s < 2, with probe_eps = 1e-3.  Its runs
+    are batches, so an RK4 config raises.
     """
     check_requirements(
-        "exp_decomposition", damping=damping, icfg=icfg, s=s, probe_modes=probe_modes,
-        n_modes=model.n_modes,
+        "exp_decomposition", damping=damping, s=s, probe_modes=probe_modes, n_modes=model.n_modes
     )
     probe_eps = 1e-3
 
@@ -841,11 +844,11 @@ class EntropyEstimate:
     dimension: float
 
 
-def box_count_entropy(points, eps_list, weights=None):
+def box_count_entropy(points, eps_list):
     """Greedy covering-number estimate of the cloud's fractal dimension.
 
     Covers the cloud by balls of each radius eps (decreasing list) in the
-    weighted Euclidean metric; the dimension is the fitted slope of
+    Euclidean metric; the dimension is the fitted slope of
     ln N(eps) against ln(1/eps).  Greedy covering upper-bounds the minimal
     covering number, which suffices for a dimension estimate.
     """
@@ -859,11 +862,6 @@ def box_count_entropy(points, eps_list, weights=None):
         raise ValueError("eps values must be positive")
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("eps list must be strictly decreasing")
-    if weights is not None:
-        w = np.sqrt(np.asarray(weights, dtype=float))
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be positive")
-        pts = pts * w
 
     counts = []
     for e in eps:
@@ -1014,7 +1012,7 @@ def exp_stationary(model, source, forcing, n_starts, *, tol=1e-8, seed=0, out_di
     for _ in range(n_starts - 1):
         starts.append(rng.standard_normal(model.n_modes) * j**-2.0)
     results = multi_start(model, source, forcing, starts, tol=tol)
-    constants = assumption_constants(source, model=model)
+    constants = assumption_constants(source)
     report = ExperimentReport("stationary", seed=seed)
     report.add(
         "all_converged",
@@ -1114,10 +1112,7 @@ EXPERIMENTS = {
     ),
     "exp_decomposition": Experiment(
         options={"s": 1.0, "probe_modes": (4, 8, 16, 32), "energy2": 1.0},
-        requires=(
-            "a constant damping coefficient", "the Strang scheme", "s in (0, 2)",
-            "probe_modes in [1, n_modes]",
-        ),
+        requires=("a constant damping coefficient", "s in (0, 2)", "probe_modes in [1, n_modes]"),
         run=lambda inp, **out: exp_decomposition(
             *inp[:4],
             *_states(inp, 2),

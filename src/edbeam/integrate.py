@@ -13,7 +13,8 @@ substep nonlinear in b; one explicit-midpoint sub-evaluation keeps the step
 formally second order without an implicit solve.  A classical RK4 step on
 the first-order system, guarded by the usual dt * omega_max <= 2.8
 stability bound, is reached only as ``IntegratorConfig(scheme="rk4")`` from
-Python: it is the reference the Strang scheme is tested against.
+Python, and steps one run to its horizon: it is the reference the Strang
+scheme is tested against.
 
 Each half kick is affine in the velocity, b <- s b + t (lam*h - projected
 source), so the two half kicks that meet between steps are applied as one
@@ -111,7 +112,6 @@ class Trajectory:
     energy_mod: np.ndarray
     dissipation: np.ndarray
     phase: np.ndarray
-    alpha: float
     K_lambda: float
 
     @property
@@ -122,12 +122,9 @@ class Trajectory:
     def n_modes(self) -> int:
         return self.a.shape[1]
 
-    def state(self, i) -> ModalState:
-        return ModalState(self.a[i].copy(), self.b[i].copy(), float(self.t[i]))
-
     @property
     def final_state(self) -> ModalState:
-        return self.state(-1)
+        return ModalState(self.a[-1].copy(), self.b[-1].copy(), float(self.t[-1]))
 
     def write_csv(self, path):
         """Write t, E, Etilde, D, phase_norm, a_1..a_N, b_1..b_N rows.
@@ -516,11 +513,14 @@ def _run_strang(st, a, b, n_steps, stride, t0, rec, until=None):
 
 
 def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
-    """Classical RK4 on the first-order system; one run, shape (N,), only.
+    """Classical RK4 on the first-order system: one run, shape (N,), to its
+    horizon; a batch or an ``until`` raises.
 
     Checks for blow-up every 128 steps and after the loop, as _run_strang
     does, and reports an overflow the same way.
     """
+    if a.ndim != 1 or until is not None:
+        raise InvalidConfigurationError("rk4 steps one run to its horizon: no batch, no until")
     dt = st.cfg.dt
     dcum = 0.0
     n = -1  # as in _run_strang, an overflow is reported at step n + 1
@@ -537,9 +537,6 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
                 _raise_unless_finite(
                     np.isfinite(a).all() & np.isfinite(b).all(), t0 + (n + 1) * dt, n + 1
                 )
-                if until is not None and until(a, b):
-                    n_steps = n + 1
-                    break
     except OverflowError as exc:
         raise BlowUpError(t0 + (n + 1) * dt, step=n + 1) from exc
     _raise_unless_finite(
@@ -548,7 +545,7 @@ def _run_rk4(st, a, b, n_steps, stride, t0, rec, until=None):
     rec.push(t0 + n_steps * dt, a, b, dcum)
 
 
-def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
+def _trajectory(model, source, forcing, k_lam, t, a, b, d):
     """One run's Trajectory from its recorded samples."""
     energy = total_energies(model, source, forcing.effective, a, b)
     return Trajectory(
@@ -559,7 +556,6 @@ def _trajectory(model, source, forcing, cfg, k_lam, t, a, b, d):
         energy_mod=energy + k_lam,
         dissipation=d,
         phase=phase_norms(model, a, b),
-        alpha=cfg.alpha,
         K_lambda=k_lam,
     )
 
@@ -618,7 +614,7 @@ def _integrate_rows(model, source, damping, forcings, a, b, t0, cfg, constants, 
             for r in range(len(forcings))
         ]
     return [
-        _trajectory(model, source, f, cfg, k_lam, *row)
+        _trajectory(model, source, f, k_lam, *row)
         for f, k_lam, row in zip(forcings, k_lams, rows)
     ]
 
@@ -630,7 +626,7 @@ def integrate(model, source, damping, forcing, initial, cfg, constants=None, unt
     the dissipation integral is accumulated at every step regardless of the
     stride.  Raises :class:`BlowUpError` if the state leaves float range.
     The run ends early at the first 128-step blow-up check where
-    ``until(a, b)``, if given, holds.
+    ``until(a, b)``, if given, holds; an RK4 config takes no ``until``.
     """
     if initial.n_modes != model.n_modes:
         raise ValueError("initial state dimension does not match model")
@@ -647,11 +643,11 @@ def integrate_batch(
     """Integrate independent runs that share one law, one config and one
     start time; row i starts from ``initials[i]`` under ``forcings[i]``.
 
-    The Strang scheme advances all rows in one loop, and every returned
-    Trajectory is bitwise the one ``integrate`` returns for that row alone.
-    A Strang batch with ``until`` ends when ``until`` holds for every row;
-    RK4 configs run, and so stop, row by row through ``integrate``.  On
-    blow-up, :class:`BlowUpError` names the first non-finite row in ``row``.
+    All rows advance in one Strang loop, and every returned Trajectory is
+    bitwise the one ``integrate`` returns for that row alone.  A batch with
+    ``until`` ends when ``until`` holds for every row; an RK4 config raises.
+    On blow-up, :class:`BlowUpError` names the first non-finite row in
+    ``row``.
     """
     initials, forcings = list(initials), list(forcings)
     if len(forcings) != len(initials):
@@ -660,11 +656,8 @@ def integrate_batch(
         raise ValueError("initial state dimension does not match model")
     if len({float(s.t) for s in initials}) > 1:
         raise ValueError("the initial states of one batch must share their start time")
-    if cfg.scheme != "strang" or not initials:
-        return [
-            integrate(model, source, damping, f, s, cfg, constants, until)
-            for f, s in zip(forcings, initials)
-        ]
+    if not initials:
+        return []
     a = np.stack([s.a for s in initials])
     b = np.stack([s.b for s in initials])
     t0 = float(initials[0].t)

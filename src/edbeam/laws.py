@@ -283,14 +283,12 @@ class AssumptionConstants:
     ``c_f`` is the smallest sampled constant closing the upper primitive
     inequality F(u) <= f(u)u + c_f/2 |u|^2; ``C_f`` then closes the lower
     one -C_f - c_f/2 |u|^2 <= F(u); ``C_fprime`` bounds |f'| against
-    1 + |u|**p.  ``cf_below_sigma1`` records whether c_f < sigma_1 when a
-    model was supplied (None otherwise).
+    1 + |u|**p.  ``coercivity_offset`` raises when c_f >= sigma_1.
     """
 
     C_fprime: float
     c_f: float
     C_f: float
-    cf_below_sigma1: bool | None = None
 
 
 def assumption_constants(law, sample_range=10.0, samples=20001, model=None):
@@ -300,6 +298,7 @@ def assumption_constants(law, sample_range=10.0, samples=20001, model=None):
     The scan is a sampled feasibility search, not a symbolic proof; the
     scanned constants are exact for the zero source and for the pure-power
     source (sigma_c = 0), where both inequalities hold with c_f = C_f = 0.
+    ``model`` is unused; the bench's kernel sweep still passes it.
     """
     r_max = float(sample_range)
     if not r_max > 0.0:
@@ -333,7 +332,4 @@ def assumption_constants(law, sample_range=10.0, samples=20001, model=None):
     else:
         raise InvalidConfigurationError(f"unsupported source law {type(law).__name__}")
 
-    flag = None
-    if model is not None:
-        flag = bool(c_f < float(model.sigma[0]))
-    return AssumptionConstants(C_fprime=c_fp, c_f=c_f, C_f=big_c, cf_below_sigma1=flag)
+    return AssumptionConstants(C_fprime=c_fp, c_f=c_f, C_f=big_c)

@@ -184,7 +184,7 @@ def _project(model, f, a):
     # row synthesizes inline, as a single run projects at every step
     bt = model.basis_table
     if a.ndim == 1:
-        return model.quad_weight * (bt @ f(a @ bt))
+        return model.quad_weight * np.dot(bt, f(np.dot(a, bt)))
     return model.quad_weight * (bt @ f(_synthesize(model, a))[..., None])[..., 0]
 
 

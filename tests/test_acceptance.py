@@ -135,7 +135,7 @@ def test_criterion_2_envelopes_exact_constants(
     assert np.max(rel[fine.t >= 10.0]) <= 0.01
 
     traj = k1_long_runs[1.0]
-    consts = assumption_constants(ZERO_SRC, model=model32)
+    consts = assumption_constants(ZERO_SRC)
     params = envelope_constants(
         1.0, 1.0, 0.5, model32, consts, Forcing.zero(32), float(traj.energy_mod[0])
     )
@@ -293,7 +293,7 @@ def test_criterion_8_stationary_solver():
     assert abs(abs(res1.coeffs[0]) - abs(c_star)) <= 1e-6
 
     # bound check with the scanned constants
-    consts = assumption_constants(law, model=m16)
+    consts = assumption_constants(law)
     chk = stationary_bound_check(m16, consts, zero16, res)
     assert chk.ok
 

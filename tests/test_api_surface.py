@@ -110,6 +110,27 @@ def test_one_strang_kernel():
     assert sum(map(steps, ast.walk(strang))) == 1
 
 
+def test_the_scheme_is_read_in_integrate_and_run_config_alone():
+    # RK4 is a Python-only reference: integrate picks a loop by the scheme,
+    # and config only refuses a run of any scheme but Strang
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if any(
+                    isinstance(n, ast.Attribute) and n.attr == "scheme"
+                    and isinstance(n.ctx, ast.Load)
+                    for n in ast.walk(fn)
+                ):
+                    owner = getattr(top, "name", "")
+                    if fn is not top:
+                        owner += "." + getattr(fn, "name", "")
+                    readers.add(f"{path.stem}:{owner}")
+    outside = {r for r in readers if not r.startswith("integrate:")}
+    assert outside == {"config:RunConfig.__post_init__"}
+    assert "integrate:_advance" in readers
+
+
 def test_one_formula_per_damping_law():
     # each law is spelled once, as scalar_k
     from edbeam import laws

@@ -83,16 +83,6 @@ def test_batch_of_one_row_matches_integrate_bitwise(damping):
     )
 
 
-def test_batch_rk4_runs_rows_through_integrate():
-    m = build_model(4, math.pi, 0.0, 32)
-    rng = np.random.default_rng(2)
-    states = [make_initial_state(m, rng, e2) for e2 in (1.0, 3.0)]
-    cfg = IntegratorConfig(dt=1e-3, horizon=0.1, scheme="rk4", sample_stride=10)
-    _assert_rows_match_single_runs(
-        m, ZeroSource(), K1Monomial(1.0, 1.0), [Forcing.zero(4)] * 2, states, cfg
-    )
-
-
 def test_batch_rejects_mismatched_rows():
     m = build_model(4, math.pi, 0.0, 32)
     cfg = IntegratorConfig(dt=0.01, horizon=0.1)
@@ -216,28 +206,6 @@ def test_blow_up_is_found_before_the_stop_test():
     assert info.value.step == 128
     assert info.value.row == 1
     assert info.value.time == 128 * cfg.dt
-
-
-def test_rk4_batch_stops_row_by_row():
-    n = 4
-    m = build_model(n, math.pi, 0.0, 8 * n)
-    rng = np.random.default_rng(2)
-    states = [make_initial_state(m, rng, e2) for e2 in (1.0, 3.0)]
-    zero, src, law = Forcing.zero(n), ZeroSource(), K2Constant(1.0)
-    cfg = IntegratorConfig(dt=1e-3, horizon=5.0, scheme="rk4", sample_stride=8)
-
-    def below_half(a, b):
-        return 2.0 * total_energy(m, src, zero.effective, a, b) <= 0.5
-
-    full = integrate_batch(m, src, law, [zero] * 2, states, cfg)
-    stopped = integrate_batch(m, src, law, [zero] * 2, states, cfg, until=below_half)
-    steps = [round(traj.t[-1] / cfg.dt) for traj in stopped]
-    assert steps[0] < steps[1] < 5000
-    for k, short, traj in zip(steps, stopped, full):
-        assert k % 128 == 0
-        _assert_prefix(short, traj)
-        assert below_half(short.a[-1], short.b[-1])
-        assert not below_half(traj.a[(k - 128) // 8], traj.b[(k - 128) // 8])
 
 
 def test_power_law_overflow_is_a_blow_up():

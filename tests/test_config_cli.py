@@ -253,8 +253,9 @@ def test_run_of_a_directly_built_config(tmp_path):
     assert run(cfg, quiet=True) == 0
     assert (tmp_path / "simulate-seed0" / "report.txt").is_file()
     assert parse_config(emit_config(cfg)) == cfg
-    k1 = RunConfig(experiment_id="exp_k1_decay", options={"fit_lo": 1.0})
-    assert k1.options == EXPERIMENTS["exp_k1_decay"].options | {"fit_lo": 1.0}
+    window = {"fit_lo": 1.0, "fit_hi": 5.0}
+    k1 = RunConfig(experiment_id="exp_k1_decay", options=window)
+    assert k1.options == EXPERIMENTS["exp_k1_decay"].options | window
     assert parse_config(emit_config(k1)) == k1
     with pytest.raises(InvalidConfigurationError, match="experiment_id = 'exp_bogus'"):
         RunConfig(experiment_id="exp_bogus")
@@ -608,6 +609,22 @@ REMOVED_KEYS = [
             "default [horizon/10, horizon] = [0.1, 1.0], with >= 10 samples (2 at dt 0.01, "
             "sample_stride 50) required",
         ),
+        # only fit_lo = fit_hi = 0 takes the default window; any other window
+        # with fit_lo >= fit_hi was silently replaced by it
+        (
+            "exp_k1_decay",
+            "",
+            "fit_lo = 5.0\nfit_hi = 2.0\n",
+            "error: [experiment] fit_lo = 5.0: fit_lo < fit_hi = 2.0, or both 0 for the "
+            "default window, required",
+        ),
+        (
+            "exp_k2_exponential",
+            "",
+            "fit_lo = 3.0\n",
+            "error: [experiment] fit_lo = 3.0: fit_lo < fit_hi = 0.0, or both 0 for the "
+            "default window, required",
+        ),
         *[
             (
                 exp_id,
@@ -647,6 +664,8 @@ REMOVED_KEYS = [
         "fit_window_too_few_samples",
         "k1_fit_window_from_zero",
         "default_fit_window_too_few_samples",
+        "k1_fit_window_reversed",
+        "k2_fit_lo_alone",
         *[f"removed_{exp_id}_{key}" for exp_id, key, _ in REMOVED_KEYS],
     ],
 )
@@ -780,6 +799,30 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
                 fit_window=(9.995, 20.0),
             ),
         ),
+        (
+            "exp_k1_decay",
+            "fit_lo = 3.0",
+            lambda m: exp_k1_decay(
+                m,
+                K1Monomial(1.0, 1.0),
+                *_unforced(m),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-2, 10.0),
+                fit_window=(3.0, 0.0),
+            ),
+        ),
+        (
+            "exp_k2_exponential",
+            "fit_lo = 5.0\nfit_hi = 2.0",
+            lambda m: exp_k2_exponential(
+                m,
+                K2Constant(1.0),
+                *_unforced(m),
+                make_initial_state(m, np.random.default_rng(0)),
+                IntegratorConfig(1e-2, 10.0),
+                fit_window=(5.0, 2.0),
+            ),
+        ),
     ],
     ids=[
         "nakao_suite",
@@ -794,6 +837,8 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, exp_id, option):
         "k2_fit_window_past_horizon",
         "k1_fit_window_too_few_samples",
         "k2_fit_window_too_few_samples",
+        "k1_fit_lo_alone",
+        "k2_fit_window_reversed",
     ],
 )
 def test_direct_calls_bound_options_as_a_run_file_does(exp_id, option, call):
@@ -896,15 +941,6 @@ REQUIREMENT_CASES = {
             probe_modes=(2, 4),
         ),
     ),
-    ("exp_decomposition", "the Strang scheme"): (
-        # a run file names no scheme
-        None,
-        None,
-        lambda m, u, icfg: exp_decomposition(
-            m, K2Constant(1.0), ZeroSource(), Forcing.zero(8), u, u,
-            dataclasses.replace(icfg, scheme="rk4"), probe_modes=(2, 4),
-        ),
-    ),
     ("exp_decomposition", "s in (0, 2)"): (
         "[damping]\nvariant = k2_constant\n",
         "probe_modes = 2,4\ns = 3.0\n",
@@ -946,13 +982,12 @@ REQUIREMENT_CASES = {
 )
 def test_run_file_and_direct_call_break_a_requirement_alike(exp_id, need):
     sections, options, call = REQUIREMENT_CASES[exp_id, need]
-    if sections is not None:
-        with pytest.raises(InvalidConfigurationError) as run_file:
-            parse_config(
-                "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
-                f"{sections}[experiment]\nid = {exp_id}\n{options}"
-            )
-        assert str(run_file.value) == f"{exp_id} requires {need}"
+    with pytest.raises(InvalidConfigurationError) as run_file:
+        parse_config(
+            "[model]\nn_modes = 8\n[integrator]\ndt = 0.01\nhorizon = 1.0\n"
+            f"{sections}[experiment]\nid = {exp_id}\n{options}"
+        )
+    assert str(run_file.value) == f"{exp_id} requires {need}"
     model = build_model(8, math.pi, 0.0, 64)
     start = make_initial_state(model, np.random.default_rng(0))
     with pytest.raises(InvalidConfigurationError) as direct:

@@ -80,7 +80,7 @@ def test_trajectory_energies_match_the_per_sample_reference_bitwise(source, alph
 
 def test_modified_energy_reduces_without_data():
     m = build_model(4, math.pi, 0.0, 32)
-    constants = assumption_constants(ZeroSource(), model=m)
+    constants = assumption_constants(ZeroSource())
     assert coercivity_offset(m, constants, _zero(4)) == (1.0, 0.0)
 
 

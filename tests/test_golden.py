@@ -6,7 +6,8 @@ max, and each report metric) are compared with ``tests/golden/values.json``
 on every build, at the relative tolerance ``RTOL``.  The pinned SHA-256 of
 each file a run writes are in ``tests/golden/hashes.json``; byte identity of
 floating-point output holds for one numpy/BLAS build, so the hash comparison
-is skipped on a different build.  See ``tests/golden/capture.py`` for how to
+is skipped on a different build, as is the check that the pinned values
+are exactly the artifacts' own.  See ``tests/golden/capture.py`` for how to
 re-pin both.
 """
 
@@ -97,11 +98,24 @@ def test_artifacts_match_pinned_values(exp_id, run_dir):
     assert _mismatches(got, pinned) == []
 
 
+def _skip_off_the_pinned_build():
+    if PINNED["build"] != build_info():
+        pytest.skip(f"pinned on {PINNED['build']}, running on {build_info()}")
+
+
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_artifacts_match_pinned_hashes(exp_id, run_dir):
-    if PINNED["build"] != build_info():
-        pytest.skip(f"hashes pinned on {PINNED['build']}, running on {build_info()}")
+    _skip_off_the_pinned_build()
     assert artifact_hashes(run_dir(exp_id)) == PINNED["runs"][exp_id]
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_pinned_values_are_the_pinned_artifacts_own(exp_id, run_dir):
+    # on the build that pinned the hashes, values.json is exactly what
+    # capture.py reads from the same artifacts, so it cannot go stale
+    # inside RTOL while the hashes hold
+    _skip_off_the_pinned_build()
+    assert artifact_values(run_dir(exp_id)) == PINNED_VALUES["runs"][exp_id]
 
 
 # The ids whose drivers integrate, and the CSV columns that are fits over the

@@ -23,9 +23,11 @@ from edbeam import (
     build_model,
     energy_identity_residual,
     integrate,
+    integrate_batch,
     phase_norm,
 )
-from edbeam.integrate import _Stepper
+from edbeam.experiments import exp_decomposition
+from edbeam.integrate import _integrate_driven, _Stepper
 from edbeam.series import _BLOCK_VALUES, write_csv
 
 # Inside the unit energy ball the threshold law evaluates to exactly zero,
@@ -226,6 +228,28 @@ def test_rk4_stability_guard():
     cfg = IntegratorConfig(dt=0.5, horizon=1.0, scheme="rk4")
     with pytest.raises(InvalidConfigurationError):
         integrate(m, ZeroSource(), UNDAMPED, _zero_forcing(32), init, cfg)
+
+
+def test_rk4_steps_one_run_to_its_horizon():
+    # a batch, a driven batch (as exp_decomposition's) and an ``until`` all
+    # meet the one guard of the RK4 loop
+    m = build_model(4, math.pi, 0.0, 32)
+    u = ModalState(np.full(4, 0.1), np.zeros(4))
+    v = ModalState(np.zeros(4), np.full(4, 0.1))
+    cfg = IntegratorConfig(dt=1e-3, horizon=0.1, scheme="rk4")
+    src, law, zero = ZeroSource(), K2Constant(1.0), _zero_forcing(4)
+    a, b = np.stack([u.a, v.a]), np.stack([u.b, v.b])
+    calls = [
+        lambda: integrate_batch(m, src, law, [zero, zero], [u, v], cfg),
+        lambda: _integrate_driven(m, src, law, np.zeros((2, 4)), [0, 0], a, b, cfg),
+        lambda: exp_decomposition(m, law, src, zero, u, v, cfg, probe_modes=(2, 4)),
+        lambda: integrate(m, src, law, zero, u, cfg, until=lambda a, b: False),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidConfigurationError) as info:
+            call()
+        assert str(info.value) == "rk4 steps one run to its horizon: no batch, no until"
+    assert integrate(m, src, law, zero, u, cfg).t[-1] == pytest.approx(0.1)
 
 
 def test_blow_up_detection():

@@ -20,6 +20,7 @@ from edbeam import (
     build_model,
     project_source,
 )
+from edbeam.integrate import coercivity_offset
 
 
 def _k(law, s):
@@ -170,20 +171,23 @@ def test_assumption_constants_zero_and_pure_power():
 def test_assumption_constants_sigma10():
     m = build_model(4, math.pi, 0.0, 32)
     law = DoublePower(2.0, 1.0, 10.0)
-    c = assumption_constants(law, sample_range=10.0, samples=2000001, model=m)
+    c = assumption_constants(law, sample_range=10.0, samples=2000001)
     # minimum of the primitive on [-10, 10] sits at the boundary: -833.33
     assert c.C_f == pytest.approx(10.0**4 / 3.0 - 10.0**4 / 4.0, rel=1e-6)
     assert c.C_f > 0.0
     # smallest c for the upper primitive inequality is 8 sigma^2 / 27
     assert c.c_f == pytest.approx(8.0 * 100.0 / 27.0, rel=1e-6)
-    assert c.cf_below_sigma1 is False
+    # c_f = 29.6 >= sigma_1 = 1: the modified energy is not coercive
+    with pytest.raises(InvalidConfigurationError, match="omega <= 0"):
+        coercivity_offset(m, c, Forcing.zero(4))
 
 
-def test_assumption_constants_flag_ok_for_small_sigma():
+def test_assumption_constants_coercive_for_small_sigma():
     m = build_model(4, math.pi, 0.0, 32)
-    c = assumption_constants(DoublePower(2.0, 1.0, 1.0), model=m)
+    c = assumption_constants(DoublePower(2.0, 1.0, 1.0))
     assert c.c_f == pytest.approx(8.0 / 27.0, rel=1e-5)
-    assert c.cf_below_sigma1 is True
+    omega, _ = coercivity_offset(m, c, Forcing.zero(4))
+    assert omega == 1.0 - c.c_f / float(m.sigma[0]) > 0.0
 
 
 def test_forcing_validation_and_presets():

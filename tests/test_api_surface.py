@@ -10,6 +10,7 @@ import pytest
 import edbeam
 
 SRC = Path(edbeam.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -45,10 +46,11 @@ def test_no_unused_imports(name):
     assert _unused_imports(tree) == []
 
 
-def _attribute_readers(attrs):
-    # the modules that load one of ``attrs`` from anything but np or math
+def _attribute_readers(attrs, root=SRC):
+    # the modules under ``root`` that load one of ``attrs`` from anything
+    # but np or math
     readers = set()
-    for path in SRC.glob("*.py"):
+    for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (
                 isinstance(node, ast.Attribute)
@@ -108,6 +110,13 @@ def test_one_strang_kernel():
     # and every Strang run, free or not, takes the one stepping loop
     (strang,) = [n for n in tree.body if getattr(n, "name", None) == "_run_strang"]
     assert sum(map(steps, ast.walk(strang))) == 1
+
+
+def test_no_test_reads_the_kernel_tables():
+    # the tests check the kernel against ``oracle``, which builds its own
+    # rotation from public names, so a wrong kernel table cannot pass by
+    # being shared with the reference
+    assert _attribute_readers({"cos", "sin", "om"}, TESTS) == set()
 
 
 def test_the_scheme_is_read_in_integrate_and_run_config_alone():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from edbeam import (
     integrate,
 )
 from edbeam.experiments import (
+    ExperimentReport,
+    _common_checks,
     box_count_entropy,
     exp_decomposition,
     exp_k1_decay,
@@ -40,6 +43,30 @@ def test_make_initial_state_scaling():
     assert quad == pytest.approx(2.5, rel=1e-12)
     zero = make_initial_state(m, rng, 0.0)
     assert np.all(zero.a == 0.0) and np.all(zero.b == 0.0)
+
+
+@pytest.mark.parametrize(
+    "gap, coercivity, global_bound",
+    [(1e-6, False, False), (1e-12, True, True)],
+)
+def test_common_checks_hold_their_bounds_at_1e_9(gap, coercivity, global_bound):
+    # a constant Etilde = 1 with omega/4 phase^2 = Etilde + gap: a gap of
+    # 1e-6 breaks coercivity and, as a phase 1 + 5e-7 times c_b, the global
+    # bound; 1e-12 sits inside both 1e-9 bounds.  The Lyapunov check sees no
+    # rise either way
+    omega, etilde = 0.8, 1.0
+    traj = SimpleNamespace(
+        energy=np.full(3, etilde),
+        energy_mod=np.full(3, etilde),
+        dissipation=np.zeros(3),
+        phase=np.full(3, math.sqrt(4.0 * (etilde + gap) / omega)),
+    )
+    report = ExperimentReport("common_checks")
+    _common_checks(report, traj, omega)
+    verdicts = {c.name: c.passed for c in report.criteria}
+    assert verdicts["lyapunov_nonincreasing"] is True
+    assert verdicts["coercivity"] is coercivity
+    assert verdicts["global_bound"] is global_bound
 
 
 def test_exp_k1_short_run_passes():

@@ -2,11 +2,13 @@
 half kick of the next into one update ``b <- c1 b + c2 base``, from scalars
 it carries instead of forming the midpoint vector; a free run (zero source,
 zero forcing) has ``base = 0`` and only scales b.  Free, sourced and forced
-runs agree with the general kick, kept verbatim below, to 1e-12 relative in
-a, b and D over 10^4 steps for every damping family; the final state does
-not depend on the sampling stride; a midpoint that cancels never reaches
-the law as a negative argument; and a forced batch that overflows names the
-step and row the kick-by-kick loop named."""
+runs agree with the textbook Strang loop of ``oracle``, which forms the
+midpoint vector of every kick, to 1e-12 relative in a, b and D over 10^4
+steps for every damping family (``test_batch`` checks that a batch row is
+bitwise its single run); the final state does not depend on the sampling
+stride; a midpoint that cancels never reaches the law as a negative
+argument; and a forced batch that overflows names the step and row the
+kick-by-kick loop named."""
 
 import math
 from dataclasses import dataclass, field
@@ -32,14 +34,8 @@ from edbeam import (
     integrate_batch,
 )
 from edbeam.experiments import make_initial_state
-from edbeam.integrate import (
-    _CHECK_EVERY,
-    _advance,
-    _dot,
-    _raise_unless_finite,
-    _Recorder,
-    _Stepper,
-)
+from edbeam.integrate import _advance, _Stepper
+from oracle import strang
 
 _ALL_DAMPING = [
     K1Monomial(1.0, 1.0),
@@ -51,91 +47,11 @@ _ALL_DAMPING = [
 ]
 
 
-def _dot_rows(x, y):
-    # one BLAS ddot per row, bitwise the float(x @ y) of a single run
-    return np.vecdot(x, y)[:, None]
-
-
-def _k_rows(kf):
-    # the law's one scalar evaluator, row by row, on (B, 1) columns
-    def k(s):
-        return np.fromiter(map(kf, s[:, 0].tolist()), float, len(s))[:, None]
-
-    return k
-
-
-def _general_kick_reference(st, a, b, n_steps, stride, t0, rec):
-    """The Strang loop before free runs took the scalar kick, kept verbatim as
-    the reference: every run, free or not, forms the midpoint vector bm."""
-    dt = st.cfg.dt
-    hdt = 0.5 * dt
-    qdt = 0.25 * dt
-    cos, sin_over, nomsin = st.cos, st.sin / st.om, -(st.om * st.sin)
-    mu2a, lh = st.mu2a, st.lh
-    kf = st.kf
-    dot = _dot
-    if a.ndim == 2:
-        dot, kf = _dot_rows, _k_rows(kf)
-    zero_source = st.zero_source
-    project = st.project
-    if st.drive is not None:
-        drive, project_rows = st.drive, project
-
-        def project(a):
-            return project_rows(a[drive])
-
-    dcum = 0.0
-    n = -1  # the last completed step is n + 1
-
-    try:
-        sa = dot(a * a, mu2a)
-        bb = dot(b, b)
-        kv = kf(sa + bb)
-        ell_prev = kv * bb
-        base = lh if zero_source else lh - project(a)
-        for n in range(n_steps):
-            if n % stride == 0:
-                rec.push(t0 + n * dt, a, b, dcum)
-            # first half kick (a frozen; sa, kv, base valid for the incoming state)
-            bm = b + qdt * (base - kv * b)
-            b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
-            # exact rotation over dt
-            a, b = cos * a + sin_over * b, nomsin * a + cos * b
-            # second half kick; base also serves the next step's first kick
-            if not zero_source:
-                base = lh - project(a)
-            sa = dot(a * a, mu2a)
-            bb = dot(b, b)
-            g0 = base - kf(sa + bb) * b
-            bm = b + qdt * g0
-            b = b + hdt * (base - kf(sa + dot(bm, bm)) * bm)
-            # trapezoid dissipation increment to the new state
-            bb = dot(b, b)
-            kv = kf(sa + bb)
-            ell = kv * bb
-            dcum += hdt * (ell_prev + ell)
-            ell_prev = ell
-            if n % _CHECK_EVERY == _CHECK_EVERY - 1:
-                _raise_unless_finite(np.isfinite(ell + sa), t0 + (n + 1) * dt, n + 1)
-    except OverflowError as exc:
-        raise BlowUpError(t0 + (n + 1) * dt, step=n + 1) from exc
-    _raise_unless_finite(
-        np.isfinite(a).all(-1) & np.isfinite(b).all(-1), t0 + n_steps * dt, n_steps
-    )
-    rec.push(t0 + n_steps * dt, a, b, dcum)
-
-
 def _runs(lh, damping, a, b, cfg, source=ZeroSource()):
-    """(kernel, reference) recorders of one run or batch from (a, b)."""
+    """(kernel, oracle) samples of one run or batch from (a, b)."""
     m = build_model(a.shape[-1], math.pi, 0.5, 64)
-    st = _Stepper(m, source, damping, lh, cfg)
-    got = _advance(st, a.copy(), b.copy(), 0.0)
-    n_steps, stride = int(round(cfg.horizon / cfg.dt)), cfg.sample_stride
-    want = _Recorder((n_steps - 1) // stride + 2, a.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _general_kick_reference(st, a.copy(), b.copy(), n_steps, stride, 0.0, want)
-    assert got.count == want.count == want.times.shape[0]
-    return got, want
+    got = _advance(_Stepper(m, source, damping, lh, cfg), a.copy(), b.copy(), 0.0)
+    return got, strang(m, source, damping, lh, cfg, a, b)
 
 
 def _starts(n_modes, rows, seed):
@@ -147,8 +63,8 @@ def _starts(n_modes, rows, seed):
 
 
 def _assert_close(got, want):
-    """The kernel's samples against the reference's: times exactly; a, b and
-    D to 1e-12 relative, per run."""
+    """The kernel's samples against the oracle's: times exactly; a, b and D
+    to 1e-12 relative, per run."""
     assert np.array_equal(got.times, want.times)
     for field in ("amat", "bmat"):
         g, w = getattr(got, field), getattr(want, field)
@@ -161,14 +77,11 @@ def _assert_close(got, want):
     assert np.all(want.dvec[-1] > 1e-3)
 
 
-@pytest.mark.parametrize("rows", [None, 3], ids=["single", "batch3"])
 @pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
-def test_free_kick_matches_the_general_kick(damping, rows):
+def test_free_kick_matches_the_oracle(damping):
     n = 8
-    a, b = _starts(n, rows or 1, seed=21)
-    if rows is None:
-        a, b = a[0], b[0]
-    lh = np.zeros(a.shape)
+    (a,), (b,) = _starts(n, 1, seed=21)
+    lh = np.zeros(n)
     cfg = IntegratorConfig(dt=1e-2, horizon=100.0, alpha=0.5, sample_stride=250)
     _assert_close(*_runs(lh, damping, a, b, cfg))
 
@@ -177,18 +90,13 @@ def _lam_h(n):
     return Forcing(0.7, np.random.default_rng(23).standard_normal(n) / np.arange(1, n + 1) ** 2)
 
 
-@pytest.mark.parametrize("kind", ["sourced", "forced", "batch3"])
+@pytest.mark.parametrize("kind", ["sourced", "forced"])
 @pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
-def test_fused_kick_matches_the_general_kick(damping, kind):
-    # one sourced run, one forced run, and a sourced B = 3 batch whose rows
-    # 1 and 2 are also forced
+def test_fused_kick_matches_the_oracle(damping, kind):
+    # one sourced run and one forced run
     n = 8
-    a, b = _starts(n, 3 if kind == "batch3" else 1, seed=24)
-    lh = np.zeros(a.shape)
-    if kind == "batch3":
-        lh[1:] = _lam_h(n).effective
-    else:
-        a, b, lh = a[0], b[0], lh[0] + (kind == "forced") * _lam_h(n).effective
+    (a,), (b,) = _starts(n, 1, seed=24)
+    lh = _lam_h(n).effective if kind == "forced" else np.zeros(n)
     source = ZeroSource() if kind == "forced" else DoublePower(2.0, 1.0, 0.5)
     cfg = IntegratorConfig(dt=1e-2, horizon=100.0, alpha=0.5, sample_stride=250)
     _assert_close(*_runs(lh, damping, a, b, cfg, source))
@@ -196,13 +104,13 @@ def test_fused_kick_matches_the_general_kick(damping, kind):
 
 @pytest.mark.parametrize(
     "rows, forced_rows",
-    [(None, [0]), (3, [0, 1, 2]), (3, [1])],
-    ids=["single", "batch3", "batch3_one_forced"],
+    [(None, [0]), (3, [1])],
+    ids=["single", "batch3_one_forced"],
 )
-def test_forced_zero_source_takes_the_general_kick_bitwise(rows, forced_rows):
+def test_forced_zero_source_matches_the_oracle(rows, forced_rows):
     # the decomposition's v rows: no source, a nonzero lam*h; one forced row
     # makes the whole batch non-free.  The fused kick agrees with the
-    # general kick to 1e-12, as a sourced or forced run does
+    # oracle to 1e-12, as a sourced or forced run does
     n = 8
     a, b = _starts(n, rows or 1, seed=22)
     lh = np.zeros(a.shape)

@@ -36,6 +36,8 @@ def strang(model, source, damping, lh, cfg, a, b, t0=0.0, drive=None):
     cos, sin = np.cos(om * dt), np.sin(om * dt)
     w = model.mu ** (2.0 * cfg.alpha)
     kf = damping.scalar_k()
+    # a run's scalars: Python floats for one run, which keeps the 10^4-step
+    # cases fast; (B, 1) columns for a stack, k mapped over its rows
     if np.ndim(a) == 1:
         k = kf
 
@@ -46,8 +48,7 @@ def strang(model, source, damping, lh, cfg, a, b, t0=0.0, drive=None):
             return project_source(model, source, a)
 
     else:
-        # each row's scalars as a (B, 1) column; k maps the law's scalar
-        # evaluator over the rows
+
         def k(e):
             return np.array([kf(x) for x in e[:, 0].tolist()])[:, None]
 

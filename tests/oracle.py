@@ -2,8 +2,9 @@
 the kernel with.
 
 A step is a half kick, the exact rotation over dt, and a half kick.  A kick
-holds a frozen, projects the source, ``base = lh - <f(u), w_j>``, and takes
-one explicit midpoint: ``bm = b + (dt/4)(base - k(E_alpha(a, b)) b)``, then
+holds a frozen, feels the source projection of that a,
+``base = lh - <f(u), w_j>``, and takes one explicit midpoint:
+``bm = b + (dt/4)(base - k(E_alpha(a, b)) b)``, then
 ``b += (dt/2)(base - k(E_alpha(a, bm)) bm)``.  The rotation is
 ``a' = cos a + (sin/omega) b``, ``b' = -omega sin a + cos b`` with
 ``omega = sqrt(sigma + kappa mu)``.  D is the trapezoid sum of
@@ -60,27 +61,33 @@ def strang(model, source, damping, lh, cfg, a, b, t0=0.0, drive=None):
         def project(a):
             return np.array([project_source(model, source, a[r]) for r in rows])
 
-    def kick(a, b):
-        sa = dot(a * a, w)
-        base = lh - project(a)
-        bm = b + 0.25 * dt * (base - k(sa + dot(b, b)) * b)
+    def kick(base, sa, b, kv):
+        # base and sa = sum_j mu_j^(2 alpha) a_j^2 of the frozen a;
+        # kv = k(sa + |b|^2)
+        bm = b + 0.25 * dt * (base - kv * b)
         return b + 0.5 * dt * (base - k(sa + dot(bm, bm)) * bm)
 
-    def ell(a, b):
-        # the integrand k(E_alpha) |b|^2 of D
-        bb = dot(b, b)
-        return k(dot(a * a, w) + bb) * bb
-
-    ell_prev = ell(a, b)
+    # base and sa are functions of a alone, and a moves only in the rotation:
+    # they are evaluated once per a, k(E_alpha) once per state, and read by
+    # every use, the kicks and the integrand k(E_alpha) |b|^2 of D
+    base = lh - project(a)
+    sa = dot(a * a, w)
+    bb = dot(b, b)
+    kv = k(sa + bb)
+    ell_prev = kv * bb
     d = np.zeros_like(ell_prev)
     samples = []
     for n in range(cfg.n_steps):
         if n % cfg.sample_stride == 0:
             samples.append((t0 + n * dt, a, b, d))
-        b = kick(a, b)
+        b = kick(base, sa, b, kv)
         a, b = cos * a + (sin / om) * b, -(om * sin) * a + cos * b
-        b = kick(a, b)
-        ell_next = ell(a, b)
+        base = lh - project(a)
+        sa = dot(a * a, w)
+        b = kick(base, sa, b, k(sa + dot(b, b)))
+        bb = dot(b, b)
+        kv = k(sa + bb)
+        ell_next = kv * bb
         d = d + 0.5 * dt * (ell_prev + ell_next)
         ell_prev = ell_next
     samples.append((t0 + cfg.n_steps * dt, a, b, d))

@@ -4,11 +4,10 @@ it carries instead of forming the midpoint vector; a free run (zero source,
 zero forcing) has ``base = 0`` and only scales b.  Free, sourced and forced
 runs agree with the textbook Strang loop of ``oracle``, which forms the
 midpoint vector of every kick, to 1e-12 relative in a, b and D over 10^4
-steps for every damping family (``test_batch`` checks that a batch row is
-bitwise its single run); the final state does not depend on the sampling
-stride; a midpoint that cancels never reaches the law as a negative
-argument; and a forced batch that overflows names the step and row the
-kick-by-kick loop named."""
+steps for every damping family, for one run and a B = 3 batch; the final
+state does not depend on the sampling stride; a midpoint that cancels never
+reaches the law as a negative argument; and a forced batch that overflows
+names the step and row the kick-by-kick loop named."""
 
 import math
 from dataclasses import dataclass, field
@@ -77,11 +76,14 @@ def _assert_close(got, want):
     assert np.all(want.dvec[-1] > 1e-3)
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["single", "batch3"])
 @pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
-def test_free_kick_matches_the_oracle(damping):
+def test_free_kick_matches_the_oracle(damping, rows):
     n = 8
-    (a,), (b,) = _starts(n, 1, seed=21)
-    lh = np.zeros(n)
+    a, b = _starts(n, rows or 1, seed=21)
+    if rows is None:
+        a, b = a[0], b[0]
+    lh = np.zeros(a.shape)
     cfg = IntegratorConfig(dt=1e-2, horizon=100.0, alpha=0.5, sample_stride=250)
     _assert_close(*_runs(lh, damping, a, b, cfg))
 
@@ -90,13 +92,18 @@ def _lam_h(n):
     return Forcing(0.7, np.random.default_rng(23).standard_normal(n) / np.arange(1, n + 1) ** 2)
 
 
-@pytest.mark.parametrize("kind", ["sourced", "forced"])
+@pytest.mark.parametrize("kind", ["sourced", "forced", "batch3"])
 @pytest.mark.parametrize("damping", _ALL_DAMPING, ids=lambda law: type(law).__name__)
 def test_fused_kick_matches_the_oracle(damping, kind):
-    # one sourced run and one forced run
+    # one sourced run, one forced run, and a sourced B = 3 batch whose rows
+    # 1 and 2 are also forced
     n = 8
-    (a,), (b,) = _starts(n, 1, seed=24)
-    lh = _lam_h(n).effective if kind == "forced" else np.zeros(n)
+    a, b = _starts(n, 3 if kind == "batch3" else 1, seed=24)
+    lh = np.zeros(a.shape)
+    if kind == "batch3":
+        lh[1:] = _lam_h(n).effective
+    else:
+        a, b, lh = a[0], b[0], lh[0] + (kind == "forced") * _lam_h(n).effective
     source = ZeroSource() if kind == "forced" else DoublePower(2.0, 1.0, 0.5)
     cfg = IntegratorConfig(dt=1e-2, horizon=100.0, alpha=0.5, sample_stride=250)
     _assert_close(*_runs(lh, damping, a, b, cfg, source))
@@ -104,8 +111,8 @@ def test_fused_kick_matches_the_oracle(damping, kind):
 
 @pytest.mark.parametrize(
     "rows, forced_rows",
-    [(None, [0]), (3, [1])],
-    ids=["single", "batch3_one_forced"],
+    [(None, [0]), (3, [0, 1, 2]), (3, [1])],
+    ids=["single", "batch3", "batch3_one_forced"],
 )
 def test_forced_zero_source_matches_the_oracle(rows, forced_rows):
     # the decomposition's v rows: no source, a nonzero lam*h; one forced row

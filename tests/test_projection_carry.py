@@ -1,9 +1,9 @@
 """The Strang loop evaluates the source projection once per step and carries
 it into the next step's first half kick.  Its recorded a, b and D agree with
-the textbook loop of ``oracle``, which projects at every kick, to 1e-12 (the
-kernel also fuses the two half kicks that meet between steps), for one run
-and a driven batch, and it projects exactly n_steps + 1 times per run.  A
-batch row is bitwise its single run, which ``test_batch`` checks."""
+the textbook loop of ``oracle``, which forms the midpoint vector of every
+kick, to 1e-12 (the kernel also fuses the two half kicks that meet between
+steps), for one run, a batch and a driven batch, and it projects exactly
+n_steps + 1 times per run."""
 
 import math
 from dataclasses import replace
@@ -33,8 +33,8 @@ _LAW = K1Monomial(0.8, 1.5)
 
 
 def _problem(shape, forced, seed=3):
-    """(model, lh, drive, a, b) for one run, or a driven batch of two (u, z)
-    pairs whose z rows feel the projection of their u row."""
+    """(model, lh, drive, a, b) for one run, a B = 3 batch, or a driven batch of
+    two (u, z) pairs whose z rows feel the projection of their u row."""
     m = build_model(_N, math.pi, 0.5, 64)
     rng = np.random.default_rng(seed)
     states = [make_initial_state(m, rng, 1.0) for _ in range(3)]
@@ -43,6 +43,10 @@ def _problem(shape, forced, seed=3):
     lhs = [Forcing(lam, h).effective for lam in lams]
     if shape == "single":
         return m, lhs[0], None, states[0].a.copy(), states[0].b.copy()
+    if shape == "batch":
+        a = np.stack([s.a for s in states])
+        b = np.stack([s.b for s in states])
+        return m, np.stack(lhs), None, a, b
     zero = np.zeros(_N)
     a = np.stack([states[0].a, zero, states[1].a, zero])
     b = np.stack([states[0].b, zero, states[1].b, zero])
@@ -54,7 +58,7 @@ def _problem(shape, forced, seed=3):
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("source", sorted(_SOURCES))
-@pytest.mark.parametrize("shape", ["single", "driven"])
+@pytest.mark.parametrize("shape", ["single", "batch", "driven"])
 def test_carried_projection_matches_the_oracle(shape, source, forced, stride, alpha):
     m, lh, drive, a, b = _problem(shape, forced)
     cfg = IntegratorConfig(dt=1e-2, horizon=3.0, alpha=alpha, sample_stride=stride)
